@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race fuzz fuzz-smoke obs-smoke loadgen-smoke remote-smoke ingest-smoke fleet-obs-smoke kernel-smoke cover bench bench-kernels bench-loadgen examples experiments clean
+.PHONY: all build vet test race fuzz fuzz-smoke obs-smoke loadgen-smoke remote-smoke ingest-smoke fleet-obs-smoke kernel-smoke perfbench-smoke cover bench bench-kernels bench-loadgen examples experiments clean
 
 all: build test
 
@@ -10,7 +10,7 @@ build:
 vet:
 	$(GO) vet ./...
 
-test: vet race fuzz-smoke obs-smoke loadgen-smoke remote-smoke ingest-smoke fleet-obs-smoke kernel-smoke cover
+test: vet race fuzz-smoke obs-smoke loadgen-smoke remote-smoke ingest-smoke fleet-obs-smoke kernel-smoke perfbench-smoke cover
 	$(GO) test ./...
 
 # End-to-end sweep of the observability surface through the real CLI:
@@ -95,6 +95,17 @@ fuzz-smoke:
 # gate is `ossm-bench -check kernels`. Part of the default gate.
 kernel-smoke:
 	$(GO) run ./cmd/ossm-bench -sweep 16,2048 -check -check-margin 0.5 kernels > /dev/null
+
+# End-to-end benchmark smoke: a 2-second window of each mining workload
+# (perfbench/README.md) must check every answer correct with no failed
+# op. Part of the default gate.
+perfbench-smoke:
+	@for w in mine-prune mine-count; do \
+		last=$$(bash perfbench/run.sh --workload $$w --seconds 2 --setups 1 --trace 0 | tail -n 1); \
+		echo "perfbench-smoke $$w: $$(echo "$$last" | cut -c1-60)"; \
+		echo "$$last" | grep -q '"correct": *true' || { echo "perfbench-smoke: $$w answers not correct"; exit 1; }; \
+		echo "$$last" | grep -q '"failed": *0[,}]' || { echo "perfbench-smoke: $$w had failed ops"; exit 1; }; \
+	done
 
 # Scaled-down deterministic versions of every paper table/figure plus
 # micro-benchmarks (see EXPERIMENTS.md for recorded full runs).

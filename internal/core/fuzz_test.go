@@ -202,5 +202,8 @@ func FuzzBoundKernels(f *testing.F) {
 				}
 			}
 		}
+
+		// Pair wall over a fuzzed subset of the items in shuffled order.
+		checkPairWall(t, m, randomItemOrder(r, k), minsup)
 	})
 }

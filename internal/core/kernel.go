@@ -33,6 +33,13 @@ import (
 // into the same int64 accumulation, so every decision is bit-identical
 // to the reference bound regardless of lane. Per-call scratch lives in
 // a sync.Pool so the batch loops are allocation-free at steady state.
+//
+// The candidate-2 wall (BoundPairsAmong) takes neither shortcut and no
+// dispatch: it runs one segment-by-segment accumulation over the
+// uint32 rows, touching only the pairs both of whose items are present
+// in a segment. On the sparse rows of deep segmentations that is far
+// less work than a per-pair scan; on fully dense rows it is about the
+// same.
 
 // boundOutcome records how a decision-mode bound call terminated.
 type boundOutcome uint8
@@ -65,8 +72,10 @@ const (
 	// kernels: the ≤crossover small-map dispatch, single decision
 	// calls, and deep maps whose cells overflow the uint16 mirror.
 	LaneSmall
-	// LaneFlat32 is the blocked uniform-k flat lane over uint32
-	// segment-major rows — mid-depth maps without a uint16 mirror.
+	// LaneFlat32 is any lane over the uint32 segment-major rows: the
+	// blocked uniform-k flat lane on maps without a uint16 mirror, the
+	// extension loop likewise, and every decision of the pair wall
+	// (BoundPairsAmong), which always scans every segment.
 	LaneFlat32
 	// LaneFlat16 is any lane over the quantized uint16 mirror: the
 	// blocked flat lane at mid depth and the per-candidate deep lane.
@@ -589,6 +598,8 @@ type batchScratch struct {
 	flat    []dataset.Item
 	prefMin []uint32
 	prefSuf []int64
+	pos     []int32
+	cnt     []uint32
 }
 
 var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
@@ -685,11 +696,10 @@ func (m *Map) BoundBatch(cands []dataset.Itemset, minsup int64, decisions []bool
 	return boundBatchDeep(m, m.itemMajor, cands, uni, minsup, decisions, LaneSmall)
 }
 
-// boundFlatBlocked is the blocked uniform-k flat lane shared by
-// BoundBatch and BoundPairsAmong: candidate ci's members are
-// flat[ci·k : ci·k+k], every inner-loop load is a direct array index,
-// and the block length follows the depth schedule. Pair and triple
-// generations get fully unrolled member loops.
+// boundFlatBlocked is BoundBatch's blocked uniform-k flat lane (k ≥
+// flatCrossoverMinK): candidate ci's members are flat[ci·k : ci·k+k],
+// every inner-loop load is a direct array index, and the block length
+// follows the depth schedule.
 func boundFlatBlocked[C cells](m *Map, rows []C, sc *batchScratch, flat []dataset.Item, k int, minsup int64, decisions []bool, lane KernelLane) BatchStats {
 	var st BatchStats
 	n := len(flat) / k
@@ -702,45 +712,17 @@ func boundFlatBlocked[C cells](m *Map, rows []C, sc *batchScratch, flat []datase
 	block := blockSegsFor(ns)
 	for blockStart := 0; blockStart < ns && len(alive) > 0; blockStart += block {
 		blockEnd := min(blockStart+block, ns)
-		switch k {
-		case 2:
-			for s := blockStart; s < blockEnd; s++ {
-				row := rows[s*items : (s+1)*items]
-				for _, ci := range alive {
-					ca := row[flat[2*ci]]
-					if cb := row[flat[2*ci+1]]; cb < ca {
-						ca = cb
+		for s := blockStart; s < blockEnd; s++ {
+			row := rows[s*items : (s+1)*items]
+			for _, ci := range alive {
+				members := flat[int(ci)*k : int(ci)*k+k]
+				minC := row[members[0]]
+				for _, it := range members[1:] {
+					if c := row[it]; c < minC {
+						minC = c
 					}
-					acc[ci] += int64(ca)
 				}
-			}
-		case 3:
-			for s := blockStart; s < blockEnd; s++ {
-				row := rows[s*items : (s+1)*items]
-				for _, ci := range alive {
-					ca := row[flat[3*ci]]
-					if cb := row[flat[3*ci+1]]; cb < ca {
-						ca = cb
-					}
-					if cc := row[flat[3*ci+2]]; cc < ca {
-						ca = cc
-					}
-					acc[ci] += int64(ca)
-				}
-			}
-		default:
-			for s := blockStart; s < blockEnd; s++ {
-				row := rows[s*items : (s+1)*items]
-				for _, ci := range alive {
-					members := flat[int(ci)*k : int(ci)*k+k]
-					minC := row[members[0]]
-					for _, it := range members[1:] {
-						if c := row[it]; c < minC {
-							minC = c
-						}
-					}
-					acc[ci] += int64(minC)
-				}
+				acc[ci] += int64(minC)
 			}
 		}
 		final := blockEnd == ns
@@ -921,8 +903,19 @@ func (m *Map) UpperBoundBatch(cands []dataset.Itemset, out []int64) []int64 {
 // a frequent-1 generation — the candidate-2 wall. Decisions are written
 // in the same order a nested i-outer/j-inner loop visits the pairs
 // (PairIndex gives the mapping); decisions must have
-// len(items)·(len(items)−1)/2 entries. The pair-specialized lanes avoid
-// itemset materialization entirely.
+// len(items)·(len(items)−1)/2 entries.
+//
+// The wall is decided segment by segment rather than pair by pair: the
+// triangular-array pass-2 count of Apriori, run over segments instead of
+// transactions. Each segment-major row is read once; the generation's
+// items present in it (non-zero cells) are gathered, and every present
+// pair i < j adds min(c_i, c_j) into a triangular accumulator indexed
+// like PairIndex. A pair absent from a segment contributes 0 there, so
+// the accumulator ends at exactly ubsup and each decision is acc ≥
+// minsup. The cost is Σ_s C(nz_s, 2), nz_s being the number of the
+// generation's items present in segment s, instead of pairs × segments
+// column loads — on sparse rows a small fraction of it. Every pair is
+// scanned in full, so all decisions report boundFull under LaneFlat32.
 func (m *Map) BoundPairsAmong(items []dataset.Item, minsup int64, decisions []bool) BatchStats {
 	var st BatchStats
 	n := len(items)
@@ -933,43 +926,40 @@ func (m *Map) BoundPairsAmong(items []dataset.Item, minsup int64, decisions []bo
 	if len(decisions) < numPairs {
 		panic("core: BoundPairsAmong needs one decision slot per pair")
 	}
-	ns := m.numSegs
-	if ns <= smallCrossoverSegs(2) {
-		idx := 0
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				ok, o := m.boundPairSmall(items[i], items[j], minsup)
-				decisions[idx] = ok
-				st.note(o, LaneSmall)
-				idx++
+	sc := batchPool.Get().(*batchScratch)
+	defer batchPool.Put(sc)
+	acc := sc.accFor(numPairs)
+	if cap(sc.pos) < n {
+		sc.pos, sc.cnt = make([]int32, n), make([]uint32, n)
+	}
+	pos, cnt := sc.pos[:n], sc.cnt[:n]
+	nk := m.numItems
+	for s := 0; s < m.numSegs; s++ {
+		row := m.segMajor[s*nk : (s+1)*nk]
+		nz := 0
+		for i, it := range items {
+			if c := row[it]; c != 0 {
+				pos[nz], cnt[nz] = int32(i), c
+				nz++
 			}
 		}
-		return st
-	}
-	// Pairs past the crossover always take the deep column lanes: with
-	// only two contiguous column streams per decision the register
-	// accumulator beats the blocked row loop at every measured depth.
-	if q := m.quantized(); q != nil {
-		idx := 0
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				ok, o := boundPairDeep(m, q.itemMajor, items[i], items[j], minsup)
-				decisions[idx] = ok
-				st.note(o, LaneFlat16)
-				idx++
+		for a := 0; a < nz; a++ {
+			// base + j is PairIndex(i, j, n) for every later position j.
+			i := int(pos[a])
+			ca, base := cnt[a], PairIndex(i, i+1, n)-i-1
+			for b := a + 1; b < nz; b++ {
+				c := cnt[b]
+				if ca < c {
+					c = ca
+				}
+				acc[base+int(pos[b])] += int64(c)
 			}
 		}
-		return st
 	}
-	idx := 0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			ok, o := boundPairDeep(m, m.itemMajor, items[i], items[j], minsup)
-			decisions[idx] = ok
-			st.note(o, LaneSmall)
-			idx++
-		}
+	for p, a := range acc {
+		decisions[p] = a >= minsup
 	}
+	st.Lanes[LaneFlat32].Decided = int64(numPairs)
 	return st
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -88,28 +89,19 @@ func checkKernelsAgainstReference(t *testing.T, r *rand.Rand, m *Map, trials int
 		}
 	}
 
-	// Pair kernel: all 2-subsets of the item domain.
-	items := make([]dataset.Item, k)
-	for i := range items {
-		items[i] = dataset.Item(i)
+	// Pair wall: the whole domain in ascending order on even trials,
+	// random subsets in shuffled order on odd ones (pairs follow the
+	// generation's positions, not the item ids).
+	all := make([]dataset.Item, k)
+	for i := range all {
+		all[i] = dataset.Item(i)
 	}
-	numPairs := k * (k - 1) / 2
-	pairDec := make([]bool, numPairs)
 	for trial := 0; trial < trials; trial++ {
-		minsup := 1 + r.Int63n(maxT+1)
-		st := m.BoundPairsAmong(items, minsup, pairDec)
-		if st.EarlyExit+st.Abandoned > int64(numPairs) {
-			t.Fatalf("BoundPairsAmong shortcut counts %+v exceed %d pairs", st, numPairs)
+		items := all
+		if trial%2 == 1 {
+			items = randomItemOrder(r, k)
 		}
-		checkLaneAccounting(t, st, int64(numPairs), "BoundPairsAmong")
-		for i := 0; i < k; i++ {
-			for j := i + 1; j < k; j++ {
-				ref := m.referenceUpperBound(dataset.Itemset{items[i], items[j]})
-				if got := pairDec[PairIndex(i, j, k)]; got != (ref >= minsup) {
-					t.Fatalf("BoundPairsAmong pair (%d,%d) = %v at %d, reference bound %d", i, j, got, minsup, ref)
-				}
-			}
-		}
+		checkPairWall(t, m, items, 1+r.Int63n(maxT+1))
 	}
 
 	// Extension kernel: shared prefix, the depth-first miners' shape.
@@ -150,6 +142,39 @@ func randomItemsetOfLen(r *rand.Rand, k, want int) dataset.Itemset {
 		items[i] = dataset.Item(p)
 	}
 	return dataset.NewItemset(items...)
+}
+
+// randomItemOrder draws a random subset of a k-item domain, possibly
+// empty, in shuffled order.
+func randomItemOrder(r *rand.Rand, k int) []dataset.Item {
+	perm := r.Perm(k)[:r.Intn(k+1)]
+	items := make([]dataset.Item, len(perm))
+	for i, p := range perm {
+		items[i] = dataset.Item(p)
+	}
+	return items
+}
+
+// checkPairWall runs BoundPairsAmong over items and checks every
+// decision against the reference bound, plus the lane accounting.
+func checkPairWall(t *testing.T, m *Map, items []dataset.Item, minsup int64) {
+	t.Helper()
+	n := len(items)
+	numPairs := n * (n - 1) / 2
+	dec := make([]bool, numPairs)
+	st := m.BoundPairsAmong(items, minsup, dec)
+	if st.EarlyExit+st.Abandoned > int64(numPairs) {
+		t.Fatalf("BoundPairsAmong shortcut counts %+v exceed %d pairs", st, numPairs)
+	}
+	checkLaneAccounting(t, st, int64(numPairs), "BoundPairsAmong")
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			ref := m.referenceUpperBound(dataset.NewItemset(items[i], items[j]))
+			if got := dec[PairIndex(i, j, n)]; got != (ref >= minsup) {
+				t.Fatalf("BoundPairsAmong pair (%d,%d) of %v = %v at %d, reference bound %d", items[i], items[j], items, got, minsup, ref)
+			}
+		}
+	}
 }
 
 // checkLaneAccounting verifies the per-lane breakdown of a batch call:
@@ -246,5 +271,74 @@ func TestKernelMultiBlockShortcuts(t *testing.T) {
 	}
 	if st.EarlyExit != 1 || st.Abandoned != 1 {
 		t.Errorf("BoundBatch stats = %+v, want one early exit and one abandon", st)
+	}
+}
+
+// TestPairWallDifferential drives the segment-accumulation pair wall
+// over the shapes its cost depends on: mostly-zero, half-full and fully
+// dense cells, segment counts on both sides of the per-candidate pair
+// kernels' 32-segment crossover, the SegmentRange views shards query,
+// and item subsets in shuffled order. Thresholds include a pair's exact
+// bound and the next integer, so decisions flip inside every call.
+func TestPairWallDifferential(t *testing.T) {
+	const items = 24
+	r := rand.New(rand.NewSource(13))
+	for _, segs := range []int{1, 2, 31, 32, 33, 64, 400} {
+		for _, density := range []float64{0.05, 0.5, 1} {
+			rows := make([][]uint32, segs)
+			for s := range rows {
+				rows[s] = make([]uint32, items)
+				for i := range rows[s] {
+					if r.Float64() < density {
+						rows[s][i] = 1 + uint32(r.Intn(200))
+					}
+				}
+			}
+			m, err := NewMap(rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			views := []*Map{m}
+			if segs > 1 {
+				lo := r.Intn(segs - 1)
+				v, err := m.SegmentRange(lo, lo+1+r.Intn(segs-lo-1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				views = append(views, v)
+			}
+			for _, v := range views {
+				for trial := 0; trial < 4; trial++ {
+					order := randomItemOrder(r, items)
+					thresholds := []int64{0, 1, 1 + r.Int63n(200*int64(v.NumSegments())+1)}
+					if len(order) >= 2 {
+						ref := v.referenceUpperBound(dataset.NewItemset(order[0], order[len(order)-1]))
+						thresholds = append(thresholds, ref, ref+1)
+					}
+					for _, minsup := range thresholds {
+						checkPairWall(t, v, order, minsup)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPairWallWideBounds pins the pair wall's accumulator width on a
+// hand-built map whose pair bound, 2·MaxUint32, would wrap a 32-bit sum.
+func TestPairWallWideBounds(t *testing.T) {
+	const max32 = math.MaxUint32
+	m, err := NewMap([][]uint32{{max32, max32, 7}, {max32, max32, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bound = 2 * max32
+	if ref := m.referenceUpperBound(dataset.NewItemset(0, 1)); ref != bound {
+		t.Fatalf("reference bound of {0,1} = %d, want %d", ref, int64(bound))
+	}
+	for _, order := range [][]dataset.Item{{0, 1, 2}, {2, 1, 0}, {1, 0}} {
+		for _, minsup := range []int64{1, 7, 8, max32, bound - 1, bound, bound + 1} {
+			checkPairWall(t, m, order, minsup)
+		}
 	}
 }

@@ -71,6 +71,7 @@ type breaker struct {
 	fails    int       // consecutive failures while closed
 	openedAt time.Time // when the breaker last tripped open
 	probing  bool      // a half-open probe is in flight
+	trips    uint64    // times tripped open: the closed period a call was admitted in
 }
 
 func newBreaker(cfg BreakerConfig) *breaker {
@@ -95,8 +96,9 @@ func (b *breaker) Allow() (done func(ok bool), err error) {
 	b.mu.Lock()
 	switch b.state {
 	case BreakerClosed:
+		trips := b.trips
 		b.mu.Unlock()
-		return b.settleClosed, nil
+		return func(ok bool) { b.settleClosed(trips, ok) }, nil
 	case BreakerOpen:
 		if b.now().Sub(b.openedAt) < b.cfg.Cooldown {
 			b.mu.Unlock()
@@ -117,12 +119,16 @@ func (b *breaker) Allow() (done func(ok bool), err error) {
 	return nil, ErrBreakerOpen
 }
 
-// settleClosed records a call outcome observed while closed.
-func (b *breaker) settleClosed(ok bool) {
+// settleClosed records the outcome of a call admitted while closed,
+// after trips trips.
+func (b *breaker) settleClosed(trips uint64, ok bool) {
 	b.mu.Lock()
-	if b.state != BreakerClosed {
-		// A concurrent probe already moved the state; stale outcomes from
-		// the closed era must not flap it.
+	if trips != b.trips {
+		// The breaker tripped since the call was admitted. Its outcome
+		// belongs to that earlier closed period: it must neither flap the
+		// current state nor count against a breaker that has since
+		// re-closed (a call hung on a wedged shard times out long after
+		// the probe that closed the breaker again).
 		b.mu.Unlock()
 		return
 	}
@@ -153,6 +159,7 @@ func (b *breaker) settleProbe(ok bool) {
 
 // trip opens the breaker and stamps the cooldown clock. Callers hold mu.
 func (b *breaker) trip() {
+	b.trips++
 	b.openedAt = b.now()
 	b.transition(BreakerOpen)
 }

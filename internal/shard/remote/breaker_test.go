@@ -136,6 +136,38 @@ func TestBreakerStaleClosedOutcomeCannotFlapOpenState(t *testing.T) {
 	}
 }
 
+func TestBreakerStaleClosedOutcomeCannotTripReclosedBreaker(t *testing.T) {
+	b, now := clockedBreaker(BreakerConfig{FailureThreshold: 2, Cooldown: time.Second})
+	// Calls admitted while closed that hang until they time out.
+	var stale []func(bool)
+	for i := 0; i < 2; i++ {
+		done, err := b.Allow()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stale = append(stale, done)
+	}
+	callOutcome(t, b, false)
+	callOutcome(t, b, false) // trips open
+	*now = now.Add(time.Second)
+	callOutcome(t, b, true) // the half-open probe closes it again
+	if got := b.State(); got != BreakerClosed {
+		t.Fatalf("after probe State() = %v, want closed", got)
+	}
+	for _, done := range stale {
+		done(false) // failures from before the trip
+	}
+	if got := b.State(); got != BreakerClosed {
+		t.Fatalf("stale failures re-opened the breaker: State() = %v", got)
+	}
+	// Failures of calls admitted after the re-close still count.
+	callOutcome(t, b, false)
+	callOutcome(t, b, false)
+	if got := b.State(); got != BreakerOpen {
+		t.Fatalf("fresh failures: State() = %v, want open", got)
+	}
+}
+
 func TestBreakerOnChangeSeesOrderedTransitions(t *testing.T) {
 	var seen []BreakerState
 	b, now := clockedBreaker(BreakerConfig{

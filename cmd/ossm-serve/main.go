@@ -368,7 +368,7 @@ func runWorker(ctx context.Context, cfg workerConfig, logger *slog.Logger, stdou
 			return fmt.Errorf("index %q splits into only %d shard(s) (%d segments); shard id %d owns nothing",
 				name, len(shards), ix.NumSegments(), cfg.shardID)
 		}
-		if err := w.Add(name, shard.Transports(shards)[cfg.shardID], ix.NumSegments()); err != nil {
+		if err := w.Add(name, shard.Transports(shards)[cfg.shardID], ix.NumSegments(), ix.NumItems()); err != nil {
 			return err
 		}
 		rng := shard.PartitionSegments(ix.NumSegments(), cfg.shardCount)[cfg.shardID]

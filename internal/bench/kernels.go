@@ -14,33 +14,28 @@ import (
 // KernelPoint measures one (candidate shape, segment count) cell of the
 // bound-kernel microbenchmark. Every ns/op figure times one whole
 // generation of KernelCands candidates, so the kernels are directly
-// comparable: the scalar baseline is a full uint32 UpperBound walk per
-// candidate, AtLeast the per-candidate decision kernel, Batch the
-// size-dispatched batch kernel on its default (quantized when possible)
-// lanes, BatchU32 the same batch call with the uint16 mirror disabled —
-// the quantized-vs-uint32 lane delta is their ratio.
+// comparable: the scalar baseline is a full UpperBound walk per
+// candidate, AtLeast the per-candidate decision kernel called one
+// candidate at a time, Batch the same kernel driven by BoundBatch over
+// the whole generation.
 type KernelPoint struct {
 	Kind          string  `json:"kind"` // "pair", "triple", "quad" or "quint"
 	Segments      int     `json:"segments"`
 	Candidates    int     `json:"candidates"`
 	MinSup        int64   `json:"minsup"`
-	Lane          string  `json:"batch_lane"` // dominant dispatch lane of the batch call
 	ScalarNsOp    float64 `json:"scalar_ns_per_op"`
 	AtLeastNsOp   float64 `json:"atleast_ns_per_op"`
 	BatchNsOp     float64 `json:"batch_ns_per_op"`
-	BatchU32NsOp  float64 `json:"batch_u32_ns_per_op"`
 	BatchSpeedup  float64 `json:"batch_speedup_vs_scalar"`
-	QuantSpeedup  float64 `json:"quant_speedup_vs_u32"`
 	EarlyExitRate float64 `json:"early_exit_rate"`
 	AbandonRate   float64 `json:"abandon_rate"`
 }
 
 // KernelsResult is the bound-kernel microbenchmark (DESIGN.md §7): the
 // decision and batch kernels against the scalar bound across segment
-// counts, on the candidate-2 wall (pairs) and the post-wall generations
-// (triples, quads, quints — the widths the k-item lanes serve). Every
-// run re-verifies the equivalence guarantee before timing: each
-// kernel's decisions, on both the quantized and the uint32 lanes, must
+// counts, on pairs and the post-wall generations (triples, quads,
+// quints — the widths the generic-k loop serves). Every run re-verifies
+// the equivalence guarantee before timing: each kernel's decisions must
 // be bit-identical to the scalar bound's.
 type KernelsResult struct {
 	Points []KernelPoint `json:"points"`
@@ -49,10 +44,8 @@ type KernelsResult struct {
 // KernelCands is the generation size each measurement decides per op.
 const KernelCands = 1024
 
-// kernelSegDefaults spans one block (16), the pair/triple small-lane
-// crossover neighborhood (64), the first blocked/deep sizes (128, 256),
-// the wide-block schedule boundary (1024) and a deep segmentation
-// (4096, past the flat crossover for quads and quints).
+// kernelSegDefaults spans a shallow map (16, two abandon strides) up to
+// a deep segmentation (4096) whose matrix is far out of cache.
 var kernelSegDefaults = []int{16, 64, 128, 256, 1024, 4096}
 
 // kernelKinds are the candidate shapes: one per uniform width the
@@ -120,8 +113,7 @@ func timeKernel(f func()) float64 {
 
 // RunKernels measures the bound kernels across segCounts (nil ⇒ the
 // default 16→4096 sweep) at widths 2–5, verifying kernel/scalar
-// decision equivalence on every cell — on both the quantized and the
-// uint32 lanes — before timing it.
+// decision equivalence on every cell before timing it.
 func RunKernels(cfg Config, segCounts []int) (*KernelsResult, error) {
 	if len(segCounts) == 0 {
 		segCounts = kernelSegDefaults
@@ -145,20 +137,13 @@ func RunKernels(cfg Config, segCounts []int) (*KernelsResult, error) {
 
 			// Equivalence check first: the timings below are only
 			// meaningful if every kernel answers exactly like the scalar
-			// bound, with and without the uint16 mirror.
+			// bound.
 			dec := make([]bool, len(cands))
-			decU32 := make([]bool, len(cands))
 			st := m.BoundBatch(cands, minsup, dec)
-			m.SetQuantized(false)
-			m.BoundBatch(cands, minsup, decU32)
-			m.SetQuantized(true)
 			for i, x := range cands {
 				want := m.UpperBound(x) >= minsup
 				if dec[i] != want {
 					return nil, fmt.Errorf("bench: BoundBatch disagrees with UpperBound on %v at %d segments", x, segs)
-				}
-				if decU32[i] != want {
-					return nil, fmt.Errorf("bench: uint32-lane BoundBatch disagrees with UpperBound on %v at %d segments", x, segs)
 				}
 				if m.BoundAtLeast(x, minsup) != want {
 					return nil, fmt.Errorf("bench: BoundAtLeast disagrees with UpperBound on %v at %d segments", x, segs)
@@ -180,23 +165,15 @@ func RunKernels(cfg Config, segCounts []int) (*KernelsResult, error) {
 			batchNs := timeKernel(func() {
 				m.BoundBatch(cands, minsup, dec)
 			})
-			m.SetQuantized(false)
-			batchU32Ns := timeKernel(func() {
-				m.BoundBatch(cands, minsup, decU32)
-			})
-			m.SetQuantized(true)
 			out.Points = append(out.Points, KernelPoint{
 				Kind:          kind.Name,
 				Segments:      segs,
 				Candidates:    len(cands),
 				MinSup:        minsup,
-				Lane:          dominantLane(st),
 				ScalarNsOp:    scalarNs,
 				AtLeastNsOp:   atLeastNs,
 				BatchNsOp:     batchNs,
-				BatchU32NsOp:  batchU32Ns,
 				BatchSpeedup:  scalarNs / batchNs,
-				QuantSpeedup:  batchU32Ns / batchNs,
 				EarlyExitRate: float64(st.EarlyExit) / float64(len(cands)),
 				AbandonRate:   float64(st.Abandoned) / float64(len(cands)),
 			})
@@ -205,32 +182,20 @@ func RunKernels(cfg Config, segCounts []int) (*KernelsResult, error) {
 	return out, nil
 }
 
-// dominantLane names the dispatch lane that decided the most candidates
-// of a batch call.
-func dominantLane(st core.BatchStats) string {
-	best, bestN := core.LaneScalar, int64(-1)
-	for l := 0; l < core.NumKernelLanes; l++ {
-		if n := st.Lanes[l].Decided; n > bestN {
-			best, bestN = core.KernelLane(l), n
-		}
-	}
-	return best.String()
-}
-
 // KernelFloor is the regression floor for batch_speedup_vs_scalar at
-// one sweep point: the regime-specific speedup the batch lanes must
+// one sweep point: the regime-specific speedup the batch kernel must
 // keep over the scalar bound, set ~30% under the values recorded in
 // BENCH_5.json on the reference machine. Narrow candidates (pairs,
-// triples) ride the specialized unrolled lanes and clear high bars at
+// triples) ride the pair and triple unrolls and clear high bars at
 // every depth — their deep floor of 2.2 is the kernel-round-3
 // acceptance bar itself. Wide candidates (quads, quints) pay k column
 // loads per segment just like the scalar walk, so their shallow-map
 // headroom is structurally thin and the floor only asks that the
-// dispatch never does worse than ~scalar.
+// kernel never does worse than ~scalar.
 func KernelFloor(kind string, segs int) float64 {
 	narrow := kind == "pair" || kind == "triple"
 	switch {
-	case segs >= 1024: // deep: quantized per-candidate or flat-blocked lanes
+	case segs >= 1024: // deep: the matrix is far out of cache
 		if narrow {
 			return 2.2
 		}
@@ -238,12 +203,12 @@ func KernelFloor(kind string, segs int) float64 {
 			return 1.4
 		}
 		return 1.2
-	case segs >= 128: // mid: deep column lanes past the small crossover
+	case segs >= 128: // mid
 		if narrow {
 			return 2.0
 		}
 		return 1.2
-	default: // small maps: per-candidate column kernels
+	default: // small maps
 		if narrow {
 			return 1.5
 		}
@@ -288,11 +253,11 @@ func joinLines(lines []string) string {
 // Print renders the microbenchmark as a table.
 func (r *KernelsResult) Print(w io.Writer) {
 	fmt.Fprintln(w, "Bound kernels: ns per generation (scalar UpperBound vs decision kernels)")
-	fmt.Fprintf(w, "%-7s %8s %7s %-7s %11s %11s %11s %11s %8s %6s %6s %6s\n",
-		"kind", "segments", "cands", "lane", "scalar", "atleast", "batch", "batch-u32", "speedup", "qx", "exit%", "abdn%")
+	fmt.Fprintf(w, "%-7s %8s %7s %11s %11s %11s %8s %6s %6s\n",
+		"kind", "segments", "cands", "scalar", "atleast", "batch", "speedup", "exit%", "abdn%")
 	for _, p := range r.Points {
-		fmt.Fprintf(w, "%-7s %8d %7d %-7s %11.0f %11.0f %11.0f %11.0f %7.2fx %5.2fx %5.1f%% %5.1f%%\n",
-			p.Kind, p.Segments, p.Candidates, p.Lane, p.ScalarNsOp, p.AtLeastNsOp, p.BatchNsOp, p.BatchU32NsOp,
-			p.BatchSpeedup, p.QuantSpeedup, 100*p.EarlyExitRate, 100*p.AbandonRate)
+		fmt.Fprintf(w, "%-7s %8d %7d %11.0f %11.0f %11.0f %7.2fx %5.1f%% %5.1f%%\n",
+			p.Kind, p.Segments, p.Candidates, p.ScalarNsOp, p.AtLeastNsOp, p.BatchNsOp,
+			p.BatchSpeedup, 100*p.EarlyExitRate, 100*p.AbandonRate)
 	}
 }

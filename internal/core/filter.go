@@ -134,9 +134,6 @@ type KernelCounters struct {
 	Pruned    int64
 	EarlyExit int64
 	Abandoned int64
-	// Lanes is the per-dispatch-lane breakdown of the decisions (index
-	// with KernelLane); filters without lane dispatch leave it zero.
-	Lanes [NumKernelLanes]LaneStats
 }
 
 // KernelReporter is implemented by filters that expose kernel counters
@@ -161,24 +158,15 @@ func (p *Pruner) KernelCounters() KernelCounters {
 	if p == nil {
 		return KernelCounters{}
 	}
-	kc := KernelCounters{
+	return KernelCounters{
 		Checked:   atomic.LoadInt64(&p.Checked),
 		Pruned:    atomic.LoadInt64(&p.Pruned),
 		EarlyExit: atomic.LoadInt64(&p.EarlyExit),
 		Abandoned: atomic.LoadInt64(&p.Abandoned),
 	}
-	for i := range kc.Lanes {
-		kc.Lanes[i] = LaneStats{
-			Decided:   atomic.LoadInt64(&p.Lanes[i].Decided),
-			EarlyExit: atomic.LoadInt64(&p.Lanes[i].EarlyExit),
-			Abandoned: atomic.LoadInt64(&p.Lanes[i].Abandoned),
-		}
-	}
-	return kc
 }
 
-// AllowBatch implements BatchFilter through the blocked BoundBatch
-// kernel.
+// AllowBatch implements BatchFilter through the BoundBatch kernel.
 func (p *Pruner) AllowBatch(cands []dataset.Itemset, decisions []bool) {
 	if p == nil || p.Map == nil {
 		for i := range decisions {
@@ -228,15 +216,6 @@ func (p *Pruner) noteBatch(checked int, decisions []bool, st BatchStats) {
 	atomic.AddInt64(&p.Pruned, pruned)
 	atomic.AddInt64(&p.EarlyExit, st.EarlyExit)
 	atomic.AddInt64(&p.Abandoned, st.Abandoned)
-	for i := range st.Lanes {
-		ls := st.Lanes[i]
-		if ls.Decided == 0 {
-			continue
-		}
-		atomic.AddInt64(&p.Lanes[i].Decided, ls.Decided)
-		atomic.AddInt64(&p.Lanes[i].EarlyExit, ls.EarlyExit)
-		atomic.AddInt64(&p.Lanes[i].Abandoned, ls.Abandoned)
-	}
 }
 
 // AllowPair is the 2-itemset fast path of the extended pruner: tracked

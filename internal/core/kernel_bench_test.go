@@ -92,8 +92,8 @@ func BenchmarkUpperBoundAtLeast(b *testing.B) {
 	}
 }
 
-// BenchmarkUpperBoundBatch is the row-amortized batch kernel deciding
-// the whole generation per op.
+// BenchmarkUpperBoundBatch is the batch kernel deciding the whole
+// generation per op.
 func BenchmarkUpperBoundBatch(b *testing.B) {
 	for _, segs := range benchSegCounts {
 		b.Run(fmt.Sprintf("segs=%d", segs), func(b *testing.B) {

@@ -53,9 +53,9 @@ func checkKernelsAgainstReference(t *testing.T, r *rand.Rand, m *Map, trials int
 	}
 
 	// Batch paths: one generation of random candidates per threshold.
-	// Even trials force a uniform itemset length (up to 5, so the k-item
-	// flat and deep lanes are exercised past the pair/triple unrolls),
-	// odd trials mix lengths for the generic lane.
+	// Even trials force a uniform itemset length (up to 5, so the
+	// generic-k loop is exercised past the pair/triple unrolls), odd
+	// trials mix lengths.
 	for trial := 0; trial < trials; trial++ {
 		n := 1 + r.Intn(40)
 		cands := make([]dataset.Itemset, n)
@@ -72,11 +72,7 @@ func checkKernelsAgainstReference(t *testing.T, r *rand.Rand, m *Map, trials int
 		}
 		minsup := 1 + r.Int63n(maxT+1)
 		dec := make([]bool, n)
-		st := m.BoundBatch(cands, minsup, dec)
-		if st.EarlyExit+st.Abandoned > int64(n) {
-			t.Fatalf("BoundBatch shortcut counts %+v exceed %d candidates", st, n)
-		}
-		checkLaneAccounting(t, st, int64(n), "BoundBatch")
+		checkShortcutCounts(t, m.BoundBatch(cands, minsup, dec), n, "BoundBatch")
 		bounds := m.UpperBoundBatch(cands, nil)
 		for i, x := range cands {
 			ref := m.referenceUpperBound(x)
@@ -121,8 +117,7 @@ func checkKernelsAgainstReference(t *testing.T, r *rand.Rand, m *Map, trials int
 		}
 		minsup := 1 + r.Int63n(maxT+1)
 		extDec := make([]bool, len(exts))
-		extSt := m.BoundExtensions(prefix, exts, minsup, extDec)
-		checkLaneAccounting(t, extSt, int64(len(exts)), "BoundExtensions")
+		checkShortcutCounts(t, m.BoundExtensions(prefix, exts, minsup, extDec), len(exts), "BoundExtensions")
 		for e, it := range exts {
 			cand := dataset.NewItemset(append(append([]dataset.Item{}, prefix...), it)...)
 			ref := m.referenceUpperBound(cand)
@@ -156,17 +151,16 @@ func randomItemOrder(r *rand.Rand, k int) []dataset.Item {
 }
 
 // checkPairWall runs BoundPairsAmong over items and checks every
-// decision against the reference bound, plus the lane accounting.
+// decision against the reference bound. The wall scans every pair in
+// full, so it reports no shortcuts.
 func checkPairWall(t *testing.T, m *Map, items []dataset.Item, minsup int64) {
 	t.Helper()
 	n := len(items)
 	numPairs := n * (n - 1) / 2
 	dec := make([]bool, numPairs)
-	st := m.BoundPairsAmong(items, minsup, dec)
-	if st.EarlyExit+st.Abandoned > int64(numPairs) {
-		t.Fatalf("BoundPairsAmong shortcut counts %+v exceed %d pairs", st, numPairs)
+	if st := m.BoundPairsAmong(items, minsup, dec); st != (BatchStats{}) {
+		t.Fatalf("BoundPairsAmong reported shortcuts %+v", st)
 	}
-	checkLaneAccounting(t, st, int64(numPairs), "BoundPairsAmong")
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			ref := m.referenceUpperBound(dataset.NewItemset(items[i], items[j]))
@@ -177,22 +171,12 @@ func checkPairWall(t *testing.T, m *Map, items []dataset.Item, minsup int64) {
 	}
 }
 
-// checkLaneAccounting verifies the per-lane breakdown of a batch call:
-// every candidate was decided by exactly one lane, and the per-lane
-// shortcut counts sum to the top-level counters.
-func checkLaneAccounting(t *testing.T, st BatchStats, decided int64, ctx string) {
+// checkShortcutCounts verifies a batch call's shortcut accounting: each
+// of its n candidates exited early, abandoned, or neither.
+func checkShortcutCounts(t *testing.T, st BatchStats, n int, ctx string) {
 	t.Helper()
-	var d, ee, ab int64
-	for _, ls := range st.Lanes {
-		d += ls.Decided
-		ee += ls.EarlyExit
-		ab += ls.Abandoned
-	}
-	if d != decided {
-		t.Fatalf("%s: lanes decided %d of %d candidates", ctx, d, decided)
-	}
-	if ee != st.EarlyExit || ab != st.Abandoned {
-		t.Fatalf("%s: lane shortcut sums (%d, %d) disagree with totals (%d, %d)", ctx, ee, ab, st.EarlyExit, st.Abandoned)
+	if st.EarlyExit < 0 || st.Abandoned < 0 || st.EarlyExit+st.Abandoned > int64(n) {
+		t.Fatalf("%s: shortcut counts %+v do not fit %d candidates", ctx, st, n)
 	}
 }
 
@@ -238,9 +222,9 @@ func TestKernelDifferentialProperty(t *testing.T) {
 }
 
 // TestKernelMultiBlockShortcuts pins the shortcut machinery on a map
-// wide enough that decisions can happen before the final block: a
-// 64-segment map where one itemset early-exits in block 0 and another
-// abandons in block 0.
+// wide enough that decisions can happen before the final abandon
+// stride: a 64-segment map where one itemset early-exits in the first
+// stride and another abandons at its end.
 func TestKernelMultiBlockShortcuts(t *testing.T) {
 	const segs, k = 64, 4
 	rows := make([][]uint32, segs)
@@ -256,13 +240,11 @@ func TestKernelMultiBlockShortcuts(t *testing.T) {
 	}
 	hot := dataset.NewItemset(0, 1)
 	cold := dataset.NewItemset(2, 3)
-	// 64 segments is past the pair crossover and every cell fits the
-	// mirror, so single decisions ride the quantized deep lane.
-	if ok, out, lane := m.boundAtLeast(hot, 200); !ok || out != boundEarlyExit || lane != LaneFlat16 {
-		t.Errorf("hot pair: ok=%v outcome=%d lane=%v, want flat16-lane early exit", ok, out, lane)
+	if ok, out := m.boundAtLeast(hot, 200); !ok || out != boundEarlyExit {
+		t.Errorf("hot pair: ok=%v outcome=%d, want early exit", ok, out)
 	}
-	if ok, out, lane := m.boundAtLeast(cold, 1); ok || out != boundAbandoned || lane != LaneFlat16 {
-		t.Errorf("cold pair: ok=%v outcome=%d lane=%v, want flat16-lane abandon", ok, out, lane)
+	if ok, out := m.boundAtLeast(cold, 1); ok || out != boundAbandoned {
+		t.Errorf("cold pair: ok=%v outcome=%d, want abandon", ok, out)
 	}
 	dec := make([]bool, 2)
 	st := m.BoundBatch([]dataset.Itemset{hot, cold}, 200, dec)
@@ -276,8 +258,8 @@ func TestKernelMultiBlockShortcuts(t *testing.T) {
 
 // TestPairWallDifferential drives the segment-accumulation pair wall
 // over the shapes its cost depends on: mostly-zero, half-full and fully
-// dense cells, segment counts on both sides of the per-candidate pair
-// kernels' 32-segment crossover, the SegmentRange views shards query,
+// dense cells, segment counts from one to several hundred, the
+// SegmentRange views shards query,
 // and item subsets in shuffled order. Thresholds include a pair's exact
 // bound and the next integer, so decisions flip inside every call.
 func TestPairWallDifferential(t *testing.T) {
@@ -341,4 +323,147 @@ func TestPairWallWideBounds(t *testing.T) {
 			checkPairWall(t, m, order, minsup)
 		}
 	}
+}
+
+// deepBoundaryMap builds an 80-segment, 8-item map of small random cells
+// with one cell pinned at boundary — deep enough that pair, triple and
+// k-item decisions all cross several abandon strides.
+func deepBoundaryMap(t *testing.T, r *rand.Rand, boundary uint32) *Map {
+	t.Helper()
+	const segs, k = 80, 8
+	rows := make([][]uint32, segs)
+	for s := range rows {
+		rows[s] = make([]uint32, k)
+		for i := range rows[s] {
+			rows[s][i] = uint32(r.Intn(120))
+		}
+	}
+	rows[segs/2][k/2] = boundary
+	m, err := NewMap(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestKernelQuantizedOverflowBoundary pins exactness at the 16-bit
+// quantization boundary: with one cell at 65535 or at 65536, every
+// kernel decision and batch bound stays bit-identical to the reference
+// bound.
+func TestKernelQuantizedOverflowBoundary(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cell uint32
+	}{
+		{"fits-65535", 65535},
+		{"overflows-65536", 65536},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(41))
+			checkKernelsAgainstReference(t, r, deepBoundaryMap(t, r, tc.cell), 10)
+		})
+	}
+}
+
+// TestKernelOverflowAcrossSegmenters reruns the five-segmenter
+// differential on maps whose merged segments straddle the 16-bit
+// boundary: one fixture with page cells ≥ 32768 (any two-page merge
+// exceeds 65535) next to a small-cell control that never does. No
+// segmenter can produce a row layout the kernels mis-handle on either
+// side.
+func TestKernelOverflowAcrossSegmenters(t *testing.T) {
+	algs := []Algorithm{AlgRandom, AlgRC, AlgGreedy, AlgRandomRC, AlgRandomGreedy}
+	for _, alg := range algs {
+		t.Run(alg.String(), func(t *testing.T) {
+			r := rand.New(rand.NewSource(int64(alg) + 101))
+			const pages, k = 24, 6
+			for rep, lo := range []uint32{0, 40000} {
+				span := 100
+				if lo > 0 {
+					span = 20000
+				}
+				rows := make([][]uint32, pages)
+				for p := range rows {
+					rows[p] = make([]uint32, k)
+					for i := range rows[p] {
+						rows[p][i] = lo + uint32(r.Intn(span))
+					}
+				}
+				res, err := Segment(rows, Options{
+					Algorithm:      alg,
+					TargetSegments: 4 + r.Intn(4),
+					MidSegments:    pages,
+					Seed:           r.Int63(),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				m := res.Map
+				overflow := false
+				for s := 0; s < m.NumSegments(); s++ {
+					for _, c := range m.SegmentRow(s) {
+						if c > 0xFFFF {
+							overflow = true
+						}
+					}
+				}
+				if wantOverflow := rep == 1; overflow != wantOverflow {
+					t.Fatalf("rep %d: cell overflow = %v, fixture expects %v", rep, overflow, wantOverflow)
+				}
+				checkKernelsAgainstReference(t, r, m, 6)
+			}
+		})
+	}
+}
+
+// TestAppenderQuantizedOverflowCrossing drives the online path across
+// the 16-bit boundary: with a one-segment budget every compaction merges
+// all history into a single row, so once more than 65535 transactions
+// carry an item the snapshot's cell exceeds 16 bits. Answers must stay
+// exact on both sides, and the earlier snapshot — an independent
+// immutable map — must keep its own counts.
+func TestAppenderQuantizedOverflowCrossing(t *testing.T) {
+	a, err := NewAppender(3, AppenderOptions{PageSize: 1000, MaxSegments: 1, Algorithm: AlgGreedy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := dataset.NewItemset(0, 1)
+	addN := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := a.Add(tx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	snap := func() *Map {
+		t.Helper()
+		m, err := a.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	check := func(m *Map, total int64, ctx string) {
+		t.Helper()
+		if got := m.UpperBound(tx); got != total {
+			t.Fatalf("%s: UpperBound(%v) = %d, want %d", ctx, tx, got, total)
+		}
+		if !m.BoundAtLeast(tx, total) || m.BoundAtLeast(tx, total+1) {
+			t.Fatalf("%s: BoundAtLeast disagrees with the exact pair support %d", ctx, total)
+		}
+		checkKernelsAgainstReference(t, rand.New(rand.NewSource(total)), m, 4)
+	}
+
+	addN(60000)
+	before := snap()
+	check(before, 60000, "before crossing")
+
+	addN(10000)
+	after := snap()
+	check(after, 70000, "after crossing")
+
+	// Snapshots are independent immutable maps: the pre-crossing one
+	// keeps serving its own counts.
+	check(before, 60000, "earlier snapshot after later appends")
 }

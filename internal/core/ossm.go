@@ -27,23 +27,19 @@ var ErrRaggedSegments = errors.New("core: segment support rows have differing le
 //
 // Storage is a flat columnar store rather than a ragged [][]uint32: the
 // matrix is kept contiguously in both segment-major order (one cache-warm
-// row per segment, the layout the batch bound kernels stream) and
+// row per segment, the layout the candidate-2 pair wall streams) and
 // item-major order (one contiguous column per item, the layout the
-// scalar and extension kernels stream), plus per-item suffix remainders
-// suffix[it][s] = Σ_{t≥s} sup_t({it}) that let decision-mode bound calls
-// abandon hopeless candidates before scanning every segment (see
-// kernel.go).
+// scalar bound and the decision kernels stream), plus per-item suffix
+// remainders suffix[it][s] = Σ_{t≥s} sup_t({it}) that let decision-mode
+// bound calls abandon hopeless candidates before scanning every segment
+// (see kernel.go).
 type Map struct {
-	numItems int
-	numSegs  int
+	numItems  int
+	numSegs   int
 	segMajor  []uint32 // [segment*numItems + item] singleton support
 	itemMajor []uint32 // [item*numSegs + segment], the transposed view
 	totals    []int64  // per-item global support (sum over segments)
 	suffix    []int64  // [item*(numSegs+1) + s] = Σ_{t≥s} support; trailing 0
-
-	// quantState holds the lazily built uint16 mirror of both cell
-	// views (see quant.go) — pure cache, never serialized.
-	quantState
 }
 
 // NewMap builds a Map from per-segment singleton supports. The rows are
@@ -149,9 +145,7 @@ func (m *Map) Totals() []int64 { return m.totals }
 //
 // The scan streams the members' item-major columns in parallel; for a
 // threshold decision rather than the exact bound, BoundAtLeast is
-// cheaper (it exits as soon as the answer is determined), and for a
-// whole generation of candidates BoundBatch amortizes each segment row
-// across all of them (see kernel.go).
+// cheaper (it exits as soon as the answer is determined; see kernel.go).
 func (m *Map) UpperBound(x dataset.Itemset) int64 {
 	if len(x) == 0 {
 		panic("core: UpperBound of the empty itemset is not defined by the OSSM")
@@ -292,9 +286,6 @@ type Pruner struct {
 	// Checked − EarlyExit − Abandoned bound calls paid for a full scan.
 	EarlyExit int64
 	Abandoned int64
-	// Lanes breaks the decisions down by the kernel dispatch lane that
-	// produced them (see KernelLane); Σ Lanes[i].Decided == Checked.
-	Lanes [NumKernelLanes]LaneStats
 }
 
 // Allow reports whether candidate x survives the OSSM bound, i.e. whether
@@ -305,8 +296,8 @@ func (p *Pruner) Allow(x dataset.Itemset) bool {
 		return true
 	}
 	atomic.AddInt64(&p.Checked, 1)
-	ok, outcome, lane := p.Map.boundAtLeast(x, p.MinCount)
-	p.noteOutcome(outcome, lane)
+	ok, outcome := p.Map.boundAtLeast(x, p.MinCount)
+	p.noteOutcome(outcome)
 	if !ok {
 		atomic.AddInt64(&p.Pruned, 1)
 		return false
@@ -320,8 +311,8 @@ func (p *Pruner) AllowPair(a, b dataset.Item) bool {
 		return true
 	}
 	atomic.AddInt64(&p.Checked, 1)
-	ok, outcome, lane := p.Map.boundPairAtLeast(a, b, p.MinCount)
-	p.noteOutcome(outcome, lane)
+	ok, outcome := p.Map.boundPairAtLeast(a, b, p.MinCount)
+	p.noteOutcome(outcome)
 	if !ok {
 		atomic.AddInt64(&p.Pruned, 1)
 		return false
@@ -329,15 +320,12 @@ func (p *Pruner) AllowPair(a, b dataset.Item) bool {
 	return true
 }
 
-func (p *Pruner) noteOutcome(o boundOutcome, lane KernelLane) {
-	atomic.AddInt64(&p.Lanes[lane].Decided, 1)
+func (p *Pruner) noteOutcome(o boundOutcome) {
 	switch o {
 	case boundEarlyExit:
 		atomic.AddInt64(&p.EarlyExit, 1)
-		atomic.AddInt64(&p.Lanes[lane].EarlyExit, 1)
 	case boundAbandoned:
 		atomic.AddInt64(&p.Abandoned, 1)
-		atomic.AddInt64(&p.Lanes[lane].Abandoned, 1)
 	}
 }
 
@@ -345,6 +333,5 @@ func (p *Pruner) noteOutcome(o boundOutcome, lane KernelLane) {
 func (p *Pruner) Reset() {
 	if p != nil {
 		p.Checked, p.Pruned, p.EarlyExit, p.Abandoned = 0, 0, 0, 0
-		p.Lanes = [NumKernelLanes]LaneStats{}
 	}
 }

@@ -153,17 +153,17 @@ func TestSegmentRangeErrors(t *testing.T) {
 	}
 }
 
-// TestBatchCrossoverDispatch pins the size-dispatched front-end on both
-// sides of the crossover: decisions and exact bounds stay bit-identical
-// to the reference, and the small lane still reports shortcut outcomes.
+// TestBatchCrossoverDispatch pins the batch front-end on both sides of
+// the abandon-stride boundary, the segment count past which the kernel
+// can abandon before the final segment: decisions and exact bounds stay
+// bit-identical to the reference, and shortcut outcomes are reported.
 func TestBatchCrossoverDispatch(t *testing.T) {
 	r := rand.New(rand.NewSource(65))
-	crossover := smallCrossoverSegs(2)
-	for _, segs := range []int{crossover - 1, crossover, crossover + 1, 16} {
+	for _, segs := range []int{abandonStride - 1, abandonStride, abandonStride + 1, 16, 33} {
 		m := randMapFor(t, r, segs, 16)
 		checkKernelsAgainstReference(t, r, m, 10)
 
-		// A discriminative threshold so the small lane actually takes
+		// A discriminative threshold so the kernel actually takes
 		// shortcuts on a multi-segment map.
 		cands := make([]dataset.Itemset, 256)
 		for i := range cands {

@@ -27,28 +27,17 @@ func NewInstrumentation() *Instrumentation { return telemetry.New() }
 // sample converts the engine's per-pass accounting into the telemetry
 // layer's frozen form.
 func (ps PassStats) sample() telemetry.PassReport {
-	var lanes map[string]int64
-	for lane, n := range ps.LaneDecided {
-		if n == 0 {
-			continue
-		}
-		if lanes == nil {
-			lanes = make(map[string]int64, len(ps.LaneDecided))
-		}
-		lanes[core.KernelLane(lane).String()] = int64(n)
-	}
 	return telemetry.PassReport{
-		K:           ps.K,
-		Generated:   int64(ps.Generated),
-		PrunedOSSM:  int64(ps.Pruned),
-		PrunedHash:  int64(ps.PrunedHash),
-		Counted:     int64(ps.Counted),
-		Frequent:    int64(ps.Frequent),
-		TxScanned:   int64(ps.TxScanned),
-		EarlyExit:   int64(ps.EarlyExit),
-		Abandoned:   int64(ps.Abandoned),
-		KernelLanes: lanes,
-		Wall:        ps.Elapsed,
+		K:          ps.K,
+		Generated:  int64(ps.Generated),
+		PrunedOSSM: int64(ps.Pruned),
+		PrunedHash: int64(ps.PrunedHash),
+		Counted:    int64(ps.Counted),
+		Frequent:   int64(ps.Frequent),
+		TxScanned:  int64(ps.TxScanned),
+		EarlyExit:  int64(ps.EarlyExit),
+		Abandoned:  int64(ps.Abandoned),
+		Wall:       ps.Elapsed,
 	}
 }
 
@@ -78,9 +67,6 @@ func (d *KernelDelta) Note(ps *PassStats) {
 	}
 	ps.EarlyExit += int(kc.EarlyExit - d.base.EarlyExit)
 	ps.Abandoned += int(kc.Abandoned - d.base.Abandoned)
-	for lane := range kc.Lanes {
-		ps.LaneDecided[lane] += int(kc.Lanes[lane].Decided - d.base.Lanes[lane].Decided)
-	}
 	d.base = kc
 }
 
@@ -95,17 +81,7 @@ func (o Options) FinishRun(res *Result) {
 	o.Instrument.SetRequestID(o.RequestID)
 	o.Instrument.SetPool(res.Stats.Workers)
 	if kc, ok := core.KernelCountersOf(o.Pruner); ok {
-		o.Instrument.SetKernelTotals(kc.EarlyExit, kc.Abandoned)
-		lanes := make([]telemetry.LaneReport, 0, len(kc.Lanes))
-		for lane, ls := range kc.Lanes {
-			lanes = append(lanes, telemetry.LaneReport{
-				Lane:      core.KernelLane(lane).String(),
-				Decided:   ls.Decided,
-				EarlyExit: ls.EarlyExit,
-				Abandoned: ls.Abandoned,
-			})
-		}
-		o.Instrument.SetKernelLanes(lanes)
+		o.Instrument.SetKernelTotals(kc.Checked, kc.EarlyExit, kc.Abandoned)
 	}
 	o.Instrument.Emit(telemetry.Event{
 		Kind:      telemetry.EventRunEnd,

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"time"
 
-	"github.com/ossm-mining/ossm/internal/core"
 	"github.com/ossm-mining/ossm/internal/dataset"
 )
 
@@ -38,10 +37,6 @@ type PassStats struct {
 	// remainders proved the threshold unreachable). Zero when no kernel ran.
 	EarlyExit int
 	Abandoned int
-	// LaneDecided breaks this pass's kernel decisions down by the core
-	// dispatch lane that produced them (index with core.KernelLane);
-	// all zero when no kernel ran.
-	LaneDecided [core.NumKernelLanes]int
 	// TxScanned is the number of transactions scanned while counting this
 	// pass (after projection/trimming); zero when the pass counts nothing
 	// or the miner cannot attribute scans to a level.

@@ -109,14 +109,12 @@ func TestIngestEndToEnd(t *testing.T) {
 	}
 }
 
-// TestIngestQuantizedMirrorFreshAcrossSwaps promotes ingested data into
-// maps deep enough (up to 96 single-transaction segments, past the
-// 64-segment batch crossover) that batch ubsup queries stream the
-// quantized uint16 mirror, then keeps appending: every compaction swap
-// publishes a new immutable map whose mirror rebuilds lazily from the
-// new cells, so the served bounds must track the ingested counts
-// exactly. A mirror cached across the swap would freeze them.
-func TestIngestQuantizedMirrorFreshAcrossSwaps(t *testing.T) {
+// TestIngestServedBoundsFreshAcrossSwaps promotes ingested data into
+// deep maps (up to 96 single-transaction segments) answered by batch
+// ubsup queries, then keeps appending: every compaction swap publishes a
+// new immutable map, so the served bounds must track the ingested counts
+// exactly. Any derived state cached across the swap would freeze them.
+func TestIngestServedBoundsFreshAcrossSwaps(t *testing.T) {
 	s, ts, _, _ := newTestServer(t, Config{})
 	store, _, err := wal.Open(wal.NewMemFS(), wal.Options{
 		NumItems:      8,
@@ -144,10 +142,9 @@ func TestIngestQuantizedMirrorFreshAcrossSwaps(t *testing.T) {
 			t.Fatalf("ingest of %d pairs: %d %v", n, code, body)
 		}
 	}
-	// Batch requests (≥2 itemsets) take the UpperBoundBatch row stream —
-	// the quantized lane once the promoted map is deeper than 64
-	// segments. Both itemsets always co-occur, so their pair bound equals
-	// the exact transaction count.
+	// Batch requests (≥2 itemsets) take the UpperBoundBatch path. Both
+	// itemsets always co-occur, so their pair bound equals the exact
+	// transaction count.
 	waitPairBound := func(want int64) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
@@ -174,8 +171,7 @@ func TestIngestQuantizedMirrorFreshAcrossSwaps(t *testing.T) {
 
 	ingestPairs(80)
 	waitPairBound(80)
-	// Two more swaps past the first: each must serve fresh cells through
-	// a freshly built mirror.
+	// Two more swaps past the first: each must serve fresh cells.
 	ingestPairs(60)
 	waitPairBound(140)
 	ingestPairs(60)

@@ -36,7 +36,7 @@ type obsState struct {
 	mineRuns     *obs.CounterVec   // ossm_mine_runs_total{miner}
 	minePasses   *obs.CounterVec   // ossm_mine_passes_total{miner}
 	mineCand     *obs.CounterVec   // ossm_mine_candidates_total{stage}
-	mineKernel   *obs.CounterVec   // ossm_mine_kernel_total{outcome,lane}
+	mineKernel   *obs.CounterVec   // ossm_mine_kernel_total{outcome}
 	mineWaiting  atomic.Int64      // requests parked on the admission semaphore
 
 	ingests    *obs.CounterVec // ossm_ingest_total{outcome}
@@ -77,7 +77,7 @@ func (s *Server) initObs() {
 	o.mineCand = r.CounterVec("ossm_mine_candidates_total",
 		"Cumulative candidate accounting of completed mining runs, by stage (generated, pruned, counted).", "stage")
 	o.mineKernel = r.CounterVec("ossm_mine_kernel_total",
-		"Bound-kernel decisions of completed mining runs, by outcome (early_exit, abandoned, full) and dispatch lane (small, flat32, flat16, scalar).", "outcome", "lane")
+		"Bound-kernel decisions of completed mining runs, by outcome (early_exit, abandoned, full).", "outcome")
 	o.ingests = r.CounterVec("ossm_ingest_total",
 		"Durable ingest requests, by outcome (ok, invalid, error).", "outcome")
 	o.snapshots = r.CounterVec("ossm_snapshot_total",

@@ -74,7 +74,7 @@ func TestPrometheusGolden(t *testing.T) {
 	s, ts, _, _ := newTestServer(t, Config{})
 	// Deterministic traffic: two ubsup queries (second a cache hit), one
 	// mining run, one 404. The mine threshold is low enough that the run
-	// reaches multi-item passes, so the bound kernel's per-lane outcome
+	// reaches multi-item passes, so the bound kernel's per-outcome
 	// series appear in the exposition.
 	postJSON(t, ts.Client(), ts.URL+"/v1/ubsup", `{"index":"retail","itemset":[1,2]}`)
 	postJSON(t, ts.Client(), ts.URL+"/v1/ubsup", `{"index":"retail","itemset":[1,2]}`)

@@ -28,7 +28,7 @@ func startWorkerFleet(t *testing.T, name string, ix *ossm.Index, d *ossm.Dataset
 	servers := make([]*httptest.Server, n)
 	for i, tr := range shard.Transports(locals) {
 		w := remote.NewWorker()
-		if err := w.Add(name, tr, ix.NumSegments()); err != nil {
+		if err := w.Add(name, tr, ix.NumSegments(), ix.NumItems()); err != nil {
 			t.Fatal(err)
 		}
 		srv := httptest.NewServer(w.Handler())

@@ -7,8 +7,7 @@
 // LRU bound cache (keyed on index name, index version and canonical
 // itemset), and fall back to the index's segment min-scan on a miss.
 // Batch requests probe the cache per itemset and then answer every miss
-// together with the row-amortized batch kernel, so each segment-support
-// row is loaded once per chunk rather than once per itemset.
+// together, one UpperBoundBatch call per chunk fanned over a pool.
 // Swapping an index — e.g. with a streaming Appender snapshot — bumps its
 // registry version, so every cached bound for the old index becomes
 // unreachable at once; stale answers are structurally impossible.
@@ -156,40 +155,6 @@ type Server struct {
 	// folded from the same reports.
 	mineEarlyExit telemetry.Counter
 	mineAbandoned telemetry.Counter
-	// Per-dispatch-lane decision totals folded from the same reports,
-	// keyed by the core lane name (small, flat32, flat16, scalar).
-	mineLaneMu sync.Mutex
-	mineLanes  map[string]*telemetry.Counter
-}
-
-// mineLane returns the cumulative decision counter of the named kernel
-// dispatch lane, creating it on first use.
-func (s *Server) mineLane(name string) *telemetry.Counter {
-	s.mineLaneMu.Lock()
-	defer s.mineLaneMu.Unlock()
-	if s.mineLanes == nil {
-		s.mineLanes = make(map[string]*telemetry.Counter)
-	}
-	c := s.mineLanes[name]
-	if c == nil {
-		c = new(telemetry.Counter)
-		s.mineLanes[name] = c
-	}
-	return c
-}
-
-// mineLaneTotals snapshots the per-lane decision totals.
-func (s *Server) mineLaneTotals() map[string]int64 {
-	s.mineLaneMu.Lock()
-	defer s.mineLaneMu.Unlock()
-	if len(s.mineLanes) == 0 {
-		return nil
-	}
-	out := make(map[string]int64, len(s.mineLanes))
-	for name, c := range s.mineLanes {
-		out[name] = c.Load()
-	}
-	return out
 }
 
 // New returns a Server over an empty registry.
@@ -459,9 +424,8 @@ func (s *Server) bound(ctx context.Context, ix *ossm.Index, fleet *shard.Fleet, 
 // boundBatch answers a whole ubsup batch. Single-itemset requests keep
 // the scalar path (and its per-request spans); larger batches
 // canonicalize and validate every itemset up front, probe the cache
-// under one span, and evaluate all misses together with the
-// row-amortized batch kernel, so each segment-support row is loaded
-// once per chunk rather than once per itemset.
+// under one span, and evaluate all misses together with one
+// UpperBoundBatch call per chunk.
 func (s *Server) boundBatch(ctx context.Context, ix *ossm.Index, fleet *shard.Fleet, name string, version uint64, batch [][]ossm.Item, noCache bool) ([]BoundResult, error) {
 	if len(batch) == 1 {
 		res, err := s.bound(ctx, ix, fleet, name, version, batch[0], noCache)
@@ -897,11 +861,10 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		s.obs.mineCand.With("counted").Add(rep.Counted)
 		s.mineEarlyExit.Add(rep.KernelEarlyExit)
 		s.mineAbandoned.Add(rep.KernelAbandoned)
-		for _, l := range rep.KernelLanes {
-			s.mineLane(l.Lane).Add(l.Decided)
-			s.obs.mineKernel.With("early_exit", l.Lane).Add(l.EarlyExit)
-			s.obs.mineKernel.With("abandoned", l.Lane).Add(l.Abandoned)
-			s.obs.mineKernel.With("full", l.Lane).Add(l.Decided - l.EarlyExit - l.Abandoned)
+		if rep.KernelDecided > 0 {
+			s.obs.mineKernel.With("early_exit").Add(rep.KernelEarlyExit)
+			s.obs.mineKernel.With("abandoned").Add(rep.KernelAbandoned)
+			s.obs.mineKernel.With("full").Add(rep.KernelDecided - rep.KernelEarlyExit - rep.KernelAbandoned)
 		}
 	}
 	run.SetAttr("outcome", "ok")
@@ -1033,37 +996,32 @@ type Metrics struct {
 	MineCounted   int64         `json:"mine_counted"`
 	MineEarlyExit int64         `json:"mine_early_exit"`
 	MineAbandoned int64         `json:"mine_abandoned"`
-	// MineKernelLanes totals the bound-kernel decisions of completed
-	// runs by dispatch lane (small, flat32, flat16, scalar); absent
-	// until a pruned run completes.
-	MineKernelLanes map[string]int64 `json:"mine_kernel_lanes,omitempty"`
-	Workers         int              `json:"workers"`
-	MineSlots       int              `json:"mine_slots"`
-	Cache           CacheStats       `json:"cache"`
-	Indexes         []IndexInfo      `json:"indexes"`
+	Workers       int           `json:"workers"`
+	MineSlots     int           `json:"mine_slots"`
+	Cache         CacheStats    `json:"cache"`
+	Indexes       []IndexInfo   `json:"indexes"`
 }
 
 // MetricsSnapshot assembles the current metrics report.
 func (s *Server) MetricsSnapshot() Metrics {
 	return Metrics{
-		UptimeNS:        time.Since(s.start),
-		Requests:        s.requests.Load(),
-		Errors:          s.errs.Load(),
-		Timeouts:        s.timeouts.Load(),
-		BoundQueries:    s.queries.Load(),
-		QueryWallNS:     s.queryWall.Total(),
-		MineRuns:        s.mines.Load(),
-		MineWallNS:      s.mineWall.Total(),
-		MineGenerated:   s.mineGenerated.Load(),
-		MinePruned:      s.minePruned.Load(),
-		MineCounted:     s.mineCounted.Load(),
-		MineEarlyExit:   s.mineEarlyExit.Load(),
-		MineAbandoned:   s.mineAbandoned.Load(),
-		MineKernelLanes: s.mineLaneTotals(),
-		Workers:         s.workers,
-		MineSlots:       s.cfg.MineConcurrency,
-		Cache:           s.cache.stats(),
-		Indexes:         s.indexInfos(),
+		UptimeNS:      time.Since(s.start),
+		Requests:      s.requests.Load(),
+		Errors:        s.errs.Load(),
+		Timeouts:      s.timeouts.Load(),
+		BoundQueries:  s.queries.Load(),
+		QueryWallNS:   s.queryWall.Total(),
+		MineRuns:      s.mines.Load(),
+		MineWallNS:    s.mineWall.Total(),
+		MineGenerated: s.mineGenerated.Load(),
+		MinePruned:    s.minePruned.Load(),
+		MineCounted:   s.mineCounted.Load(),
+		MineEarlyExit: s.mineEarlyExit.Load(),
+		MineAbandoned: s.mineAbandoned.Load(),
+		Workers:       s.workers,
+		MineSlots:     s.cfg.MineConcurrency,
+		Cache:         s.cache.stats(),
+		Indexes:       s.indexInfos(),
 	}
 }
 

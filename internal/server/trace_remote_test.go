@@ -27,7 +27,7 @@ func startTracedWorkerFleet(t *testing.T, name string, ix *ossm.Index, d *ossm.D
 	for i, tr := range shard.Transports(locals) {
 		w := remote.NewWorker()
 		w.SetObs(obs.NewLogger(logBuf, 0), obs.NewTracer(512))
-		if err := w.Add(name, tr, ix.NumSegments()); err != nil {
+		if err := w.Add(name, tr, ix.NumSegments(), ix.NumItems()); err != nil {
 			t.Fatal(err)
 		}
 		srv := httptest.NewServer(w.Handler())

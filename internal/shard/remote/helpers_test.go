@@ -59,7 +59,7 @@ func startRemoteFleet(t testing.TB, name string, ix *ossm.Index, d *ossm.Dataset
 		w := NewWorker()
 		wt := obs.NewTracer(4096)
 		w.SetObs(nil, wt)
-		if err := w.Add(name, f, ix.NumSegments()); err != nil {
+		if err := w.Add(name, f, ix.NumSegments(), ix.NumItems()); err != nil {
 			t.Fatal(err)
 		}
 		srv := httptest.NewServer(w.Handler())

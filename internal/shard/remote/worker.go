@@ -52,6 +52,7 @@ type Worker struct {
 type workerEntry struct {
 	t             shard.Transport
 	totalSegments int
+	numItems      int
 }
 
 // NewWorker returns a worker with no entries.
@@ -68,8 +69,9 @@ func (w *Worker) SetObs(logger *slog.Logger, tracer *obs.Tracer) {
 
 // Add registers the transport serving the named index's shard.
 // totalSegments is the whole index's segment count (echoed in info so
-// coordinators can validate fleet tiling).
-func (w *Worker) Add(name string, t shard.Transport, totalSegments int) error {
+// coordinators can validate fleet tiling); numItems is its item domain,
+// which every itemset of a bounds request must fall inside.
+func (w *Worker) Add(name string, t shard.Transport, totalSegments, numItems int) error {
 	if name == "" || t == nil {
 		return fmt.Errorf("remote: Worker.Add requires a name and a transport")
 	}
@@ -78,7 +80,7 @@ func (w *Worker) Add(name string, t shard.Transport, totalSegments int) error {
 	if _, dup := w.entries[name]; dup {
 		return fmt.Errorf("remote: shard entry %q already registered", name)
 	}
-	w.entries[name] = workerEntry{t: t, totalSegments: totalSegments}
+	w.entries[name] = workerEntry{t: t, totalSegments: totalSegments, numItems: numItems}
 	return nil
 }
 
@@ -213,6 +215,20 @@ func (w *Worker) handleBounds(rw http.ResponseWriter, r *http.Request) {
 	if !ok {
 		writeWireErr(rw, http.StatusNotFound, "unknown shard entry %q", req.Index)
 		return
+	}
+	// The same domain checks the coordinator applies: the bound kernel
+	// is undefined on the empty itemset and indexes by item.
+	for i, set := range req.Sets {
+		if len(set) == 0 {
+			writeWireErr(rw, http.StatusBadRequest, "itemset %d: the empty itemset has no OSSM bound", i)
+			return
+		}
+		for _, it := range set {
+			if int(it) >= e.numItems {
+				writeWireErr(rw, http.StatusBadRequest, "itemset %d: item %d outside the index domain of %d items", i, it, e.numItems)
+				return
+			}
+		}
 	}
 	out := make([]int64, len(req.Sets))
 	kctx, kspan := w.tracer.Start(r.Context(), "kernel-bounds")

@@ -226,8 +226,8 @@ func (t LocalTransport) NumTx() int {
 	return t.s.d.NumTx()
 }
 
-// PartialBounds implements Transport with the index view's row-amortized
-// batch kernel over the shard's segment range.
+// PartialBounds implements Transport with the index view's
+// UpperBoundBatch over the shard's segment range.
 func (t LocalTransport) PartialBounds(ctx context.Context, sets []ossm.Itemset, out []int64) error {
 	if err := t.s.admit(); err != nil {
 		return err

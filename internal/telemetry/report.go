@@ -10,22 +10,19 @@ import (
 // PassReport is the frozen per-pass telemetry of one level: the
 // quantities behind the paper's pruning-effectiveness tables.
 type PassReport struct {
-	K          int           `json:"k"`
-	Generated  int64         `json:"generated"`
-	PrunedOSSM int64         `json:"pruned_ossm"`
-	PrunedHash int64         `json:"pruned_hash,omitempty"`
-	Counted    int64         `json:"counted"`
-	Frequent   int64         `json:"frequent"`
-	TxScanned  int64         `json:"tx_scanned,omitempty"`
+	K          int   `json:"k"`
+	Generated  int64 `json:"generated"`
+	PrunedOSSM int64 `json:"pruned_ossm"`
+	PrunedHash int64 `json:"pruned_hash,omitempty"`
+	Counted    int64 `json:"counted"`
+	Frequent   int64 `json:"frequent"`
+	TxScanned  int64 `json:"tx_scanned,omitempty"`
 	// EarlyExit / Abandoned are the decision-kernel shortcut counts of
 	// this pass: OSSM checks settled (admitted resp. rejected) before the
 	// kernel scanned every segment.
-	EarlyExit int64 `json:"kernel_early_exit,omitempty"`
-	Abandoned int64 `json:"kernel_abandoned,omitempty"`
-	// KernelLanes counts this pass's kernel decisions by dispatch-lane
-	// name (small, flat32, flat16, scalar); nil when no lane reported.
-	KernelLanes map[string]int64 `json:"kernel_lanes,omitempty"`
-	Wall        time.Duration    `json:"wall_ns"`
+	EarlyExit int64         `json:"kernel_early_exit,omitempty"`
+	Abandoned int64         `json:"kernel_abandoned,omitempty"`
+	Wall      time.Duration `json:"wall_ns"`
 }
 
 // PruneRate is the fraction of generated candidates discarded before
@@ -58,14 +55,13 @@ type Report struct {
 
 	// KernelEarlyExit / KernelAbandoned total the decision-kernel
 	// shortcuts of the run (SetKernelTotals when the run reported
-	// authoritative totals, otherwise the per-pass sums).
+	// authoritative totals, otherwise the per-pass sums). KernelDecided
+	// is the run's total of kernel decisions, set only by
+	// SetKernelTotals; the decisions that paid for a full scan are
+	// KernelDecided − KernelEarlyExit − KernelAbandoned.
+	KernelDecided   int64 `json:"kernel_decided,omitempty"`
 	KernelEarlyExit int64 `json:"kernel_early_exit,omitempty"`
 	KernelAbandoned int64 `json:"kernel_abandoned,omitempty"`
-
-	// KernelLanes breaks the run's kernel decisions down by dispatch
-	// lane (SetKernelLanes when the run reported authoritative per-lane
-	// totals, otherwise the per-pass sums with shortcut columns zero).
-	KernelLanes []LaneReport `json:"kernel_lanes,omitempty"`
 
 	// Pool is the resolved worker-pool size; WorkerBusy the summed busy
 	// time of fanned-out counting work; Utilization = WorkerBusy /
@@ -76,18 +72,6 @@ type Report struct {
 
 	Elapsed time.Duration `json:"elapsed_ns"`
 	Events  int64         `json:"events,omitempty"`
-}
-
-// LaneReport is the kernel accounting of one dispatch lane: how many
-// bound decisions the lane produced and how many of them terminated via
-// each shortcut. Lane names come from the core package's lane taxonomy
-// (small, flat32, flat16, scalar); the telemetry layer treats them as
-// opaque labels.
-type LaneReport struct {
-	Lane      string `json:"lane"`
-	Decided   int64  `json:"decided"`
-	EarlyExit int64  `json:"early_exit,omitempty"`
-	Abandoned int64  `json:"abandoned,omitempty"`
 }
 
 // PruneRate is the run-level fraction of generated candidates discarded
@@ -112,13 +96,6 @@ func (r *Report) Print(w io.Writer) {
 	if r.KernelEarlyExit > 0 || r.KernelAbandoned > 0 {
 		fmt.Fprintf(w, "           kernel shortcuts: %d early-exit, %d abandoned\n",
 			r.KernelEarlyExit, r.KernelAbandoned)
-	}
-	if len(r.KernelLanes) > 0 {
-		fmt.Fprintf(w, "           kernel lanes:")
-		for _, l := range r.KernelLanes {
-			fmt.Fprintf(w, " %s=%d", l.Lane, l.Decided)
-		}
-		fmt.Fprintln(w)
 	}
 	if r.Pool > 0 {
 		fmt.Fprintf(w, "           pool %d workers, busy %v, utilization %.1f%%\n",

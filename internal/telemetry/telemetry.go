@@ -17,7 +17,6 @@
 package telemetry
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -90,59 +89,21 @@ type PassCounters struct {
 	EarlyExit Counter
 	Abandoned Counter
 	Wall      Timer // wall time attributed to this pass
-
-	// lanes counts the kernel decisions of this pass by dispatch-lane
-	// name (AddLanes); guarded by laneMu, nil until a lane reports.
-	laneMu sync.Mutex
-	lanes  map[string]int64
-}
-
-// AddLanes folds per-lane kernel decision counts into the pass (zero
-// entries are dropped).
-func (p *PassCounters) AddLanes(lanes map[string]int64) {
-	if p == nil || len(lanes) == 0 {
-		return
-	}
-	p.laneMu.Lock()
-	defer p.laneMu.Unlock()
-	for name, n := range lanes {
-		if n == 0 {
-			continue
-		}
-		if p.lanes == nil {
-			p.lanes = make(map[string]int64, len(lanes))
-		}
-		p.lanes[name] += n
-	}
-}
-
-func (p *PassCounters) laneSnapshot() map[string]int64 {
-	p.laneMu.Lock()
-	defer p.laneMu.Unlock()
-	if len(p.lanes) == 0 {
-		return nil
-	}
-	out := make(map[string]int64, len(p.lanes))
-	for name, n := range p.lanes {
-		out[name] = n
-	}
-	return out
 }
 
 // report snapshots the pass counters.
 func (p *PassCounters) report() PassReport {
 	return PassReport{
-		K:           p.K,
-		Generated:   p.Generated.Load(),
-		PrunedOSSM:  p.PrunedOSSM.Load(),
-		PrunedHash:  p.PrunedHash.Load(),
-		Counted:     p.Counted.Load(),
-		Frequent:    p.Frequent.Load(),
-		TxScanned:   p.TxScanned.Load(),
-		EarlyExit:   p.EarlyExit.Load(),
-		Abandoned:   p.Abandoned.Load(),
-		KernelLanes: p.laneSnapshot(),
-		Wall:        p.Wall.Total(),
+		K:          p.K,
+		Generated:  p.Generated.Load(),
+		PrunedOSSM: p.PrunedOSSM.Load(),
+		PrunedHash: p.PrunedHash.Load(),
+		Counted:    p.Counted.Load(),
+		Frequent:   p.Frequent.Load(),
+		TxScanned:  p.TxScanned.Load(),
+		EarlyExit:  p.EarlyExit.Load(),
+		Abandoned:  p.Abandoned.Load(),
+		Wall:       p.Wall.Total(),
 	}
 }
 
@@ -209,13 +170,10 @@ type Collector struct {
 	// Snapshot reports them instead of summing the per-pass kernel
 	// counters, so runs that account kernel outcomes both per pass and at
 	// run end never double count.
+	kernelDecided   atomic.Int64
 	kernelEarlyExit atomic.Int64
 	kernelAbandoned atomic.Int64
 	kernelSet       atomic.Bool
-
-	// Authoritative run-level per-lane kernel totals (SetKernelLanes);
-	// guarded by mu.
-	kernelLanes []LaneReport
 
 	sink   atomic.Pointer[func(Event)]
 	events Counter
@@ -312,7 +270,6 @@ func (c *Collector) RecordPass(algorithm string, r PassReport) {
 	p.TxScanned.Add(r.TxScanned)
 	p.EarlyExit.Add(r.EarlyExit)
 	p.Abandoned.Add(r.Abandoned)
-	p.AddLanes(r.KernelLanes)
 	if r.Wall > 0 {
 		p.Wall.Observe(r.Wall)
 	}
@@ -344,37 +301,19 @@ func (c *Collector) txScannedCounter() *Counter {
 }
 
 // SetKernelTotals records the authoritative run-level totals of the
-// decision-kernel shortcuts (candidates admitted early / abandoned
-// early), typically read off the pruner's counters when the run
-// finishes. Once set, Snapshot reports these instead of summing per-pass
-// kernel counters — the pruner's counters already cover every pass, so
-// summing both would double count. The last call wins.
-func (c *Collector) SetKernelTotals(earlyExit, abandoned int64) {
+// decision kernel: every decision it made, and the subsets admitted
+// early and abandoned early — typically read off the pruner's counters
+// when the run finishes. Once set, Snapshot reports these instead of
+// summing per-pass kernel counters — the pruner's counters already cover
+// every pass, so summing both would double count. The last call wins.
+func (c *Collector) SetKernelTotals(decided, earlyExit, abandoned int64) {
 	if c == nil {
 		return
 	}
+	c.kernelDecided.Store(decided)
 	c.kernelEarlyExit.Store(earlyExit)
 	c.kernelAbandoned.Store(abandoned)
 	c.kernelSet.Store(true)
-}
-
-// SetKernelLanes records the authoritative run-level per-lane kernel
-// accounting (one entry per dispatch lane that decided anything),
-// typically read off the pruner's lane counters when the run finishes.
-// The last call wins; entries with zero decisions are dropped.
-func (c *Collector) SetKernelLanes(lanes []LaneReport) {
-	if c == nil {
-		return
-	}
-	kept := make([]LaneReport, 0, len(lanes))
-	for _, l := range lanes {
-		if l.Decided != 0 {
-			kept = append(kept, l)
-		}
-	}
-	c.mu.Lock()
-	c.kernelLanes = kept
-	c.mu.Unlock()
 }
 
 // ObserveWorker records one worker's busy interval in a fanned-out
@@ -411,8 +350,6 @@ func (c *Collector) Snapshot() *Report {
 	c.mu.Lock()
 	passes := make([]*PassCounters, len(c.passes))
 	copy(passes, c.passes)
-	runLanes := make([]LaneReport, len(c.kernelLanes))
-	copy(runLanes, c.kernelLanes)
 	c.mu.Unlock()
 
 	r := &Report{
@@ -441,31 +378,12 @@ func (c *Collector) Snapshot() *Report {
 		passAbandoned += pr.Abandoned
 	}
 	if c.kernelSet.Load() {
+		r.KernelDecided = c.kernelDecided.Load()
 		r.KernelEarlyExit = c.kernelEarlyExit.Load()
 		r.KernelAbandoned = c.kernelAbandoned.Load()
 	} else {
 		r.KernelEarlyExit = passEarlyExit
 		r.KernelAbandoned = passAbandoned
-	}
-	if len(runLanes) > 0 {
-		r.KernelLanes = runLanes
-	} else {
-		// No authoritative totals: sum the per-pass lane maps (decided
-		// counts only — passes do not attribute shortcuts per lane).
-		sums := make(map[string]int64)
-		for _, pr := range r.Passes {
-			for name, n := range pr.KernelLanes {
-				sums[name] += n
-			}
-		}
-		names := make([]string, 0, len(sums))
-		for name := range sums {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			r.KernelLanes = append(r.KernelLanes, LaneReport{Lane: name, Decided: sums[name]})
-		}
 	}
 	sortPasses(r.Passes)
 	if r.Pool > 0 && elapsed > 0 {

@@ -210,9 +210,8 @@ func (ix *Index) NumItems() int { return ix.m.NumItems() }
 func (ix *Index) UpperBound(x Itemset) int64 { return ix.m.UpperBound(x) }
 
 // UpperBoundBatch evaluates the OSSM upper bound for every itemset in
-// sets, walking each segment-support row once for the whole batch. The
-// bounds land in out (grown as needed) and equal per-set UpperBound
-// calls exactly.
+// sets, one UpperBound column walk per set. The bounds land in out
+// (grown as needed) and equal per-set UpperBound calls exactly.
 func (ix *Index) UpperBoundBatch(sets []Itemset, out []int64) []int64 {
 	return ix.m.UpperBoundBatch(sets, out)
 }

@@ -88,6 +88,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz FuzzIndexRoundTrip          -fuzztime 10s .
 	$(GO) test -run=NONE -fuzz FuzzAppenderSnapshot        -fuzztime 10s .
 	$(GO) test -run=NONE -fuzz FuzzWALReplay               -fuzztime 10s ./internal/wal
+	$(GO) test -run=NONE -fuzz FuzzHashTreeCount           -fuzztime 10s ./internal/mining
 
 # Kernel-speedup regression gate: a reduced two-depth sweep of the
 # bound-kernel microbenchmark must clear its per-regime speedup floors

@@ -291,7 +291,7 @@ func trimPass(d *dataset.Dataset, cands []*mining.Candidate, frequentItem []bool
 			for k := range participation {
 				delete(participation, k)
 			}
-			tree.CountTransactionIntoFunc(sh.state, kept, i, func(c *mining.Candidate) {
+			tree.CountTransactionIntoFunc(sh.state, kept, func(c *mining.Candidate) {
 				participation[c.Items[0]]++
 				participation[c.Items[1]]++
 			})

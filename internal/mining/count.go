@@ -25,8 +25,8 @@ func CountParallel(txs []dataset.Itemset, cands []*Candidate, size, workers int,
 			start = time.Now()
 		}
 		tree := NewHashTree(cands, size)
-		for tid, tx := range txs {
-			tree.CountTransaction(tx, tid, nil)
+		for _, tx := range txs {
+			tree.CountTransaction(tx, nil)
 		}
 		if instr != nil {
 			instr.ObserveWorker(time.Since(start))
@@ -50,7 +50,7 @@ func countSharded(txs []dataset.Itemset, cands []*Candidate, size, workers int, 
 		st := tree.AcquireState()
 		states[w] = st
 		for i := lo; i < hi; i++ {
-			tree.CountTransactionInto(st, txs[i], i)
+			tree.CountTransactionInto(st, txs[i])
 		}
 		if instr != nil {
 			instr.ObserveWorker(time.Since(start))

@@ -7,9 +7,10 @@ import (
 	"github.com/ossm-mining/ossm/internal/dataset"
 )
 
-// TestCountParallelLargeInput checks the sharded scan (driven below
-// conc.Resolve, so real goroutines run on any host) against the serial
-// count, then CountParallel end to end.
+// TestCountParallelLargeInput checks the serial count against the
+// brute-force scan, the sharded scan (driven below conc.Resolve, so real
+// goroutines run on any host) against the serial count, then
+// CountParallel end to end.
 func TestCountParallelLargeInput(t *testing.T) {
 	r := rand.New(rand.NewSource(55))
 	var txs []dataset.Itemset
@@ -31,6 +32,15 @@ func TestCountParallelLargeInput(t *testing.T) {
 	}
 	serial := mkCands()
 	CountParallel(txs, serial, 2, 1, nil)
+	items := make([]dataset.Itemset, len(serial))
+	for i, c := range serial {
+		items[i] = c.Items
+	}
+	for i, want := range scanCounts(items, txs) {
+		if serial[i].Count != want {
+			t.Fatalf("serial: candidate %v count %d ≠ scan %d", serial[i].Items, serial[i].Count, want)
+		}
+	}
 	for _, workers := range []int{2, 4, 16} {
 		par := mkCands()
 		countSharded(txs, par, 2, workers, nil)
@@ -76,15 +86,15 @@ func TestCountTransactionIntoFuncMatchesCallback(t *testing.T) {
 	direct := mkCands()
 	directMatches := map[string]int{}
 	treeA := NewHashTree(direct, 2)
-	for tid, tx := range txs {
-		treeA.CountTransaction(tx, tid, func(c *Candidate) { directMatches[c.Items.Key()]++ })
+	for _, tx := range txs {
+		treeA.CountTransaction(tx, func(c *Candidate) { directMatches[c.Items.Key()]++ })
 	}
 	viaState := mkCands()
 	stateMatches := map[string]int{}
 	treeB := NewHashTree(viaState, 2)
 	st := treeB.NewState()
-	for tid, tx := range txs {
-		treeB.CountTransactionIntoFunc(st, tx, tid, func(c *Candidate) { stateMatches[c.Items.Key()]++ })
+	for _, tx := range txs {
+		treeB.CountTransactionIntoFunc(st, tx, func(c *Candidate) { stateMatches[c.Items.Key()]++ })
 	}
 	treeB.Merge(viaState, st)
 	for i := range direct {

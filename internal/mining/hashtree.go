@@ -1,21 +1,19 @@
 package mining
 
 import (
+	"math"
 	"sync"
 
 	"github.com/ossm-mining/ossm/internal/dataset"
 )
 
 // Candidate is a candidate itemset with its running support count,
-// indexable by a HashTree. lastTID guards against counting the same
-// transaction twice when several hash paths reach the same leaf; id is
-// the candidate's position in the tree's build order (used by the
-// shared-tree parallel counting path).
+// indexable by a HashTree. id is the candidate's position in the tree's
+// build order (used by the shared-tree parallel counting path).
 type Candidate struct {
-	Items   dataset.Itemset
-	Count   int64
-	lastTID int
-	id      int
+	Items dataset.Itemset
+	Count int64
+	id    int
 }
 
 // HashTree indexes candidates of one cardinality for subset counting, as
@@ -23,6 +21,15 @@ type Candidate struct {
 // leaves hold a bounded list of candidates and split when they overflow.
 // Counting work scales with the number of candidates — the property that
 // turns OSSM pruning into runtime savings.
+//
+// Counting carries the transaction items it hashed on down the tree as
+// a path. A leaf at depth d matches a candidate only if the candidate's
+// first d items equal that path and its remaining items occur after the
+// path's last position in the transaction. Transactions and candidates
+// are sorted and duplicate-free, so a contained candidate is reached
+// along exactly one such path: it is counted once per transaction with
+// no per-transaction dedupe state, even when colliding hashes lead
+// several paths into its leaf.
 type HashTree struct {
 	root     *htNode
 	size     int // cardinality of the candidates
@@ -34,6 +41,9 @@ type HashTree struct {
 type htNode struct {
 	children []*htNode    // non-nil ⇒ interior node
 	leaf     []*Candidate // interior nodes keep leaf == nil
+	// keys holds the leaf candidates' items back to back, size per
+	// candidate, so the leaf check reads one contiguous array.
+	keys dataset.Itemset
 }
 
 func (n *htNode) isLeaf() bool { return n.children == nil }
@@ -41,6 +51,8 @@ func (n *htNode) isLeaf() bool { return n.children == nil }
 const (
 	defaultFanout  = 32
 	defaultMaxLeaf = 8
+	// pathStack is the path length counted without a heap buffer.
+	pathStack = 8
 )
 
 // NewHashTree builds a tree over the given candidates (all of
@@ -49,16 +61,41 @@ func NewHashTree(cands []*Candidate, size int) *HashTree {
 	t := &HashTree{
 		root:    &htNode{},
 		size:    size,
-		fanout:  defaultFanout,
+		fanout:  fanoutFor(len(cands), size),
 		maxLeaf: defaultMaxLeaf,
 	}
 	for i, c := range cands {
-		c.lastTID = -1
 		c.id = i
 		t.insert(t.root, c, 0)
 	}
 	t.numCands = len(cands)
+	t.fillKeys(t.root)
 	return t
+}
+
+// fillKeys lays out each leaf's candidate items in its keys array.
+func (t *HashTree) fillKeys(n *htNode) {
+	if n.isLeaf() {
+		n.keys = make(dataset.Itemset, 0, len(n.leaf)*t.size)
+		for _, c := range n.leaf {
+			n.keys = append(n.keys, c.Items...)
+		}
+		return
+	}
+	for _, child := range n.children {
+		if child != nil {
+			t.fillKeys(child)
+		}
+	}
+}
+
+// fanoutFor sizes the fanout so that a full-depth tree over n candidates
+// of the given size averages at most defaultMaxLeaf candidates per leaf:
+// a full-depth leaf cannot split further, and every path into it scans
+// all of its candidates. Small passes keep defaultFanout.
+func fanoutFor(n, size int) int {
+	f := int(math.Ceil(math.Pow(float64(n)/defaultMaxLeaf, 1/float64(size))))
+	return max(defaultFanout, f)
 }
 
 func (t *HashTree) hash(it dataset.Item) int { return int(it) % t.fanout }
@@ -89,24 +126,47 @@ func (t *HashTree) insertChild(n *htNode, c *Candidate, depth int) {
 	t.insert(n.children[h], c, depth+1)
 }
 
-// CountTransaction adds tx (with id tid) to the counts of every candidate
-// it contains. onMatch, if non-nil, is invoked once per contained
-// candidate (DHP uses it to track item participation for transaction
-// trimming). The traversal mirrors the classical algorithm: at depth d,
-// branch on each remaining transaction item, descending into the child it
-// hashes to; at a leaf, verify containment exactly.
-func (t *HashTree) CountTransaction(tx dataset.Itemset, tid int, onMatch func(*Candidate)) {
+// pathBuf returns an empty path with room for t.size items, backed by
+// stack storage unless the candidates are longer than pathStack.
+func (t *HashTree) pathBuf(stack *[pathStack]dataset.Item) dataset.Itemset {
+	if t.size > pathStack {
+		return make(dataset.Itemset, 0, t.size)
+	}
+	return stack[:0]
+}
+
+// matches reports whether candidate items c, reached through a leaf
+// along path, are contained in the transaction: c must start with path
+// and its remaining items must occur in rest, the transaction after the
+// path's last position.
+func matches(c, path, rest dataset.Itemset) bool {
+	for i, it := range path {
+		if c[i] != it {
+			return false
+		}
+	}
+	return len(c) == len(path) || c[len(path):].SubsetOf(rest)
+}
+
+// CountTransaction adds tx to the counts of every candidate it contains.
+// onMatch, if non-nil, is invoked once per contained candidate (DHP uses
+// it to track item participation for transaction trimming). The
+// traversal mirrors the classical algorithm: at depth d, branch on each
+// remaining transaction item, descending into the child it hashes to;
+// at a leaf, check the candidates against the hashed path.
+func (t *HashTree) CountTransaction(tx dataset.Itemset, onMatch func(*Candidate)) {
 	if len(tx) < t.size {
 		return
 	}
-	t.count(t.root, tx, 0, 0, tid, onMatch)
+	var stack [pathStack]dataset.Item
+	t.count(t.root, tx, t.pathBuf(&stack), 0, onMatch)
 }
 
-func (t *HashTree) count(n *htNode, tx dataset.Itemset, depth, start, tid int, onMatch func(*Candidate)) {
+func (t *HashTree) count(n *htNode, tx, path dataset.Itemset, start int, onMatch func(*Candidate)) {
 	if n.isLeaf() {
-		for _, c := range n.leaf {
-			if c.lastTID != tid && c.Items.SubsetOf(tx) {
-				c.lastTID = tid
+		rest, k := tx[start:], t.size
+		for j, c := range n.leaf {
+			if matches(n.keys[j*k:j*k+k], path, rest) {
 				c.Count++
 				if onMatch != nil {
 					onMatch(c)
@@ -116,9 +176,9 @@ func (t *HashTree) count(n *htNode, tx dataset.Itemset, depth, start, tid int, o
 		return
 	}
 	// Enough items must remain to complete a candidate of t.size items.
-	for i := start; i <= len(tx)-(t.size-depth); i++ {
+	for i := start; i <= len(tx)-(t.size-len(path)); i++ {
 		if child := n.children[t.hash(tx[i])]; child != nil {
-			t.count(child, tx, depth+1, i+1, tid, onMatch)
+			t.count(child, tx, append(path, tx[i]), i+1, onMatch)
 		}
 	}
 }
@@ -127,20 +187,12 @@ func (t *HashTree) count(n *htNode, tx dataset.Itemset, depth, start, tid int, o
 // HashTree: several goroutines can traverse one tree concurrently, each
 // accumulating into its own state, and the states merge afterwards.
 type CountState struct {
-	counts  []int64
-	lastTID []int
+	counts []int64
 }
 
 // NewState allocates counting state sized to the tree.
 func (t *HashTree) NewState() *CountState {
-	st := &CountState{
-		counts:  make([]int64, t.numCands),
-		lastTID: make([]int, t.numCands),
-	}
-	for i := range st.lastTID {
-		st.lastTID[i] = -1
-	}
-	return st
+	return &CountState{counts: make([]int64, t.numCands)}
 }
 
 // statePool recycles CountState scratch across passes (and across runs):
@@ -155,16 +207,9 @@ func (t *HashTree) AcquireState() *CountState {
 	st := statePool.Get().(*CountState)
 	if cap(st.counts) < t.numCands {
 		st.counts = make([]int64, t.numCands)
-		st.lastTID = make([]int, t.numCands)
 	}
 	st.counts = st.counts[:t.numCands]
-	st.lastTID = st.lastTID[:t.numCands]
-	for i := range st.counts {
-		st.counts[i] = 0
-	}
-	for i := range st.lastTID {
-		st.lastTID[i] = -1
-	}
+	clear(st.counts)
 	return st
 }
 
@@ -179,26 +224,27 @@ func ReleaseState(st *CountState) {
 // CountTransactionInto is CountTransaction accumulating into st instead
 // of the candidates themselves; the tree is not mutated, so concurrent
 // calls with distinct states are safe.
-func (t *HashTree) CountTransactionInto(st *CountState, tx dataset.Itemset, tid int) {
-	t.CountTransactionIntoFunc(st, tx, tid, nil)
+func (t *HashTree) CountTransactionInto(st *CountState, tx dataset.Itemset) {
+	t.CountTransactionIntoFunc(st, tx, nil)
 }
 
 // CountTransactionIntoFunc is CountTransactionInto with a per-match
 // callback, the state-based counterpart of CountTransaction's onMatch
 // (DHP's parallel trim pass uses it to track item participation per
 // worker).
-func (t *HashTree) CountTransactionIntoFunc(st *CountState, tx dataset.Itemset, tid int, onMatch func(*Candidate)) {
+func (t *HashTree) CountTransactionIntoFunc(st *CountState, tx dataset.Itemset, onMatch func(*Candidate)) {
 	if len(tx) < t.size {
 		return
 	}
-	t.countInto(st, t.root, tx, 0, 0, tid, onMatch)
+	var stack [pathStack]dataset.Item
+	t.countInto(st, t.root, tx, t.pathBuf(&stack), 0, onMatch)
 }
 
-func (t *HashTree) countInto(st *CountState, n *htNode, tx dataset.Itemset, depth, start, tid int, onMatch func(*Candidate)) {
+func (t *HashTree) countInto(st *CountState, n *htNode, tx, path dataset.Itemset, start int, onMatch func(*Candidate)) {
 	if n.isLeaf() {
-		for _, c := range n.leaf {
-			if st.lastTID[c.id] != tid && c.Items.SubsetOf(tx) {
-				st.lastTID[c.id] = tid
+		rest, k := tx[start:], t.size
+		for j, c := range n.leaf {
+			if matches(n.keys[j*k:j*k+k], path, rest) {
 				st.counts[c.id]++
 				if onMatch != nil {
 					onMatch(c)
@@ -207,9 +253,9 @@ func (t *HashTree) countInto(st *CountState, n *htNode, tx dataset.Itemset, dept
 		}
 		return
 	}
-	for i := start; i <= len(tx)-(t.size-depth); i++ {
+	for i := start; i <= len(tx)-(t.size-len(path)); i++ {
 		if child := n.children[t.hash(tx[i])]; child != nil {
-			t.countInto(st, child, tx, depth+1, i+1, tid, onMatch)
+			t.countInto(st, child, tx, append(path, tx[i]), i+1, onMatch)
 		}
 	}
 }

@@ -137,11 +137,11 @@ func TestCountStateSharedTree(t *testing.T) {
 		dataset.NewItemset(0, 1, 2),
 	}
 	st1, st2 := tree.NewState(), tree.NewState()
-	for tid, tx := range txs[:3] {
-		tree.CountTransactionInto(st1, tx, tid)
+	for _, tx := range txs[:3] {
+		tree.CountTransactionInto(st1, tx)
 	}
-	for tid, tx := range txs[3:] {
-		tree.CountTransactionInto(st2, tx, tid)
+	for _, tx := range txs[3:] {
+		tree.CountTransactionInto(st2, tx)
 	}
 	tree.Merge(cands, st1)
 	tree.Merge(cands, st2)
@@ -157,7 +157,7 @@ func TestCountStateShortTransaction(t *testing.T) {
 	cands := []*Candidate{{Items: dataset.NewItemset(0, 1, 2)}}
 	tree := NewHashTree(cands, 3)
 	st := tree.NewState()
-	tree.CountTransactionInto(st, dataset.NewItemset(0, 1), 0)
+	tree.CountTransactionInto(st, dataset.NewItemset(0, 1))
 	tree.Merge(cands, st)
 	if cands[0].Count != 0 {
 		t.Error("short transaction counted")

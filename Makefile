@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race fuzz fuzz-smoke obs-smoke loadgen-smoke remote-smoke ingest-smoke fleet-obs-smoke kernel-smoke perfbench-smoke cover bench bench-kernels bench-loadgen examples experiments clean
+.PHONY: all build vet test race fuzz fuzz-smoke obs-smoke loadgen-smoke remote-smoke ingest-smoke fleet-obs-smoke kernel-smoke perfbench-smoke mutation cover bench bench-kernels bench-loadgen examples experiments clean
 
 all: build test
 
@@ -107,6 +107,13 @@ perfbench-smoke:
 		echo "$$last" | grep -q '"correct": *true' || { echo "perfbench-smoke: $$w answers not correct"; exit 1; }; \
 		echo "$$last" | grep -q '"failed": *0[,}]' || { echo "perfbench-smoke: $$w had failed ops"; exit 1; }; \
 	done
+
+# Mutation gate: every committed mutation (testdata/mutations/*.patch,
+# each naming the gate that must catch it) is applied to a scratch copy
+# of the tree, and its gate must fail there (scripts/mutation.sh). Kept
+# out of `make test`.
+mutation:
+	bash scripts/mutation.sh
 
 # Scaled-down deterministic versions of every paper table/figure plus
 # micro-benchmarks (see EXPERIMENTS.md for recorded full runs).

@@ -116,9 +116,10 @@ func Mine(d *dataset.Dataset, minCount int64, opts Options) (*mining.Result, err
 		kd := mining.KernelDeltaFor(opts.Pruner)
 		decBuf = core.AdmitBatch(opts.Pruner, gen, decBuf)
 		var cands []*mining.Candidate
+		var alloc mining.CandidateAlloc
 		for gi, items := range gen {
 			if decBuf[gi] {
-				cands = append(cands, &mining.Candidate{Items: items})
+				cands = append(cands, alloc.New(items))
 			} else {
 				stats.Pruned++
 			}
@@ -158,11 +159,12 @@ func passTwoHashTree(txs []dataset.Itemset, f1 []mining.Counted, minCount int64,
 	kd := mining.KernelDeltaFor(pruner)
 	dec := core.AdmitPairsAmong(pruner, items, nil)
 	var cands []*mining.Candidate
+	var alloc mining.CandidateAlloc
 	idx := 0
 	for i := 0; i < len(items); i++ {
 		for j := i + 1; j < len(items); j++ {
 			if dec[idx] {
-				cands = append(cands, &mining.Candidate{Items: dataset.Itemset{items[i], items[j]}})
+				cands = append(cands, alloc.Pair(items[i], items[j]))
 			} else {
 				stats.Pruned++
 			}

@@ -29,9 +29,11 @@ func SumDiffPair(a, b []uint32, items []dataset.Item) int64 {
 			if by < mb {
 				mb = by
 			}
-			mc := ax + bx
-			if ay+by < mc {
-				mc = ay + by
+			// Merged cells are summed in 64 bits: two uint32 cells can
+			// exceed 2³²−1.
+			mc := uint64(ax) + uint64(bx)
+			if my := uint64(ay) + uint64(by); my < mc {
+				mc = my
 			}
 			total += int64(mc) - int64(ma) - int64(mb)
 		}
@@ -47,10 +49,10 @@ func SumDiffSet(rows [][]uint32, items []dataset.Item) int64 {
 		return 0
 	}
 	k := len(rows[0])
-	mergedRow := make([]uint32, k)
+	mergedRow := make([]uint64, k)
 	for _, row := range rows {
 		for i, c := range row {
-			mergedRow[i] += c
+			mergedRow[i] += uint64(c)
 		}
 	}
 	var total int64

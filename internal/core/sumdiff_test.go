@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -175,6 +177,57 @@ func TestAllItems(t *testing.T) {
 	for i := range want {
 		if items[i] != want[i] {
 			t.Errorf("AllItems[%d] = %d, want %d", i, items[i], want[i])
+		}
+	}
+}
+
+// wideSumDiff is equation (2) in arbitrary precision: the reference for
+// cells whose merged sums pass 2³²−1.
+func wideSumDiff(rows [][]uint32, items []dataset.Item) *big.Int {
+	total := new(big.Int)
+	for i := 0; i < len(items); i++ {
+		for j := i + 1; j < len(items); j++ {
+			x, y := items[i], items[j]
+			mx, my := new(big.Int), new(big.Int)
+			sep := new(big.Int)
+			for _, row := range rows {
+				mx.Add(mx, big.NewInt(int64(row[x])))
+				my.Add(my, big.NewInt(int64(row[y])))
+				sep.Add(sep, big.NewInt(int64(min(row[x], row[y]))))
+			}
+			if my.Cmp(mx) < 0 {
+				mx = my
+			}
+			total.Add(total, mx.Sub(mx, sep))
+		}
+	}
+	return total
+}
+
+// TestSumDiffWideCells: cells near 2³¹ and 2³² sum past 2³²−1 when
+// segments merge, and sumdiff must not wrap there.
+func TestSumDiffWideCells(t *testing.T) {
+	const top = math.MaxUint32
+	cells := []uint32{0, 1, 1 << 31, 1<<31 + 1, top - 1, top}
+	r := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		k := 2 + r.Intn(4)
+		rows := make([][]uint32, 2+r.Intn(2))
+		for s := range rows {
+			rows[s] = make([]uint32, k)
+			for i := range rows[s] {
+				rows[s][i] = cells[r.Intn(len(cells))]
+			}
+		}
+		items := AllItems(k)
+		want := wideSumDiff(rows, items)
+		if got := SumDiffSet(rows, items); big.NewInt(got).Cmp(want) != 0 {
+			t.Fatalf("SumDiffSet(%v) = %d, want %v", rows, got, want)
+		}
+		if len(rows) == 2 {
+			if got := SumDiffPair(rows[0], rows[1], items); big.NewInt(got).Cmp(want) != 0 {
+				t.Fatalf("SumDiffPair(%v) = %d, want %v", rows, got, want)
+			}
 		}
 	}
 }

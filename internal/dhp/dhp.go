@@ -132,6 +132,7 @@ func Mine(d *dataset.Dataset, minCount int64, opts Options) (*mining.Result, err
 	kd := mining.KernelDeltaFor(opts.Pruner)
 	dec := core.AdmitPairsAmong(opts.Pruner, items, nil)
 	var cands []*mining.Candidate
+	var alloc mining.CandidateAlloc
 	idx := 0
 	for i := 0; i < len(items); i++ {
 		for j := i + 1; j < len(items); j++ {
@@ -147,7 +148,7 @@ func Mine(d *dataset.Dataset, minCount int64, opts Options) (*mining.Result, err
 				extra.BucketPruned++
 				continue
 			}
-			cands = append(cands, &mining.Candidate{Items: dataset.Itemset{a, b}})
+			cands = append(cands, alloc.Pair(a, b))
 		}
 	}
 	kd.Note(&stats2)
@@ -190,6 +191,7 @@ func Mine(d *dataset.Dataset, minCount int64, opts Options) (*mining.Result, err
 		kdk := mining.KernelDeltaFor(opts.Pruner)
 		decBuf = core.AdmitBatch(opts.Pruner, gen, decBuf)
 		var kc []*mining.Candidate
+		var alloc mining.CandidateAlloc
 		for gi, items := range gen {
 			if !decBuf[gi] {
 				stats.Pruned++
@@ -200,7 +202,7 @@ func Mine(d *dataset.Dataset, minCount int64, opts Options) (*mining.Result, err
 				extra.BucketPruned++
 				continue
 			}
-			kc = append(kc, &mining.Candidate{Items: items})
+			kc = append(kc, alloc.New(items))
 		}
 		kdk.Note(&stats)
 		stats.Counted = len(kc)

@@ -19,19 +19,8 @@ import (
 // the counting loop untouched.
 func CountParallel(txs []dataset.Itemset, cands []*Candidate, size, workers int, instr *Instrumentation) {
 	workers = conc.Resolve(workers)
-	if workers <= 1 || len(txs) < 4*workers {
-		start := time.Time{}
-		if instr != nil {
-			start = time.Now()
-		}
-		tree := NewHashTree(cands, size)
-		for _, tx := range txs {
-			tree.CountTransaction(tx, nil)
-		}
-		if instr != nil {
-			instr.ObserveWorker(time.Since(start))
-		}
-		return
+	if len(txs) < 4*workers {
+		workers = 1
 	}
 	countSharded(txs, cands, size, workers, instr)
 }

@@ -11,11 +11,16 @@ import (
 // brute-force SubsetOf scan, and each callback must fire once per
 // contained candidate per transaction.
 //
-// Input layout: byte 0 picks the size (1–5), byte 1 the transaction
-// count (0–7); then each transaction is a length byte (0–15) followed by
-// that many items; the remaining bytes are candidates, size items each,
-// where malformed or repeated candidates are skipped. Items are byte
-// values, so hashes collide at every fanout.
+// Input layout: byte 0 is the mode, byte 1 picks the size (1–5), byte 2
+// the transaction count (0–7); then each transaction is a length byte
+// (0–15) followed by that many items. Items are byte values, so hashes
+// collide at every fanout. In the explicit mode (even mode byte) the
+// remaining bytes are candidates, size items each, where malformed or
+// repeated candidates are skipped. In the pairs mode (odd mode byte)
+// the candidates are pairs, far more than an explicit input holds: two
+// bytes fix an item range of 192–255 items, and the rest is a mask that
+// drops odd-numbered pairs, so more than 8192 pairs remain and the
+// fanout grows past defaultFanout.
 func FuzzHashTreeCount(f *testing.F) {
 	// Seeds hold more than defaultMaxLeaf candidates, so the root splits
 	// and items 32 apart share hash paths.
@@ -28,13 +33,20 @@ func FuzzHashTreeCount(f *testing.F) {
 	f.Add(encodeCountInput(1,
 		[][]byte{{0, 32, 64}, {1, 33, 96}, {}},
 		[][]byte{{0}, {32}, {64}, {96}, {1}, {33}, {65}, {2}, {34}, {128}}))
+	f.Add(encodePairsInput(
+		[][]byte{{0, 1, 34, 35, 68, 69, 200, 234}, {3, 37, 71, 105, 139, 173, 207, 241, 255}, {10, 44}},
+		0, 0, nil))
+	f.Add(encodePairsInput(
+		[][]byte{{20, 54, 88, 122, 156, 190, 224, 250}, {21, 22, 55, 56, 89, 90}},
+		63, 1, []byte{0xa5, 0x0f, 0xff}))
 	f.Fuzz(func(t *testing.T, in []byte) {
-		if len(in) < 2 {
+		if len(in) < 3 {
 			return
 		}
-		size := 1 + int(in[0])%5
-		ntx := int(in[1]) % 8
-		in = in[2:]
+		pairs := in[0]%2 == 1
+		size := 1 + int(in[1])%5
+		ntx := int(in[2]) % 8
+		in = in[3:]
 		txs := make([]dataset.Itemset, 0, ntx)
 		for len(txs) < ntx && len(in) > 0 {
 			n := min(int(in[0])%16, len(in)-1)
@@ -45,19 +57,15 @@ func FuzzHashTreeCount(f *testing.F) {
 			txs = append(txs, dataset.NewItemset(raw...))
 			in = in[1+n:]
 		}
-		seen := make(map[string]bool)
 		var items []dataset.Itemset
-		for ; len(in) >= size; in = in[size:] {
-			raw := make([]dataset.Item, size)
-			for i := range raw {
-				raw[i] = dataset.Item(in[i])
+		if pairs {
+			size = 2
+			items = maskedPairs(in)
+			if fanoutFor(len(items), size) <= defaultFanout {
+				t.Fatalf("%d pairs keep the default fanout", len(items))
 			}
-			c := dataset.NewItemset(raw...)
-			if len(c) != size || seen[c.Key()] {
-				continue
-			}
-			seen[c.Key()] = true
-			items = append(items, c)
+		} else {
+			items = explicitCandidates(in, size)
 		}
 		if len(items) == 0 {
 			return
@@ -66,15 +74,76 @@ func FuzzHashTreeCount(f *testing.F) {
 	})
 }
 
-// encodeCountInput lays out a FuzzHashTreeCount input.
-func encodeCountInput(size int, txs, cands [][]byte) []byte {
-	out := []byte{byte(size - 1), byte(len(txs))}
+// explicitCandidates reads distinct candidates of the given size, size
+// bytes each, skipping malformed and repeated ones.
+func explicitCandidates(in []byte, size int) []dataset.Itemset {
+	seen := make(map[string]bool)
+	var items []dataset.Itemset
+	for ; len(in) >= size; in = in[size:] {
+		raw := make([]dataset.Item, size)
+		for i := range raw {
+			raw[i] = dataset.Item(in[i])
+		}
+		c := dataset.NewItemset(raw...)
+		if len(c) != size || seen[c.Key()] {
+			continue
+		}
+		seen[c.Key()] = true
+		items = append(items, c)
+	}
+	return items
+}
+
+// maskedPairs expands a pairs-mode tail into candidates: every pair over
+// span 192–255 items starting at base, both within 0–255, less the
+// odd-numbered pairs whose mask bit is set. At least half of the
+// 18336+ pairs remain.
+func maskedPairs(in []byte) []dataset.Itemset {
+	var span, base int
+	if len(in) >= 2 {
+		span, base = int(in[0]), int(in[1])
+		in = in[2:]
+	}
+	r := 192 + span%64
+	base %= 257 - r
+	var items []dataset.Itemset
+	p := 0
+	for x := base; x < base+r; x++ {
+		for y := x + 1; y < base+r; y++ {
+			bit := p / 2
+			drop := p%2 == 1 && len(in) > 0 && in[bit/8%len(in)]&(1<<(bit%8)) != 0
+			if !drop {
+				items = append(items, dataset.Itemset{dataset.Item(x), dataset.Item(y)})
+			}
+			p++
+		}
+	}
+	return items
+}
+
+// countHeader lays out the mode, size and transactions of a
+// FuzzHashTreeCount input.
+func countHeader(mode byte, size int, txs [][]byte) []byte {
+	out := []byte{mode, byte(size - 1), byte(len(txs))}
 	for _, tx := range txs {
 		out = append(out, byte(len(tx)))
 		out = append(out, tx...)
 	}
+	return out
+}
+
+// encodeCountInput lays out an explicit-mode FuzzHashTreeCount input.
+func encodeCountInput(size int, txs, cands [][]byte) []byte {
+	out := countHeader(0, size, txs)
 	for _, c := range cands {
 		out = append(out, c...)
 	}
 	return out
+}
+
+// encodePairsInput lays out a pairs-mode FuzzHashTreeCount input.
+func encodePairsInput(txs [][]byte, span, base byte, mask []byte) []byte {
+	out := countHeader(1, 2, txs)
+	out = append(out, span, base)
+	return append(out, mask...)
 }

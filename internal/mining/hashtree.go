@@ -2,18 +2,52 @@ package mining
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"github.com/ossm-mining/ossm/internal/dataset"
 )
 
 // Candidate is a candidate itemset with its running support count,
-// indexable by a HashTree. id is the candidate's position in the tree's
-// build order (used by the shared-tree parallel counting path).
+// indexable by a HashTree.
 type Candidate struct {
 	Items dataset.Itemset
 	Count int64
-	id    int
+}
+
+// candChunk is how many candidates CandidateAlloc allocates at once:
+// 8 KB of Candidates and 2 KB of pair items, small enough that a pass's
+// candidates cost no more memory than one object each.
+const candChunk = 256
+
+// CandidateAlloc hands out candidates from small chunks instead of one
+// heap object each. The zero value is ready to use.
+type CandidateAlloc struct {
+	free  []Candidate
+	items dataset.Itemset
+}
+
+// New returns a zero-count candidate over items.
+func (a *CandidateAlloc) New(items dataset.Itemset) *Candidate {
+	if len(a.free) == 0 {
+		a.free = make([]Candidate, candChunk)
+	}
+	c := &a.free[0]
+	a.free = a.free[1:]
+	c.Items = items
+	return c
+}
+
+// Pair returns a zero-count candidate over {x, y}, x < y, with its
+// items chunk-allocated too.
+func (a *CandidateAlloc) Pair(x, y dataset.Item) *Candidate {
+	if len(a.items) < 2 {
+		a.items = make(dataset.Itemset, 2*candChunk)
+	}
+	items := a.items[:2:2]
+	a.items = a.items[2:]
+	items[0], items[1] = x, y
+	return a.New(items)
 }
 
 // HashTree indexes candidates of one cardinality for subset counting, as
@@ -30,63 +64,90 @@ type Candidate struct {
 // along exactly one such path: it is counted once per transaction with
 // no per-transaction dedupe state, even when colliding hashes lead
 // several paths into its leaf.
+//
+// The tree is flat and pointer-free. Each interior node is a block of
+// fanout slots in one slots array. A slot is either an interior child's
+// block offset or a leaf's [lo, hi) range into keys, last and ids, which
+// hold the candidates grouped leaf by leaf, each leaf in build order.
 type HashTree struct {
-	root     *htNode
-	size     int // cardinality of the candidates
-	fanout   int
-	maxLeaf  int
-	numCands int
+	cands  []*Candidate
+	size   int // cardinality of the candidates
+	fanout int
+	root   slot
+	slots  []slot
+	keys   dataset.Itemset // each candidate's items, size per candidate
+	last   []dataset.Item  // each candidate's final item
+	ids    []int32         // each candidate's index in cands
 }
 
-type htNode struct {
-	children []*htNode    // non-nil ⇒ interior node
-	leaf     []*Candidate // interior nodes keep leaf == nil
-	// keys holds the leaf candidates' items back to back, size per
-	// candidate, so the leaf check reads one contiguous array.
-	keys dataset.Itemset
-}
+// slot is one child of an interior node (or the root). A leaf holds the
+// candidates [lo, hi) of the flat arrays, lo == hi for an empty child;
+// an interior child has hi == interior and its slots start at slots[lo].
+type slot struct{ lo, hi int32 }
 
-func (n *htNode) isLeaf() bool { return n.children == nil }
+const interior = -1
 
 const (
 	defaultFanout  = 32
 	defaultMaxLeaf = 8
-	// pathStack is the path length counted without a heap buffer.
+	// pathStack and hashStack are the path and transaction lengths
+	// counted without a heap buffer.
 	pathStack = 8
+	hashStack = 64
 )
 
 // NewHashTree builds a tree over the given candidates (all of
 // cardinality size).
 func NewHashTree(cands []*Candidate, size int) *HashTree {
-	t := &HashTree{
-		root:    &htNode{},
-		size:    size,
-		fanout:  fanoutFor(len(cands), size),
-		maxLeaf: defaultMaxLeaf,
+	n := len(cands)
+	t := &HashTree{cands: cands, size: size, fanout: fanoutFor(n, size)}
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
 	}
-	for i, c := range cands {
-		c.id = i
-		t.insert(t.root, c, 0)
+	t.root = t.build(order, make([]int32, n), 0, n, 0)
+	t.ids = order
+	t.keys = make(dataset.Itemset, 0, n*size)
+	t.last = make([]dataset.Item, n)
+	for q, id := range order {
+		items := cands[id].Items
+		t.keys = append(t.keys, items...)
+		t.last[q] = items[size-1]
 	}
-	t.numCands = len(cands)
-	t.fillKeys(t.root)
 	return t
 }
 
-// fillKeys lays out each leaf's candidate items in its keys array.
-func (t *HashTree) fillKeys(n *htNode) {
-	if n.isLeaf() {
-		n.keys = make(dataset.Itemset, 0, len(n.leaf)*t.size)
-		for _, c := range n.leaf {
-			n.keys = append(n.keys, c.Items...)
-		}
-		return
+// build lays out the node over the candidates order[lo:hi] at depth. It
+// is a leaf unless it holds more than defaultMaxLeaf candidates with
+// items left to hash on. Otherwise a counting sort on the hash of each
+// candidate's depth-th item groups order[lo:hi] by child, stably, and
+// each group becomes a child one level down.
+func (t *HashTree) build(order, tmp []int32, lo, hi, depth int) slot {
+	if hi-lo <= defaultMaxLeaf || depth == t.size {
+		return slot{int32(lo), int32(hi)}
 	}
-	for _, child := range n.children {
-		if child != nil {
-			t.fillKeys(child)
-		}
+	off := len(t.slots)
+	t.slots = append(t.slots, make([]slot, t.fanout)...)
+	block := t.slots[off:]
+	for _, id := range order[lo:hi] {
+		block[t.hash(t.cands[id].Items[depth])].hi++
 	}
+	pos := int32(lo)
+	for i, s := range block {
+		block[i] = slot{pos, pos}
+		pos += s.hi
+	}
+	for _, id := range order[lo:hi] {
+		s := &block[t.hash(t.cands[id].Items[depth])]
+		tmp[s.hi] = id
+		s.hi++
+	}
+	copy(order[lo:hi], tmp[lo:hi])
+	for i := off; i < off+t.fanout; i++ {
+		s := t.slots[i]
+		t.slots[i] = t.build(order, tmp, int(s.lo), int(s.hi), depth+1)
+	}
+	return slot{int32(off), interior}
 }
 
 // fanoutFor sizes the fanout so that a full-depth tree over n candidates
@@ -99,41 +160,6 @@ func fanoutFor(n, size int) int {
 }
 
 func (t *HashTree) hash(it dataset.Item) int { return int(it) % t.fanout }
-
-func (t *HashTree) insert(n *htNode, c *Candidate, depth int) {
-	if n.isLeaf() {
-		n.leaf = append(n.leaf, c)
-		// Split overflowing leaves while there are still items left to
-		// hash on.
-		if len(n.leaf) > t.maxLeaf && depth < t.size {
-			old := n.leaf
-			n.leaf = nil
-			n.children = make([]*htNode, t.fanout)
-			for _, oc := range old {
-				t.insertChild(n, oc, depth)
-			}
-		}
-		return
-	}
-	t.insertChild(n, c, depth)
-}
-
-func (t *HashTree) insertChild(n *htNode, c *Candidate, depth int) {
-	h := t.hash(c.Items[depth])
-	if n.children[h] == nil {
-		n.children[h] = &htNode{}
-	}
-	t.insert(n.children[h], c, depth+1)
-}
-
-// pathBuf returns an empty path with room for t.size items, backed by
-// stack storage unless the candidates are longer than pathStack.
-func (t *HashTree) pathBuf(stack *[pathStack]dataset.Item) dataset.Itemset {
-	if t.size > pathStack {
-		return make(dataset.Itemset, 0, t.size)
-	}
-	return stack[:0]
-}
 
 // matches reports whether candidate items c, reached through a leaf
 // along path, are contained in the transaction: c must start with path
@@ -148,39 +174,121 @@ func matches(c, path, rest dataset.Itemset) bool {
 	return len(c) == len(path) || c[len(path):].SubsetOf(rest)
 }
 
-// CountTransaction adds tx to the counts of every candidate it contains.
-// onMatch, if non-nil, is invoked once per contained candidate (DHP uses
-// it to track item participation for transaction trimming). The
-// traversal mirrors the classical algorithm: at depth d, branch on each
-// remaining transaction item, descending into the child it hashes to;
-// at a leaf, check the candidates against the hashed path.
-func (t *HashTree) CountTransaction(tx dataset.Itemset, onMatch func(*Candidate)) {
+// walker is the state of one transaction's traversal.
+type walker struct {
+	t    *HashTree
+	tx   dataset.Itemset
+	h    []int32         // the fanout hash of each transaction item
+	path dataset.Itemset // the items hashed on, size-1 long
+	// counts, when non-nil, receives the matches by candidate index in
+	// place of the candidates' own counts.
+	counts  []int64
+	onMatch func(*Candidate)
+}
+
+// walk counts tx: at depth d, branch on each remaining transaction item,
+// descending into the child it hashes to; at a leaf, check the
+// candidates against the hashed path.
+func (t *HashTree) walk(tx dataset.Itemset, counts []int64, onMatch func(*Candidate)) {
 	if len(tx) < t.size {
 		return
 	}
-	var stack [pathStack]dataset.Item
-	t.count(t.root, tx, t.pathBuf(&stack), 0, onMatch)
+	var hs [hashStack]int32
+	var ps [pathStack]dataset.Item
+	w := walker{t: t, tx: tx, counts: counts, onMatch: onMatch}
+	if len(tx) <= hashStack {
+		w.h = hs[:len(tx)]
+	} else {
+		w.h = make([]int32, len(tx))
+	}
+	for i, it := range tx {
+		w.h[i] = int32(t.hash(it))
+	}
+	if t.size-1 <= pathStack {
+		w.path = ps[:t.size-1]
+	} else {
+		w.path = make(dataset.Itemset, t.size-1)
+	}
+	if t.root.hi == interior {
+		w.node(int(t.root.lo), 0, 0)
+	} else {
+		w.leaf(t.root, 0, 0)
+	}
 }
 
-func (t *HashTree) count(n *htNode, tx, path dataset.Itemset, start int, onMatch func(*Candidate)) {
-	if n.isLeaf() {
-		rest, k := tx[start:], t.size
-		for j, c := range n.leaf {
-			if matches(n.keys[j*k:j*k+k], path, rest) {
-				c.Count++
-				if onMatch != nil {
-					onMatch(c)
-				}
-			}
-		}
+// node visits the interior node whose slots start at off, at depth,
+// branching on the transaction items from start on.
+func (w *walker) node(off, depth, start int) {
+	t := w.t
+	if depth == t.size-1 {
+		w.lastLevel(t.slots[off:off+t.fanout], start)
 		return
 	}
 	// Enough items must remain to complete a candidate of t.size items.
-	for i := start; i <= len(tx)-(t.size-len(path)); i++ {
-		if child := n.children[t.hash(tx[i])]; child != nil {
-			t.count(child, tx, append(path, tx[i]), i+1, onMatch)
+	for i := start; i <= len(w.tx)-(t.size-depth); i++ {
+		s := t.slots[off+int(w.h[i])]
+		if s.lo == s.hi {
+			continue
+		}
+		w.path[depth] = w.tx[i]
+		if s.hi == interior {
+			w.node(int(s.lo), depth+1, i+1)
+		} else {
+			w.leaf(s, depth+1, i+1)
 		}
 	}
+}
+
+// leaf checks the candidates of a leaf at depth < size, reached along
+// path[:depth] with the transaction's items from start still unused.
+func (w *walker) leaf(s slot, depth, start int) {
+	k := w.t.size
+	path, rest := w.path[:depth], w.tx[start:]
+	for q := int(s.lo); q < int(s.hi); q++ {
+		if matches(w.t.keys[q*k:q*k+k], path, rest) {
+			w.hit(q)
+		}
+	}
+}
+
+// lastLevel visits an interior node at depth size-1 inline. Every child
+// is a full-depth leaf, and each remaining transaction item completes a
+// path: the one candidate in its leaf that ends in that item and starts
+// with the path, if any, is contained. Candidates are distinct, so the
+// scan stops at the first hit.
+func (w *walker) lastLevel(block []slot, start int) {
+	t, k := w.t, w.t.size
+	prefix := w.path
+	for i := start; i < len(w.tx); i++ {
+		s := block[w.h[i]]
+		it := w.tx[i]
+		for q := int(s.lo); q < int(s.hi); q++ {
+			if t.last[q] == it && slices.Equal(t.keys[q*k:q*k+k-1], prefix) {
+				w.hit(q)
+				break
+			}
+		}
+	}
+}
+
+// hit counts the candidate at flat position q.
+func (w *walker) hit(q int) {
+	id := w.t.ids[q]
+	if w.counts != nil {
+		w.counts[id]++
+	} else {
+		w.t.cands[id].Count++
+	}
+	if w.onMatch != nil {
+		w.onMatch(w.t.cands[id])
+	}
+}
+
+// CountTransaction adds tx to the counts of every candidate it contains.
+// onMatch, if non-nil, is invoked once per contained candidate (DHP uses
+// it to track item participation for transaction trimming).
+func (t *HashTree) CountTransaction(tx dataset.Itemset, onMatch func(*Candidate)) {
+	t.walk(tx, nil, onMatch)
 }
 
 // CountState is per-worker counting state for a shared, read-only
@@ -192,7 +300,7 @@ type CountState struct {
 
 // NewState allocates counting state sized to the tree.
 func (t *HashTree) NewState() *CountState {
-	return &CountState{counts: make([]int64, t.numCands)}
+	return &CountState{counts: make([]int64, len(t.cands))}
 }
 
 // statePool recycles CountState scratch across passes (and across runs):
@@ -205,10 +313,11 @@ var statePool = sync.Pool{New: func() any { return new(CountState) }}
 // merged.
 func (t *HashTree) AcquireState() *CountState {
 	st := statePool.Get().(*CountState)
-	if cap(st.counts) < t.numCands {
-		st.counts = make([]int64, t.numCands)
+	n := len(t.cands)
+	if cap(st.counts) < n {
+		st.counts = make([]int64, n)
 	}
-	st.counts = st.counts[:t.numCands]
+	st.counts = st.counts[:n]
 	clear(st.counts)
 	return st
 }
@@ -225,7 +334,7 @@ func ReleaseState(st *CountState) {
 // of the candidates themselves; the tree is not mutated, so concurrent
 // calls with distinct states are safe.
 func (t *HashTree) CountTransactionInto(st *CountState, tx dataset.Itemset) {
-	t.CountTransactionIntoFunc(st, tx, nil)
+	t.walk(tx, st.counts, nil)
 }
 
 // CountTransactionIntoFunc is CountTransactionInto with a per-match
@@ -233,31 +342,7 @@ func (t *HashTree) CountTransactionInto(st *CountState, tx dataset.Itemset) {
 // (DHP's parallel trim pass uses it to track item participation per
 // worker).
 func (t *HashTree) CountTransactionIntoFunc(st *CountState, tx dataset.Itemset, onMatch func(*Candidate)) {
-	if len(tx) < t.size {
-		return
-	}
-	var stack [pathStack]dataset.Item
-	t.countInto(st, t.root, tx, t.pathBuf(&stack), 0, onMatch)
-}
-
-func (t *HashTree) countInto(st *CountState, n *htNode, tx, path dataset.Itemset, start int, onMatch func(*Candidate)) {
-	if n.isLeaf() {
-		rest, k := tx[start:], t.size
-		for j, c := range n.leaf {
-			if matches(n.keys[j*k:j*k+k], path, rest) {
-				st.counts[c.id]++
-				if onMatch != nil {
-					onMatch(c)
-				}
-			}
-		}
-		return
-	}
-	for i := start; i <= len(tx)-(t.size-len(path)); i++ {
-		if child := n.children[t.hash(tx[i])]; child != nil {
-			t.countInto(st, child, tx, append(path, tx[i]), i+1, onMatch)
-		}
-	}
+	t.walk(tx, st.counts, onMatch)
 }
 
 // Merge adds the state's counts into the candidates (in tree build

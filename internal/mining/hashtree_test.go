@@ -184,38 +184,52 @@ func randomCandidates(r *rand.Rand, n, size, domain int) []dataset.Itemset {
 }
 
 // TestHashTreeMatchesSubsetScan is the differential gate for hash-tree
-// counting, over candidate sizes 1–5 and one size past the path's stack
-// buffer. Items 0..299 collide at the default fanout and at the fanout
-// grown for ~20k pairs; one-candidate trees count from a root leaf
-// (depth 0 < size); half the transactions extend a candidate so every
-// size sees matches, and some are shorter than the candidate size.
+// counting, over candidate sizes 1–5 and the sizes at and past the
+// path's stack buffer. Items 0..299 collide at the default fanout and
+// at the fanout grown for ~20k pairs; one-candidate trees count from a
+// root leaf (depth 0 < size); half the transactions extend a candidate
+// so every size sees matches, and some are shorter than the candidate
+// size.
+// Cases with extra items draw transactions longer than the traversal's
+// hashStack, so its heap buffer counts too.
 func TestHashTreeMatchesSubsetScan(t *testing.T) {
 	const domain = 300
-	cases := []struct{ size, cands, txs int }{
-		{1, 1, 60}, {1, 9, 60}, {1, 300, 200},
-		{2, 1, 60}, {2, 9, 100}, {2, 600, 200}, {2, 9000, 120}, {2, 20000, 120},
-		{3, 1, 60}, {3, 9, 100}, {3, 2000, 200},
-		{4, 1, 60}, {4, 400, 200},
-		{5, 1, 60}, {5, 300, 200},
-		// Paths longer than the stack buffer take the heap branch.
-		{9, 40, 100},
+	cases := []struct{ size, cands, txs, extra int }{
+		{1, 1, 60, 20}, {1, 9, 60, 20}, {1, 300, 200, 20},
+		{2, 1, 60, 20}, {2, 9, 100, 20}, {2, 600, 200, 20}, {2, 9000, 120, 20}, {2, 20000, 120, 20},
+		{3, 1, 60, 20}, {3, 9, 100, 20}, {3, 2000, 200, 20},
+		{4, 1, 60, 20}, {4, 400, 200, 20},
+		{5, 1, 60, 20}, {5, 300, 200, 20},
+		// A path holds size-1 items: size 9 fills the stack buffer, and
+		// size 10 takes the heap branch.
+		{9, 40, 100, 20}, {10, 40, 100, 20},
+		// Transactions past hashStack items.
+		{1, 300, 40, 3 * hashStack}, {2, 20000, 40, 3 * hashStack},
+		{3, 2000, 40, 2 * hashStack}, {9, 40, 40, 2 * hashStack},
 	}
 	for _, tc := range cases {
 		r := rand.New(rand.NewSource(int64(tc.size*100003 + tc.cands)))
 		items := randomCandidates(r, tc.cands, tc.size, domain)
 		txs := make([]dataset.Itemset, tc.txs)
+		long := 0
 		for i := range txs {
 			var raw []dataset.Item
 			if i%2 == 0 {
 				raw = append(raw, items[r.Intn(len(items))]...)
 			}
-			for j, n := 0, r.Intn(20); j < n; j++ {
+			for j, n := 0, r.Intn(tc.extra); j < n; j++ {
 				raw = append(raw, dataset.Item(r.Intn(domain)))
 			}
 			if i%7 == 0 {
 				raw = raw[:min(len(raw), tc.size-1)]
 			}
 			txs[i] = dataset.NewItemset(raw...)
+			if len(txs[i]) > hashStack {
+				long++
+			}
+		}
+		if tc.extra > hashStack && long == 0 {
+			t.Fatalf("size %d: no transaction exceeds %d items", tc.size, hashStack)
 		}
 		checkCountingEntryPoints(t, items, tc.size, txs, 3)
 	}

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race fuzz fuzz-smoke obs-smoke loadgen-smoke remote-smoke ingest-smoke fleet-obs-smoke kernel-smoke perfbench-smoke mutation cover bench bench-kernels bench-loadgen examples experiments clean
+.PHONY: all build vet test race fuzz fuzz-smoke obs-smoke loadgen-smoke remote-smoke ingest-smoke fleet-obs-smoke perfbench-smoke mutation cover bench examples experiments clean
 
 all: build test
 
@@ -10,7 +10,7 @@ build:
 vet:
 	$(GO) vet ./...
 
-test: vet race fuzz-smoke obs-smoke loadgen-smoke remote-smoke ingest-smoke fleet-obs-smoke kernel-smoke perfbench-smoke cover
+test: vet race fuzz-smoke obs-smoke loadgen-smoke remote-smoke ingest-smoke fleet-obs-smoke perfbench-smoke cover
 	$(GO) test ./...
 
 # End-to-end sweep of the observability surface through the real CLI:
@@ -90,13 +90,6 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz FuzzWALReplay               -fuzztime 10s ./internal/wal
 	$(GO) test -run=NONE -fuzz FuzzHashTreeCount           -fuzztime 10s ./internal/mining
 
-# Kernel-speedup regression gate: a reduced two-depth sweep of the
-# bound-kernel microbenchmark must clear its per-regime speedup floors
-# (at half margin, so a loaded machine doesn't flake it). The full-floor
-# gate is `ossm-bench -check kernels`. Part of the default gate.
-kernel-smoke:
-	$(GO) run ./cmd/ossm-bench -sweep 16,2048 -check -check-margin 0.5 kernels > /dev/null
-
 # End-to-end benchmark smoke: a 2-second window of each mining workload
 # (perfbench/README.md) must check every answer correct with no failed
 # op. Part of the default gate.
@@ -119,22 +112,6 @@ mutation:
 # micro-benchmarks (see EXPERIMENTS.md for recorded full runs).
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Bound-kernel microbenchmark (DESIGN.md §7): ns per generation for the
-# scalar bound, the per-candidate decision kernel and the batch kernel,
-# with early-exit/abandon rates, across segment counts. Emits BENCH_5.json.
-bench-kernels:
-	$(GO) run ./cmd/ossm-bench -json kernels > BENCH_5.json
-	@cat BENCH_5.json
-
-# Sharded scatter-gather serving sweep (DESIGN.md §8): p50/p95/p99 and
-# throughput for 1/2/4/8 shards with an emulated remote-shard scan time,
-# so the overlap is measurable regardless of local core count. Emits
-# BENCH_6.json.
-bench-loadgen:
-	$(GO) run ./cmd/ossm-loadgen -shards 1,2,4,8 -duration 3s -concurrency 4 \
-		-batch 16 -tx 20000 -segments 256 -shard-delay 4ms -out BENCH_6.json
-	@cat BENCH_6.json
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -9,7 +9,7 @@
 //	ossm-bench [flags] <experiment>
 //
 // Experiments: fig4, fig5a, fig5b, fig6, sec7, skew, hosts, episodes,
-// memory, c2method, extended, minseg, kernels, all.
+// memory, c2method, extended, minseg, all.
 package main
 
 import (
@@ -52,8 +52,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		width         = fs.Int("width", 8, "episode window width")
 		minFreq       = fs.Float64("minfreq", 0.02, "episode minimum frequency")
 		asJSON        = fs.Bool("json", false, "emit results as JSON instead of tables")
-		check         = fs.Bool("check", false, "kernels: fail unless every sweep point clears its per-regime speedup floor")
-		checkMargin   = fs.Float64("check-margin", 1, "kernels: scale the -check floors (a reduced margin absorbs machine noise)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -70,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg.Seed = *seed
 
 	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: ossm-bench [flags] <fig4|fig5a|fig5b|fig6|sec7|skew|hosts|episodes|memory|c2method|extended|minseg|kernels|all>")
+		fmt.Fprintln(stderr, "usage: ossm-bench [flags] <fig4|fig5a|fig5b|fig6|sec7|skew|hosts|episodes|memory|c2method|extended|minseg|all>")
 		return 2
 	}
 	what := fs.Arg(0)
@@ -158,21 +156,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return err
 			}
 			return emit(name, r)
-		case "kernels":
-			r, err := bench.RunKernels(cfg, parseInts(*sweep))
-			if err != nil {
-				return err
-			}
-			if err := emit(name, r); err != nil {
-				return err
-			}
-			if *check {
-				if err := r.Check(*checkMargin); err != nil {
-					return err
-				}
-				fmt.Fprintln(stderr, "kernels: every sweep point cleared its speedup floor")
-			}
-			return nil
 		default:
 			return fmt.Errorf("unknown experiment %q", name)
 		}
@@ -180,7 +163,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	names := []string{what}
 	if what == "all" {
-		names = []string{"fig4", "fig5a", "fig5b", "fig6", "sec7", "skew", "hosts", "episodes", "memory", "c2method", "extended", "minseg", "kernels"}
+		names = []string{"fig4", "fig5a", "fig5b", "fig6", "sec7", "skew", "hosts", "episodes", "memory", "c2method", "extended", "minseg"}
 	}
 	for i, name := range names {
 		if i > 0 {

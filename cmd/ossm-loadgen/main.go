@@ -1,26 +1,21 @@
-// Command ossm-loadgen benchmarks the sharded scatter-gather serving
-// path: it builds a synthetic dataset and index, stands up an in-process
-// shard fleet per requested shard count, drives batch ubsup traffic at it
-// in a closed loop (fixed concurrency, back-to-back requests) or an open
-// loop (fixed arrival rate, no backpressure), and reports p50/p95/p99
-// latency and throughput per shard count as JSON (BENCH_6.json in the
-// repo's experiment log).
+// Command ossm-loadgen drives batch ubsup traffic at the sharded
+// scatter-gather serving path and reports p50/p95/p99 latency and
+// throughput as JSON. It either builds a synthetic dataset and index and
+// stands up an in-process shard fleet per requested shard count, or, with
+// -target, drives a live coordinator over HTTP. Load is a closed loop
+// (fixed concurrency, back-to-back requests) or an open loop (fixed
+// arrival rate, no backpressure). With -fleetz it polls a coordinator's
+// fleet health instead of generating load.
 //
-// Shard work in one process shares the machine's cores, so on a small
-// host a CPU-bound sweep measures kernel work, not coordination. The
-// -shard-delay flag emulates a fleet of remote shard machines instead:
-// it is the full-index scan time on one remote node, and each shard
-// sleeps its proportional share (its segment range over the whole index)
-// in the transport before the local kernel answers. The coordinator
-// overlaps those sleeps exactly as it would overlap real remote scans,
-// so the measured speedup is genuine overlapped wall-clock, independent
-// of the local core count. The emulated delay is declared in the output
-// so a reader can never mistake it for kernel time.
+// In-process shards share this machine's cores, so the sweep measures
+// coordination plus kernel work, not a remote fleet; the end-to-end
+// serving benchmark is perfbench's serve-fleet workload.
 //
 // Usage:
 //
 //	ossm-loadgen -shards 1,2,4,8 -duration 5s -concurrency 8 -batch 64
-//	ossm-loadgen -mode open -qps 500 -shard-delay 2ms -out BENCH_6.json
+//	ossm-loadgen -mode open -qps 500 -target http://127.0.0.1:7700 -index-name retail
+//	ossm-loadgen -fleetz -target http://127.0.0.1:7700 -duration 10s
 package main
 
 import (
@@ -45,7 +40,6 @@ import (
 
 	ossm "github.com/ossm-mining/ossm"
 	"github.com/ossm-mining/ossm/internal/shard"
-	"github.com/ossm-mining/ossm/internal/shard/remote"
 )
 
 func main() {
@@ -56,35 +50,26 @@ func main() {
 
 // config is the echoed benchmark setup.
 type config struct {
-	Mode         string  `json:"mode"` // closed | open
-	Concurrency  int     `json:"concurrency"`
-	QPS          float64 `json:"qps,omitempty"`
-	Batch        int     `json:"batch"`
-	DurationNS   int64   `json:"duration_ns"`
-	NumTx        int     `json:"num_tx"`
-	NumSegments  int     `json:"segments"`
-	Seed         int64   `json:"seed"`
-	ShardDelayNS int64   `json:"shard_delay_ns"`
-	HedgeAfterNS int64   `json:"hedge_after_ns"`
-	NumCPU       int     `json:"num_cpu"`
-	// Chaos echoes the -chaos fault-injection setup so a report with
-	// injected faults can never be mistaken for a clean run.
-	Chaos          bool    `json:"chaos,omitempty"`
-	ChaosErrorRate float64 `json:"chaos_error_rate,omitempty"`
-	ChaosLatencyNS int64   `json:"chaos_latency_ns,omitempty"`
-	ChaosSeed      int64   `json:"chaos_seed,omitempty"`
+	Mode        string  `json:"mode"` // closed | open
+	Concurrency int     `json:"concurrency"`
+	QPS         float64 `json:"qps,omitempty"`
+	Batch       int     `json:"batch"`
+	DurationNS  int64   `json:"duration_ns"`
+	NumTx       int     `json:"num_tx"`
+	NumSegments int     `json:"segments"`
+	Seed        int64   `json:"seed"`
+	NumCPU      int     `json:"num_cpu"`
 	// Target is the coordinator URL when driving a live server over HTTP
 	// instead of an in-process fleet.
 	Target string `json:"target,omitempty"`
 }
 
-// point is one shard count's measurement.
+// point is one measurement window: one shard count of the in-process
+// sweep, or the single -target run.
 type point struct {
 	Shards         int     `json:"shards"`
 	Requests       int64   `json:"requests"`
 	Errors         int64   `json:"errors"`
-	HedgesFired    int64   `json:"hedges_fired"`
-	HedgesWon      int64   `json:"hedges_won"`
 	P50NS          int64   `json:"p50_ns"`
 	P95NS          int64   `json:"p95_ns"`
 	P99NS          int64   `json:"p99_ns"`
@@ -101,30 +86,6 @@ type report struct {
 	Note   string  `json:"note"`
 }
 
-// delayTransport emulates a remote shard machine: before the local
-// kernel answers, it sleeps the shard's proportional share of the
-// configured full-index scan time. A 1-shard fleet sleeps the whole
-// budget; a 4-shard fleet sleeps a quarter per shard, concurrently — the
-// same shape a real fleet of single-node shard servers has, where each
-// machine scans only its segment range and the coordinator overlaps the
-// round trips. The measured speedup is real overlapped wall-clock, not
-// arithmetic, and is independent of the local core count.
-type delayTransport struct {
-	shard.Transport
-	delay time.Duration // this shard's share of the full-index scan time
-}
-
-func (t delayTransport) PartialBounds(ctx context.Context, sets []ossm.Itemset, out []int64) error {
-	if t.delay > 0 {
-		select {
-		case <-time.After(t.delay):
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	return t.Transport.PartialBounds(ctx, sets, out)
-}
-
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ossm-loadgen", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -138,14 +99,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		numTx     = fs.Int("tx", 20000, "synthetic dataset size in transactions")
 		segments  = fs.Int("segments", 256, "index segment budget")
 		seed      = fs.Int64("seed", 1, "generator seed")
-		delay     = fs.Duration("shard-delay", 0, "emulated full-index scan time on a remote shard node; each shard sleeps its segment-share of this (0 = in-process timing only)")
-		hedge     = fs.Duration("hedge-after", -1, "fleet hedge cutoff (0 = adaptive, negative disables)")
 		out       = fs.String("out", "", "write the JSON report here instead of stdout")
-		chaos     = fs.Bool("chaos", false, "wrap every shard transport in deterministic fault injection (see -chaos-*)")
-		chaosErr  = fs.Float64("chaos-error-rate", 0.05, "injected per-call error probability under -chaos")
-		chaosLat  = fs.Duration("chaos-latency", 0, "injected per-call latency under -chaos (plus up to the same again as jitter)")
-		chaosSeed = fs.Int64("chaos-seed", 1, "fault-injection seed under -chaos (same seed, same schedule)")
-		target    = fs.String("target", "", "drive a live coordinator at this base URL over HTTP instead of an in-process fleet (ignores -shards and -shard-delay)")
+		target    = fs.String("target", "", "drive a live coordinator at this base URL over HTTP instead of an in-process fleet (ignores -shards)")
 		indexName = fs.String("index-name", "", "registered index to query in -target mode")
 		fleetz    = fs.Bool("fleetz", false, "poll GET /v1/fleetz on -target for -duration and print one health line per poll instead of generating load")
 		fleetzInt = fs.Duration("fleetz-interval", time.Second, "poll period under -fleetz")
@@ -157,8 +112,23 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "ossm-loadgen: unexpected arguments: %v\n", fs.Args())
 		return 2
 	}
-	if *mode != "closed" && *mode != "open" {
-		fmt.Fprintf(stderr, "ossm-loadgen: -mode must be closed or open, got %q\n", *mode)
+	var bad string
+	switch {
+	case *mode != "closed" && *mode != "open":
+		bad = fmt.Sprintf("-mode must be closed or open, got %q", *mode)
+	case *mode == "open" && !(*qps > 0 && *qps <= 1e9): // also rejects NaN
+		bad = fmt.Sprintf("-qps must be in (0, 1e9] under -mode open, got %v", *qps)
+	case *conc < 1:
+		bad = fmt.Sprintf("-concurrency must be at least 1, got %d", *conc)
+	case *batch < 1:
+		bad = fmt.Sprintf("-batch must be at least 1, got %d", *batch)
+	case *duration <= 0:
+		bad = fmt.Sprintf("-duration must be positive, got %v", *duration)
+	case *fleetzInt <= 0:
+		bad = fmt.Sprintf("-fleetz-interval must be positive, got %v", *fleetzInt)
+	}
+	if bad != "" {
+		fmt.Fprintf(stderr, "ossm-loadgen: %s\n", bad)
 		return 2
 	}
 	if *fleetz {
@@ -168,16 +138,20 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		return pollFleetz(ctx, strings.TrimSuffix(*target, "/"), *duration, *fleetzInt, stdout, stderr)
 	}
+	cfg := config{
+		Mode: *mode, Concurrency: *conc, Batch: *batch,
+		DurationNS: int64(*duration), Seed: *seed, NumCPU: runtime.NumCPU(),
+	}
+	if *mode == "open" {
+		cfg.QPS = *qps
+	}
 	if *target != "" {
 		if *indexName == "" {
 			fmt.Fprintln(stderr, "ossm-loadgen: -target mode requires -index-name")
 			return 2
 		}
-		return runTarget(ctx, targetConfig{
-			base: strings.TrimSuffix(*target, "/"), index: *indexName,
-			mode: *mode, conc: *conc, qps: *qps, batch: *batch,
-			window: *duration, seed: *seed, out: *out,
-		}, stdout, stderr)
+		cfg.Target = strings.TrimSuffix(*target, "/")
+		return runTarget(ctx, cfg, *indexName, *out, stdout, stderr)
 	}
 	var counts []int
 	for _, part := range strings.Split(*shards, ",") {
@@ -200,66 +174,30 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "ossm-loadgen: %v\n", err)
 		return 1
 	}
-
-	// Pre-generate a pool of request batches so the measurement loop
-	// does no allocation-heavy setup work of its own.
-	r := rand.New(rand.NewSource(*seed))
-	pool := make([][]ossm.Itemset, 64)
-	for i := range pool {
-		pool[i] = randomBatch(r, ix.NumItems(), *batch)
-	}
+	cfg.NumTx, cfg.NumSegments = *numTx, ix.NumSegments()
+	pool := requestPool(*seed, ix.NumItems(), *batch)
 
 	rep := report{
-		Bench: "loadgen-ubsup-scatter",
-		Config: config{
-			Mode:         *mode,
-			Concurrency:  *conc,
-			Batch:        *batch,
-			DurationNS:   int64(*duration),
-			NumTx:        *numTx,
-			NumSegments:  ix.NumSegments(),
-			Seed:         *seed,
-			ShardDelayNS: int64(*delay),
-			HedgeAfterNS: int64(*hedge),
-			NumCPU:       runtime.NumCPU(),
-		},
-		Note: "Latencies are fleet.Bounds wall times over in-process shards. " +
-			"shard_delay_ns > 0 emulates a fleet of remote shard machines: it is the " +
-			"scan time of the FULL index on one remote node, and each shard sleeps its " +
-			"proportional share (segments_owned/segments_total) inside the transport " +
-			"before the local kernel answers. The coordinator overlaps those sleeps, so " +
-			"the measured speedup is genuine overlapped wall-clock — the same shape a " +
-			"real shard fleet has — and is independent of the local core count. With " +
-			"shard_delay_ns = 0 the sweep is CPU-bound and only scales on multi-core hosts.",
+		Bench:  "loadgen-ubsup-scatter",
+		Config: cfg,
+		Note: "Latencies are fleet.Bounds wall times over in-process shards that share " +
+			"this machine's cores, so the sweep only scales on multi-core hosts.",
 	}
-	if *mode == "open" {
-		rep.Config.QPS = *qps
-	}
-	var fcfg *remote.FaultConfig
-	if *chaos {
-		fcfg = &remote.FaultConfig{
-			Seed:      *chaosSeed,
-			Latency:   *chaosLat,
-			Jitter:    *chaosLat,
-			ErrorRate: *chaosErr,
-		}
-		rep.Config.Chaos = true
-		rep.Config.ChaosErrorRate = *chaosErr
-		rep.Config.ChaosLatencyNS = int64(*chaosLat)
-		rep.Config.ChaosSeed = *chaosSeed
-		rep.Note += " chaos=true: every shard transport is wrapped in deterministic fault " +
-			"injection (chaos_error_rate, chaos_latency_ns, chaos_seed), so errors and tail " +
-			"latencies are manufactured — this run measures coordinator behavior under faults, " +
-			"not kernel performance."
-	}
-
 	var base float64
 	for _, n := range counts {
-		pt, err := runPoint(ctx, ix, pool, n, *mode, *conc, *qps, *duration, *delay, *hedge, fcfg)
+		locals, err := shard.NewLocalShards(ix, nil, n, 0)
+		var fleet *shard.Fleet
+		if err == nil {
+			fleet, err = shard.NewFleet(shard.Config{HedgeAfter: -1}, shard.Transports(locals))
+		}
 		if err != nil {
 			fmt.Fprintf(stderr, "ossm-loadgen: %d shards: %v\n", n, err)
 			return 1
 		}
+		pt := drive(ctx, cfg, pool, func(ctx context.Context, sets []ossm.Itemset) error {
+			return fleet.Bounds(ctx, sets, make([]int64, len(sets)))
+		})
+		pt.Shards = n
 		if n == 1 {
 			base = pt.RequestsPerSec
 		}
@@ -271,81 +209,50 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			n, pt.Requests, pt.Errors,
 			time.Duration(pt.P50NS), time.Duration(pt.P95NS), time.Duration(pt.P99NS), pt.RequestsPerSec)
 	}
-
-	enc, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintf(stderr, "ossm-loadgen: %v\n", err)
-		return 1
-	}
-	enc = append(enc, '\n')
-	if *out == "" {
-		_, _ = stdout.Write(enc)
-		return 0
-	}
-	if err := os.WriteFile(*out, enc, 0o644); err != nil {
-		fmt.Fprintf(stderr, "ossm-loadgen: %v\n", err)
-		return 1
-	}
-	fmt.Fprintf(stdout, "ossm-loadgen: wrote %s\n", *out)
-	return 0
+	return writeReport(rep, *out, stdout, stderr)
 }
 
-// runPoint measures one shard count for the whole window. A non-nil
-// fcfg wraps every transport in fault injection (-chaos), with the seed
-// varied per shard so the fleet's shards fail independently.
-func runPoint(ctx context.Context, ix *ossm.Index, pool [][]ossm.Itemset, n int, mode string,
-	conc int, qps float64, window, delay, hedge time.Duration, fcfg *remote.FaultConfig) (point, error) {
-	locals, err := shard.NewLocalShards(ix, nil, n, 0)
-	if err != nil {
-		return point{}, err
+// requestPool pre-generates the request batches so the measurement loop
+// does no allocation-heavy setup work of its own.
+func requestPool(seed int64, numItems, batch int) [][]ossm.Itemset {
+	r := rand.New(rand.NewSource(seed))
+	pool := make([][]ossm.Itemset, 64)
+	for i := range pool {
+		pool[i] = randomBatch(r, numItems, batch)
 	}
-	transports := shard.Transports(locals)
-	if delay > 0 {
-		total := ix.NumSegments()
-		for i, t := range transports {
-			share := time.Duration(float64(delay) * float64(t.Info().Segments.Len()) / float64(total))
-			transports[i] = delayTransport{Transport: t, delay: share}
-		}
-	}
-	if fcfg != nil {
-		for i, t := range transports {
-			cfg := *fcfg
-			cfg.Seed = fcfg.Seed + int64(i)*7919
-			transports[i] = remote.NewFault(t, cfg)
-		}
-	}
-	fleet, err := shard.NewFleet(shard.Config{HedgeAfter: hedge}, transports)
-	if err != nil {
-		return point{}, err
-	}
+	return pool
+}
 
+// drive runs one measurement window of cfg's load shape, issuing each
+// request through do with a batch from pool, and summarises the
+// successful requests' latencies. Closed mode runs cfg.Concurrency
+// workers back to back; open mode starts one request per 1/cfg.QPS tick
+// without waiting for earlier ones.
+func drive(ctx context.Context, cfg config, pool [][]ossm.Itemset,
+	do func(context.Context, []ossm.Itemset) error) point {
 	var (
 		mu        sync.Mutex
 		latencies []time.Duration
 		errs      atomic.Int64
+		wg        sync.WaitGroup
 	)
-	record := func(d time.Duration) {
+	one := func(workerID, i int) {
+		t0 := time.Now()
+		if err := do(ctx, pool[(workerID*31+i)%len(pool)]); err != nil {
+			errs.Add(1)
+			return
+		}
+		d := time.Since(t0)
 		mu.Lock()
 		latencies = append(latencies, d)
 		mu.Unlock()
 	}
-	one := func(workerID, i int) {
-		sets := pool[(workerID*31+i)%len(pool)]
-		out := make([]int64, len(sets))
-		t0 := time.Now()
-		if err := fleet.Bounds(ctx, sets, out); err != nil {
-			errs.Add(1)
-			return
-		}
-		record(time.Since(t0))
-	}
 
-	deadline := time.Now().Add(window)
+	deadline := time.Now().Add(time.Duration(cfg.DurationNS))
 	start := time.Now()
-	switch mode {
+	switch cfg.Mode {
 	case "closed":
-		var wg sync.WaitGroup
-		for w := 0; w < conc; w++ {
+		for w := 0; w < cfg.Concurrency; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
@@ -354,165 +261,19 @@ func runPoint(ctx context.Context, ix *ossm.Index, pool [][]ossm.Itemset, n int,
 				}
 			}(w)
 		}
-		wg.Wait()
 	case "open":
-		interval := time.Duration(float64(time.Second) / qps)
-		if interval <= 0 {
-			interval = time.Microsecond
-		}
-		ticker := time.NewTicker(interval)
+		ticker := time.NewTicker(time.Duration(float64(time.Second) / cfg.QPS))
 		defer ticker.Stop()
-		var wg sync.WaitGroup
-		i := 0
 	loop:
-		for time.Now().Before(deadline) && ctx.Err() == nil {
+		for i := 0; time.Now().Before(deadline); i++ {
 			select {
 			case <-ticker.C:
 				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					one(0, i)
-				}(i)
-				i++
+				go func(i int) { defer wg.Done(); one(0, i) }(i)
 			case <-ctx.Done():
 				break loop
 			}
 		}
-		wg.Wait()
-	}
-	elapsed := time.Since(start)
-
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	pt := point{
-		Shards:   n,
-		Requests: int64(len(latencies)),
-		Errors:   errs.Load(),
-	}
-	st := fleet.Describe()
-	pt.HedgesFired, pt.HedgesWon = st.HedgesFired, st.HedgesWon
-	if len(latencies) > 0 {
-		var sum time.Duration
-		for _, l := range latencies {
-			sum += l
-		}
-		pt.MeanNS = int64(sum) / int64(len(latencies))
-		pt.P50NS = int64(percentile(latencies, 50))
-		pt.P95NS = int64(percentile(latencies, 95))
-		pt.P99NS = int64(percentile(latencies, 99))
-		pt.RequestsPerSec = float64(len(latencies)) / elapsed.Seconds()
-		if len(pool) > 0 {
-			pt.ItemsetsPerSec = pt.RequestsPerSec * float64(len(pool[0]))
-		}
-	}
-	return pt, nil
-}
-
-// percentile reads the p-th percentile from sorted latencies.
-func percentile(sorted []time.Duration, p int) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := len(sorted) * p / 100
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
-
-// targetConfig is the -target mode's slice of the flag set.
-type targetConfig struct {
-	base, index string
-	mode        string
-	conc        int
-	qps         float64
-	batch       int
-	window      time.Duration
-	seed        int64
-	out         string
-}
-
-// runTarget drives a live coordinator over HTTP with POST /v1/ubsup
-// batches — the end-to-end smoke path for a remote shard fleet. The
-// itemset domain comes from the server's own GET /v1/indexes row, so
-// every generated batch is valid for whatever index the server loaded.
-func runTarget(ctx context.Context, cfg targetConfig, stdout, stderr io.Writer) int {
-	numItems, err := fetchNumItems(ctx, cfg.base, cfg.index)
-	if err != nil {
-		fmt.Fprintf(stderr, "ossm-loadgen: %v\n", err)
-		return 1
-	}
-	r := rand.New(rand.NewSource(cfg.seed))
-	pool := make([][]ossm.Itemset, 64)
-	for i := range pool {
-		pool[i] = randomBatch(r, numItems, cfg.batch)
-	}
-
-	httpc := &http.Client{Timeout: 30 * time.Second}
-	var (
-		mu        sync.Mutex
-		latencies []time.Duration
-		errs      atomic.Int64
-	)
-	one := func(workerID, i int) {
-		sets := pool[(workerID*31+i)%len(pool)]
-		body, _ := json.Marshal(map[string]any{"index": cfg.index, "itemsets": sets, "no_cache": true})
-		t0 := time.Now()
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, cfg.base+"/v1/ubsup", bytes.NewReader(body))
-		if err != nil {
-			errs.Add(1)
-			return
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := httpc.Do(req)
-		if err != nil {
-			errs.Add(1)
-			return
-		}
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			errs.Add(1)
-			return
-		}
-		mu.Lock()
-		latencies = append(latencies, time.Since(t0))
-		mu.Unlock()
-	}
-
-	deadline := time.Now().Add(cfg.window)
-	start := time.Now()
-	var wg sync.WaitGroup
-	switch cfg.mode {
-	case "closed":
-		for w := 0; w < cfg.conc; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := 0; time.Now().Before(deadline) && ctx.Err() == nil; i++ {
-					one(w, i)
-				}
-			}(w)
-		}
-	case "open":
-		interval := time.Duration(float64(time.Second) / cfg.qps)
-		if interval <= 0 {
-			interval = time.Microsecond
-		}
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; time.Now().Before(deadline) && ctx.Err() == nil; i++ {
-				select {
-				case <-ticker.C:
-					wg.Add(1)
-					go func(i int) { defer wg.Done(); one(0, i) }(i)
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
@@ -529,41 +290,85 @@ func runTarget(ctx context.Context, cfg targetConfig, stdout, stderr io.Writer) 
 		pt.P95NS = int64(percentile(latencies, 95))
 		pt.P99NS = int64(percentile(latencies, 99))
 		pt.RequestsPerSec = float64(len(latencies)) / elapsed.Seconds()
-		pt.ItemsetsPerSec = pt.RequestsPerSec * float64(cfg.batch)
+		pt.ItemsetsPerSec = pt.RequestsPerSec * float64(cfg.Batch)
 	}
-	rep := report{
-		Bench: "loadgen-ubsup-target",
-		Config: config{
-			Mode: cfg.mode, Concurrency: cfg.conc, Batch: cfg.batch,
-			DurationNS: int64(cfg.window), Seed: cfg.seed,
-			NumCPU: runtime.NumCPU(), Target: cfg.base,
-		},
+	return pt
+}
+
+// percentile reads the p-th percentile from sorted latencies.
+func percentile(sorted []time.Duration, p int) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	idx := len(sorted) * p / 100
+	if idx >= len(sorted) {
+		idx = len(sorted) - 1
+	}
+	return sorted[idx]
+}
+
+// runTarget drives a live coordinator over HTTP with POST /v1/ubsup
+// batches — the end-to-end smoke path for a remote shard fleet. The
+// itemset domain comes from the server's own GET /v1/indexes row, so
+// every generated batch is valid for whatever index the server loaded.
+func runTarget(ctx context.Context, cfg config, index, out string, stdout, stderr io.Writer) int {
+	numItems, err := fetchNumItems(ctx, cfg.Target, index)
+	if err != nil {
+		fmt.Fprintf(stderr, "ossm-loadgen: %v\n", err)
+		return 1
+	}
+	httpc := &http.Client{Timeout: 30 * time.Second}
+	pt := drive(ctx, cfg, requestPool(cfg.Seed, numItems, cfg.Batch), func(ctx context.Context, sets []ossm.Itemset) error {
+		body, err := json.Marshal(map[string]any{"index": index, "itemsets": sets, "no_cache": true})
+		if err != nil {
+			return err
+		}
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, cfg.Target+"/v1/ubsup", bytes.NewReader(body))
+		if err != nil {
+			return err
+		}
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := httpc.Do(req)
+		if err != nil {
+			return err
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("POST /v1/ubsup: %s", resp.Status)
+		}
+		return nil
+	})
+	fmt.Fprintf(stderr, "ossm-loadgen: target=%s req=%d err=%d p50=%v p95=%v rps=%.1f\n",
+		cfg.Target, pt.Requests, pt.Errors, time.Duration(pt.P50NS), time.Duration(pt.P95NS), pt.RequestsPerSec)
+	return writeReport(report{
+		Bench:  "loadgen-ubsup-target",
+		Config: cfg,
 		Points: []point{pt},
 		Note: "Latencies are end-to-end POST /v1/ubsup wall times (HTTP round trip " +
 			"included) against the live coordinator at target; shard topology and kernel " +
 			"work belong to that server, not this process.",
-	}
-	if cfg.mode == "open" {
-		rep.Config.QPS = cfg.qps
-	}
-	fmt.Fprintf(stderr, "ossm-loadgen: target=%s req=%d err=%d p50=%v p95=%v rps=%.1f\n",
-		cfg.base, pt.Requests, pt.Errors, time.Duration(pt.P50NS), time.Duration(pt.P95NS), pt.RequestsPerSec)
+	}, out, stdout, stderr)
+}
 
+// writeReport writes rep as indented JSON to the out file, or to stdout
+// when out is empty.
+func writeReport(rep report, out string, stdout, stderr io.Writer) int {
 	enc, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		fmt.Fprintf(stderr, "ossm-loadgen: %v\n", err)
 		return 1
 	}
 	enc = append(enc, '\n')
-	if cfg.out == "" {
+	if out == "" {
 		_, _ = stdout.Write(enc)
 		return 0
 	}
-	if err := os.WriteFile(cfg.out, enc, 0o644); err != nil {
+	if err := os.WriteFile(out, enc, 0o644); err != nil {
 		fmt.Fprintf(stderr, "ossm-loadgen: %v\n", err)
 		return 1
 	}
-	fmt.Fprintf(stdout, "ossm-loadgen: wrote %s\n", cfg.out)
+	fmt.Fprintf(stdout, "ossm-loadgen: wrote %s\n", out)
 	return 0
 }
 

@@ -80,13 +80,27 @@ func TestLoadgenOpenLoop(t *testing.T) {
 	}
 }
 
-// TestLoadgenBadFlags pins the usage errors.
+// TestLoadgenBadFlags pins the usage errors, including load shapes that
+// would otherwise run no workers or tick at a nonsense arrival rate.
 func TestLoadgenBadFlags(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run(context.Background(), []string{"-mode", "nope"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("bad -mode exited %d, want 2", code)
-	}
-	if code := run(context.Background(), []string{"-shards", "0"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("bad -shards exited %d, want 2", code)
+	for _, args := range [][]string{
+		{"-mode", "nope"},
+		{"-shards", "0"},
+		{"-mode", "open", "-qps", "0"},
+		{"-mode", "open", "-qps", "-5"},
+		{"-mode", "open", "-qps", "NaN"},
+		{"-mode", "open", "-qps", "+Inf"},
+		{"-concurrency", "0"},
+		{"-batch", "0"},
+		{"-duration", "0s"},
+		{"-duration", "-1s"},
+		{"-fleetz", "-target", "http://127.0.0.1:1", "-fleetz-interval", "0s"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(context.Background(), args, &stdout, &stderr); code != 2 {
+			t.Errorf("%v exited %d, want 2", args, code)
+		} else if stderr.Len() == 0 {
+			t.Errorf("%v exited 2 without a message", args)
+		}
 	}
 }

@@ -248,47 +248,6 @@ func TestRunMemory(t *testing.T) {
 	}
 }
 
-func TestRunKernels(t *testing.T) {
-	cfg := tinyConfig()
-	r, err := RunKernels(cfg, []int{4, 24})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Points) != 8 { // 2 segment counts × {pair, triple, quad, quint}
-		t.Fatalf("points = %d, want 8", len(r.Points))
-	}
-	for _, p := range r.Points {
-		if p.ScalarNsOp <= 0 || p.AtLeastNsOp <= 0 || p.BatchNsOp <= 0 {
-			t.Errorf("%s n=%d: missing timings %+v", p.Kind, p.Segments, p)
-		}
-		if p.BatchSpeedup <= 0 {
-			t.Errorf("%s n=%d: non-positive speedup", p.Kind, p.Segments)
-		}
-		if p.EarlyExitRate < 0 || p.EarlyExitRate > 1 || p.AbandonRate < 0 || p.AbandonRate > 1 {
-			t.Errorf("%s n=%d: shortcut rates out of range", p.Kind, p.Segments)
-		}
-		// Multi-block maps must show the shortcut machinery firing; the
-		// skewed fixture decides most candidates before the final block.
-		if p.Segments > 16 && p.EarlyExitRate+p.AbandonRate == 0 {
-			t.Errorf("%s n=%d: no early decisions on a multi-block map", p.Kind, p.Segments)
-		}
-	}
-	var buf bytes.Buffer
-	r.Print(&buf)
-	if !strings.Contains(buf.String(), "speedup") {
-		t.Error("Print output missing header")
-	}
-	// The floor gate: a token margin always passes a real run, a deep
-	// pair point at 1x is always under its 2.2x floor.
-	if err := r.Check(0.01); err != nil {
-		t.Errorf("Check with a token margin failed: %v", err)
-	}
-	bad := &KernelsResult{Points: []KernelPoint{{Kind: "pair", Segments: 4096, BatchSpeedup: 1.0}}}
-	if err := bad.Check(1); err == nil {
-		t.Error("Check accepted a deep pair point below its floor")
-	}
-}
-
 func TestRunC2Method(t *testing.T) {
 	cfg := tinyConfig()
 	r, err := RunC2Method(cfg, 8)

@@ -67,11 +67,12 @@ func FuzzBoundKernels(f *testing.F) {
 	})
 }
 
-// FuzzBoundKernelsQuantized is FuzzBoundKernels on deep maps with large
-// cells: 1 to 256 segments, so every abandon-stride remainder occurs,
-// and roughly a quarter of the cells land in 65534..65537, so the
-// fuzzer keeps crossing the 16-bit boundary. Decisions must stay
-// bit-identical to the reference on either side of it.
+// FuzzBoundKernelsQuantized is FuzzBoundKernels on deeper maps with
+// large cells: 1 to 256 segments, so every abandon-stride remainder
+// (ns mod 8) occurs with several strides before it, and roughly a
+// quarter of the cells are near 65536, so per-segment minima and
+// suffix sums run far past the small-cell range. Decisions must stay
+// bit-identical to the reference.
 func FuzzBoundKernelsQuantized(f *testing.F) {
 	f.Add(uint8(80), uint8(4), int64(3), uint32(100000))
 	f.Add(uint8(40), uint8(6), int64(9), uint32(7))

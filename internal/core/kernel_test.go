@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/ossm-mining/ossm/internal/dataset"
@@ -27,9 +28,10 @@ func checkKernelsAgainstReference(t *testing.T, r *rand.Rand, m *Map, trials int
 		}
 	}
 
-	// Scalar paths: UpperBound, UpperBoundPair, BoundAtLeast.
+	// Scalar paths: UpperBound, UpperBoundPair, BoundAtLeast, at widths
+	// up to 5 so the generic-k loop meets thresholds at its exact bound.
 	for trial := 0; trial < trials; trial++ {
-		x := randomNonEmptyItemset(r, k)
+		x := randomItemsetOfLen(r, k, 1+r.Intn(minInt(5, k)))
 		ref := m.referenceUpperBound(x)
 		if got := m.UpperBound(x); got != ref {
 			t.Fatalf("UpperBound(%v) = %d, reference %d", x, got, ref)
@@ -211,13 +213,55 @@ func TestKernelDifferentialAcrossSegmenters(t *testing.T) {
 }
 
 // TestKernelDifferentialProperty hits many more map shapes (including
-// multi-block maps whose segment count exceeds one 16-segment block)
-// through random page→segment assignments.
+// multi-block maps whose segment count exceeds one abandon stride)
+// through random page→segment assignments, then one deep skewed map of
+// 2048 segments, far past every other differential input.
 func TestKernelDifferentialProperty(t *testing.T) {
 	for seed := int64(0); seed < 120; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		_, m := buildRandomSegmentation(r)
 		checkKernelsAgainstReference(t, r, m, 6)
+	}
+
+	// Item i's cells are drawn from [0, 200>>(i%8)], a skew that spreads
+	// the bounds. At each width's median bound as the threshold, a
+	// generation splits between early exits and abandons deep in the map.
+	const segs, k = 2048, 48
+	r := rand.New(rand.NewSource(segs))
+	rows := make([][]uint32, segs)
+	for s := range rows {
+		rows[s] = make([]uint32, k)
+		for i := range rows[s] {
+			rows[s][i] = uint32(r.Intn(1 + 200>>(i%8)))
+		}
+	}
+	m, err := NewMap(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkKernelsAgainstReference(t, r, m, 6)
+	for width := 2; width <= 5; width++ {
+		cands := make([]dataset.Itemset, 256)
+		refs := make([]int64, len(cands))
+		for i := range cands {
+			cands[i] = randomItemsetOfLen(r, k, width)
+			refs[i] = m.referenceUpperBound(cands[i])
+		}
+		sorted := slices.Clone(refs)
+		slices.Sort(sorted)
+		minsup := max(sorted[len(sorted)/2], 1)
+		dec := make([]bool, len(cands))
+		st := m.BoundBatch(cands, minsup, dec)
+		for i, x := range cands {
+			want := refs[i] >= minsup
+			if dec[i] != want || m.BoundAtLeast(x, minsup) != want {
+				t.Fatalf("width %d: BoundBatch %v, BoundAtLeast %v for %v at %d, reference bound %d",
+					width, dec[i], m.BoundAtLeast(x, minsup), x, minsup, refs[i])
+			}
+		}
+		if st.EarlyExit == 0 || st.Abandoned == 0 {
+			t.Errorf("width %d: shortcuts %+v, want both early exits and abandons", width, st)
+		}
 	}
 }
 

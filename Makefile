@@ -89,6 +89,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz FuzzAppenderSnapshot        -fuzztime 10s .
 	$(GO) test -run=NONE -fuzz FuzzWALReplay               -fuzztime 10s ./internal/wal
 	$(GO) test -run=NONE -fuzz FuzzHashTreeCount           -fuzztime 10s ./internal/mining
+	$(GO) test -run=NONE -fuzz FuzzPairCount               -fuzztime 10s ./internal/mining
 
 # End-to-end benchmark smoke: a 2-second window of each mining workload
 # (perfbench/README.md) must check every answer correct with no failed

@@ -205,21 +205,6 @@ func BenchmarkAblationMemory(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationC2Method reproduces the counting-structure ablation:
-// hash tree (candidate-bound) versus triangular array
-// (candidate-insensitive) under OSSM pruning.
-func BenchmarkAblationC2Method(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		r, err := bench.RunC2Method(cfg, 40)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(r.HashPlain)/float64(r.HashOSSM), "speedup-hashtree")
-		b.ReportMetric(float64(r.TriPlain)/float64(r.TriOSSM), "speedup-triangular")
-	}
-}
-
 // --- Micro-benchmarks of the core operations -----------------------------
 
 func microMap(b *testing.B, nSeg int) (*core.Map, *dataset.Dataset) {

@@ -9,7 +9,7 @@
 //	ossm-bench [flags] <experiment>
 //
 // Experiments: fig4, fig5a, fig5b, fig6, sec7, skew, hosts, episodes,
-// memory, c2method, extended, minseg, all.
+// memory, extended, minseg, all.
 package main
 
 import (
@@ -68,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg.Seed = *seed
 
 	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: ossm-bench [flags] <fig4|fig5a|fig5b|fig6|sec7|skew|hosts|episodes|memory|c2method|extended|minseg|all>")
+		fmt.Fprintln(stderr, "usage: ossm-bench [flags] <fig4|fig5a|fig5b|fig6|sec7|skew|hosts|episodes|memory|extended|minseg|all>")
 		return 2
 	}
 	what := fs.Arg(0)
@@ -138,12 +138,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return err
 			}
 			return emit(name, r)
-		case "c2method":
-			r, err := bench.RunC2Method(cfg, *nUser)
-			if err != nil {
-				return err
-			}
-			return emit(name, r)
 		case "extended":
 			r, err := bench.RunExtended(cfg, *nUser)
 			if err != nil {
@@ -163,7 +157,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	names := []string{what}
 	if what == "all" {
-		names = []string{"fig4", "fig5a", "fig5b", "fig6", "sec7", "skew", "hosts", "episodes", "memory", "c2method", "extended", "minseg"}
+		names = []string{"fig4", "fig5a", "fig5b", "fig6", "sec7", "skew", "hosts", "episodes", "memory", "extended", "minseg"}
 	}
 	for i, name := range names {
 		if i > 0 {

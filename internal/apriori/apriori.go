@@ -18,26 +18,10 @@ func init() {
 	})
 }
 
-// CountMethod selects how candidate 2-itemsets are counted.
-type CountMethod int
-
-const (
-	// CountHashTree counts every pass with the hash tree. Counting work
-	// scales with the number of surviving candidates, which is what makes
-	// OSSM pruning pay off — the setting of the paper's experiments.
-	CountHashTree CountMethod = iota
-	// CountTriangular counts the second pass with a dense triangular
-	// array over frequent items (an ablation: per-transaction cost is
-	// then insensitive to the candidate count).
-	CountTriangular
-)
-
 // Options configures Mine. The embedded mining.Options carries the
 // engine-wide knobs (Pruner, MaxLen, Workers, Progress).
 type Options struct {
 	mining.Options
-	// C2Method selects the pass-2 counting structure.
-	C2Method CountMethod
 }
 
 // Mine runs Apriori over d at the absolute support threshold minCount.
@@ -73,33 +57,44 @@ func Mine(d *dataset.Dataset, minCount int64, opts Options) (*mining.Result, err
 
 	// Project transactions onto the frequent items once; every later pass
 	// counts against the projection (a standard optimization that applies
-	// identically with and without the OSSM).
+	// identically with and without the OSSM). A counting scan sizes one
+	// backing array, and each kept transaction is a capped sub-slice of it.
 	frequentItem := make([]bool, d.NumItems())
 	for _, c := range f1 {
 		frequentItem[c.Items[0]] = true
 	}
-	txs := make([]dataset.Itemset, 0, d.NumTx())
+	keptTx, keptItems := 0, 0
 	for i := 0; i < d.NumTx(); i++ {
-		tx := d.Tx(i)
-		var kept dataset.Itemset
-		for _, it := range tx {
+		n := 0
+		for _, it := range d.Tx(i) {
 			if frequentItem[it] {
-				kept = append(kept, it)
+				n++
 			}
 		}
-		if len(kept) >= 2 {
-			txs = append(txs, kept)
+		if n >= 2 {
+			keptTx++
+			keptItems += n
+		}
+	}
+	backing := make([]dataset.Item, 0, keptItems)
+	txs := make([]dataset.Itemset, 0, keptTx)
+	for i := 0; i < d.NumTx(); i++ {
+		lo := len(backing)
+		for _, it := range d.Tx(i) {
+			if frequentItem[it] {
+				backing = append(backing, it)
+			}
+		}
+		if hi := len(backing); hi-lo >= 2 {
+			txs = append(txs, backing[lo:hi:hi])
+		} else {
+			backing = backing[:lo]
 		}
 	}
 
 	// Pass 2.
 	passStart = time.Now()
-	var l2 mining.LevelResult
-	if opts.C2Method == CountTriangular {
-		l2 = passTwoTriangular(txs, f1, minCount, opts.Pruner)
-	} else {
-		l2 = passTwoHashTree(txs, f1, minCount, opts.Pruner, pool, opts.Instrument)
-	}
+	l2 := passTwo(txs, f1, minCount, opts.Pruner, pool, opts.Instrument)
 	l2.Stats.Elapsed = time.Since(passStart)
 	res.Levels = append(res.Levels, l2)
 	opts.Emit(l2.Stats)
@@ -150,101 +145,40 @@ func Mine(d *dataset.Dataset, minCount int64, opts Options) (*mining.Result, err
 	return res, nil
 }
 
-// passTwoHashTree generates all pairs of frequent items, filters them
-// through the pair-specialized batch bound kernel, and counts the
-// survivors with a hash tree.
-func passTwoHashTree(txs []dataset.Itemset, f1 []mining.Counted, minCount int64, pruner core.Filter, workers int, instr *mining.Instrumentation) mining.LevelResult {
-	stats := mining.PassStats{K: 2, Generated: len(f1) * (len(f1) - 1) / 2}
+// passTwo decides every pair of frequent items through the pair bound
+// kernel, counts all pairs in one triangular table (mining.CountPairs),
+// and keeps the admitted pairs that reach minCount.
+func passTwo(txs []dataset.Itemset, f1 []mining.Counted, minCount int64, pruner core.Filter, workers int, instr *mining.Instrumentation) mining.LevelResult {
 	items := frequentItems(f1)
+	stats := mining.PassStats{K: 2, Generated: len(items) * (len(items) - 1) / 2}
 	kd := mining.KernelDeltaFor(pruner)
 	dec := core.AdmitPairsAmong(pruner, items, nil)
-	var cands []*mining.Candidate
-	var alloc mining.CandidateAlloc
-	idx := 0
-	for i := 0; i < len(items); i++ {
-		for j := i + 1; j < len(items); j++ {
-			if dec[idx] {
-				cands = append(cands, alloc.Pair(items[i], items[j]))
-			} else {
-				stats.Pruned++
-			}
-			idx++
-		}
-	}
-	kd.Note(&stats)
-	stats.Counted = len(cands)
-	if len(cands) == 0 {
-		return mining.LevelResult{K: 2, Stats: stats}
-	}
-	stats.TxScanned = len(txs)
-	mining.CountParallel(txs, cands, 2, workers, instr)
-	var freq []mining.Counted
-	for _, c := range cands {
-		if c.Count >= minCount {
-			freq = append(freq, mining.Counted{Items: c.Items, Count: c.Count})
-		}
-	}
-	mining.SortCounted(freq)
-	stats.Frequent = len(freq)
-	return mining.LevelResult{K: 2, Frequent: freq, Stats: stats}
-}
-
-// passTwoTriangular counts surviving pairs in a dense triangular array
-// indexed by frequent-item rank.
-func passTwoTriangular(txs []dataset.Itemset, f1 []mining.Counted, minCount int64, pruner core.Filter) mining.LevelResult {
-	stats := mining.PassStats{K: 2, Generated: len(f1) * (len(f1) - 1) / 2}
-	n := len(f1)
-	rank := make(map[dataset.Item]int, n)
-	for i, c := range f1 {
-		rank[c.Items[0]] = i
-	}
-	// allowed[i*n+j] (i<j) marks pairs that survived the OSSM.
-	items := frequentItems(f1)
-	kd := mining.KernelDeltaFor(pruner)
-	dec := core.AdmitPairsAmong(pruner, items, nil)
-	allowed := make([]bool, n*n)
-	idx := 0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if dec[idx] {
-				allowed[i*n+j] = true
-			} else {
-				stats.Pruned++
-			}
-			idx++
+	for _, ok := range dec {
+		if !ok {
+			stats.Pruned++
 		}
 	}
 	kd.Note(&stats)
 	stats.Counted = stats.Generated - stats.Pruned
-	stats.TxScanned = len(txs)
-	counts := make([]int64, n*n)
-	for _, tx := range txs {
-		for a := 0; a < len(tx); a++ {
-			ra := rank[tx[a]]
-			for b := a + 1; b < len(tx); b++ {
-				rb := rank[tx[b]]
-				i, j := ra, rb
-				if i > j {
-					i, j = j, i
-				}
-				if allowed[i*n+j] {
-					counts[i*n+j]++
-				}
-			}
-		}
+	if stats.Counted == 0 {
+		return mining.LevelResult{K: 2, Stats: stats}
 	}
+	stats.TxScanned = len(txs)
+	counts := mining.CountPairs(txs, items, workers, instr)
+	// items ascend, so this walk emits the pairs in lexicographic order.
 	var freq []mining.Counted
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if allowed[i*n+j] && counts[i*n+j] >= minCount {
+	idx := 0
+	for i := 0; i < len(items); i++ {
+		for j := i + 1; j < len(items); j++ {
+			if dec[idx] && int64(counts[idx]) >= minCount {
 				freq = append(freq, mining.Counted{
-					Items: dataset.NewItemset(f1[i].Items[0], f1[j].Items[0]),
-					Count: counts[i*n+j],
+					Items: dataset.Itemset{items[i], items[j]},
+					Count: int64(counts[idx]),
 				})
 			}
+			idx++
 		}
 	}
-	mining.SortCounted(freq)
 	stats.Frequent = len(freq)
 	return mining.LevelResult{K: 2, Frequent: freq, Stats: stats}
 }

@@ -1,6 +1,7 @@
 package apriori
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,6 +9,7 @@ import (
 	"github.com/ossm-mining/ossm/internal/core"
 	"github.com/ossm-mining/ossm/internal/dataset"
 	"github.com/ossm-mining/ossm/internal/mining"
+	"github.com/ossm-mining/ossm/internal/oracle"
 )
 
 // tinyDataset has hand-computable frequent itemsets at minCount 2:
@@ -189,23 +191,124 @@ func TestMineMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestTriangularMatchesHashTree(t *testing.T) {
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		d := randomDataset(r)
-		minCount := int64(1 + r.Intn(d.NumTx()))
-		a, err := Mine(d, minCount, Options{C2Method: CountHashTree})
-		if err != nil {
-			return false
-		}
-		b, err := Mine(d, minCount, Options{C2Method: CountTriangular})
-		if err != nil {
-			return false
-		}
-		return mapsEqual(a.AsMap(), b.AsMap())
+// TestMineMatchesOracle compares Apriori with the brute-force oracle on
+// random datasets, at 1, 2 and 4 workers and under every kind of filter
+// (checkAgainstOracle).
+func TestMineMatchesOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(18))
+	for trial := 0; trial < 60; trial++ {
+		d := oracle.RandomDataset(r, 2+r.Intn(22), 1+r.Intn(80), 0.05+0.3*r.Float64())
+		minCount := int64(2 + r.Intn(1+d.NumTx()/8))
+		checkAgainstOracle(t, fmt.Sprintf("trial %d", trial), r, d, minCount)
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
+}
+
+// TestMineEdgeCasesMatchOracle runs the oracle comparison on the
+// boundaries of pass 2: no, one or two frequent items, transactions left
+// with fewer than two frequent items, and the highest item frequent.
+func TestMineEdgeCasesMatchOracle(t *testing.T) {
+	cases := []struct {
+		name     string
+		numItems int
+		txs      [][]dataset.Item
+	}{
+		{"no frequent item", 3, [][]dataset.Item{{0}, {1}, {2}, {0, 1}}},
+		{"one frequent item", 3, [][]dataset.Item{{0}, {0, 1}, {0, 2}, {}}},
+		{"two frequent items", 3, [][]dataset.Item{{0, 1}, {0, 1}, {2}, {0}}},
+		{"short transactions", 5, [][]dataset.Item{{0, 3}, {1, 4}, {0, 1}, {0, 1, 2}, {2}, {}}},
+		{"highest item frequent", 40, [][]dataset.Item{{3, 39}, {3, 39}, {39}, {0, 39}, {0, 3, 39}}},
+	}
+	r := rand.New(rand.NewSource(7))
+	for _, c := range cases {
+		d := dataset.MustFromTransactions(c.numItems, c.txs)
+		checkAgainstOracle(t, c.name, r, d, 2)
+	}
+}
+
+// TestMineEveryPairPruned: when the filter rejects every pair, pass 2
+// counts nothing and the result is the frequent singletons alone.
+func TestMineEveryPairPruned(t *testing.T) {
+	// Frequent items 0, 1 and 2 never share a transaction, so an OSSM
+	// with one segment per transaction bounds every pair at 0.
+	d := dataset.MustFromTransactions(3, [][]dataset.Item{{0}, {0}, {1}, {1}, {2}, {2}})
+	seg, err := core.Segment(dataset.PageCounts(d, dataset.PaginateN(d, d.NumTx())),
+		core.Options{Algorithm: core.AlgGreedy, TargetSegments: d.NumTx()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	filters := map[string]core.Filter{
+		"pruner": &core.Pruner{Map: seg.Map, MinCount: 2},
+		"constraint": core.FilterFunc(func(x dataset.Itemset) bool {
+			return len(x) < 2
+		}),
+	}
+	want, err := oracle.Mine(d, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, f := range filters {
+		res, err := Mine(d, 2, Options{Options: mining.Options{Pruner: f}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Equal(want) {
+			t.Errorf("%s: got %v, want the singletons %v", name, res.AsMap(), want.AsMap())
+		}
+		st := res.Level(2).Stats
+		if st.Generated != 3 || st.Pruned != 3 || st.Counted != 0 || st.TxScanned != 0 {
+			t.Errorf("%s: pass-2 stats %+v, want 3 generated, 3 pruned, nothing counted", name, st)
+		}
+	}
+}
+
+// checkAgainstOracle mines d at 1, 2 and 4 workers three ways: with no
+// filter, with an OSSM Pruner, and with a constraint that rejects every
+// itemset holding one frequent pair. The constraint is anti-monotone, so
+// the expected answer is the oracle's less the itemsets it rejects. A
+// sound Pruner never rejects a frequent pair, so only the constraint
+// shows whether pass 2 honours its admission decisions.
+func checkAgainstOracle(t *testing.T, name string, r *rand.Rand, d *dataset.Dataset, minCount int64) {
+	t.Helper()
+	ref, err := oracle.Mine(d, minCount, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := dataset.Item(0), dataset.Item(d.NumItems()-1)
+	if l2 := ref.Level(2); l2 != nil {
+		p := l2.Frequent[r.Intn(len(l2.Frequent))].Items
+		a, b = p[0], p[1]
+	}
+	rejects := func(x dataset.Itemset) bool { return len(x) >= 2 && x.Contains(a) && x.Contains(b) }
+	variants := []struct {
+		name   string
+		filter core.Filter
+		drop   func(dataset.Itemset) bool
+	}{
+		{"plain", nil, nil},
+		{"pruner", &core.Pruner{Map: buildOSSM(r, d), MinCount: minCount}, nil},
+		{"constraint", core.FilterFunc(func(x dataset.Itemset) bool { return !rejects(x) }), rejects},
+	}
+	for _, v := range variants {
+		want := map[string]int64{}
+		for _, c := range ref.All() {
+			if v.drop == nil || !v.drop(c.Items) {
+				want[c.Items.Key()] = c.Count
+			}
+		}
+		for _, workers := range []int{1, 2, 4} {
+			res, err := Mine(d, minCount, Options{Options: mining.Options{Workers: workers, Pruner: v.filter}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.AsMap(); !mapsEqual(got, want) {
+				t.Errorf("%s, %s, %d workers: got %v, want %v", name, v.name, workers, got, want)
+			}
+			for _, l := range res.Levels[1:] {
+				if st := l.Stats; st.Generated != st.Pruned+st.Counted || st.Frequent != len(l.Frequent) {
+					t.Errorf("%s, %s, %d workers: level %d stats %+v do not add up", name, v.name, workers, l.K, st)
+				}
+			}
+		}
 	}
 }
 

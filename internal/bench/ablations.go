@@ -318,77 +318,6 @@ func (r *MemoryResult) Print(w io.Writer) {
 	}
 }
 
-// C2MethodResult is the counting-structure ablation from DESIGN.md §7:
-// hash-tree counting (candidate-bound) versus the dense triangular array
-// (candidate-insensitive) at pass 2, with and without the OSSM.
-type C2MethodResult struct {
-	HashPlain time.Duration
-	HashOSSM  time.Duration
-	TriPlain  time.Duration
-	TriOSSM   time.Duration
-}
-
-// RunC2Method measures how the pass-2 counting structure interacts with
-// OSSM pruning.
-func RunC2Method(cfg Config, nUser int) (*C2MethodResult, error) {
-	d, err := cfg.Regular()
-	if err != nil {
-		return nil, err
-	}
-	_, rows := cfg.pageRows(d)
-	minCount := mining.MinCountFor(d, cfg.Support)
-	seg, err := core.Segment(rows, core.Options{
-		Algorithm:      core.AlgRandomGreedy,
-		TargetSegments: nUser,
-		MidSegments:    min(200, len(rows)),
-		Bubble:         cfg.bubble(d, rows),
-		Seed:           cfg.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out C2MethodResult
-	var ref *mining.Result
-	for _, method := range []apriori.CountMethod{apriori.CountHashTree, apriori.CountTriangular} {
-		for _, withOSSM := range []bool{false, true} {
-			var pruner *core.Pruner
-			if withOSSM {
-				pruner = &core.Pruner{Map: seg.Map, MinCount: minCount}
-			}
-			start := time.Now()
-			res, err := apriori.Mine(d, minCount, apriori.Options{Options: mining.Options{Pruner: pruner}, C2Method: method})
-			if err != nil {
-				return nil, err
-			}
-			elapsed := time.Since(start)
-			if ref == nil {
-				ref = res
-			} else if err := verifyEqual(ref, res, "c2method"); err != nil {
-				return nil, err
-			}
-			switch {
-			case method == apriori.CountHashTree && !withOSSM:
-				out.HashPlain = elapsed
-			case method == apriori.CountHashTree && withOSSM:
-				out.HashOSSM = elapsed
-			case method == apriori.CountTriangular && !withOSSM:
-				out.TriPlain = elapsed
-			default:
-				out.TriOSSM = elapsed
-			}
-		}
-	}
-	return &out, nil
-}
-
-// Print renders the table.
-func (r *C2MethodResult) Print(w io.Writer) {
-	fmt.Fprintln(w, "Ablation — pass-2 counting structure vs. OSSM pruning")
-	fmt.Fprintf(w, "%-22s %-12s %-12s %-8s\n", "method", "plain", "with OSSM", "speedup")
-	fmt.Fprintf(w, "%-22s %-12v %-12v %-8.2f\n", "hash tree", r.HashPlain.Round(time.Millisecond), r.HashOSSM.Round(time.Millisecond), float64(r.HashPlain)/float64(r.HashOSSM))
-	fmt.Fprintf(w, "%-22s %-12v %-12v %-8.2f\n", "triangular array", r.TriPlain.Round(time.Millisecond), r.TriOSSM.Round(time.Millisecond), float64(r.TriPlain)/float64(r.TriOSSM))
-}
-
 func maxI64(a, b int64) int64 {
 	if a > b {
 		return a

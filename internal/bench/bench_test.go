@@ -248,22 +248,6 @@ func TestRunMemory(t *testing.T) {
 	}
 }
 
-func TestRunC2Method(t *testing.T) {
-	cfg := tinyConfig()
-	r, err := RunC2Method(cfg, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.HashPlain <= 0 || r.HashOSSM <= 0 || r.TriPlain <= 0 || r.TriOSSM <= 0 {
-		t.Error("missing timings")
-	}
-	var buf bytes.Buffer
-	r.Print(&buf)
-	if !strings.Contains(buf.String(), "triangular") {
-		t.Error("Print output missing method")
-	}
-}
-
 func TestConfigDatasets(t *testing.T) {
 	cfg := tinyConfig()
 	reg, err := cfg.Regular()

@@ -13,6 +13,7 @@ package dataset
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -197,17 +198,15 @@ func (s Itemset) Compare(t Itemset) int {
 // Key returns a canonical string key for use in maps. It is injective on
 // valid itemsets.
 func (s Itemset) Key() string {
-	if len(s) == 0 {
-		return ""
-	}
-	var b strings.Builder
+	var buf [64]byte
+	b := buf[:0]
 	for i, x := range s {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%d", x)
+		b = strconv.AppendUint(b, uint64(x), 10)
 	}
-	return b.String()
+	return string(b)
 }
 
 // String renders the itemset as "{a, b, c}".

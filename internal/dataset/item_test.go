@@ -1,8 +1,10 @@
 package dataset
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -133,6 +135,35 @@ func TestKeyAndString(t *testing.T) {
 	}
 	if got, want := Itemset(nil).String(), "{}"; got != want {
 		t.Errorf("empty String = %q, want %q", got, want)
+	}
+}
+
+// TestKeyFormat pins the exact key text: decimal items joined by commas,
+// "" for the empty set, and keys longer than Key's stack buffer intact.
+func TestKeyFormat(t *testing.T) {
+	var long Itemset
+	var want []string
+	for i := 0; i < 12; i++ {
+		x := Item(4294967295 - 12 + i)
+		long = append(long, x)
+		want = append(want, fmt.Sprint(x))
+	}
+	cases := []struct {
+		in   Itemset
+		want string
+	}{
+		{nil, ""},
+		{Itemset{}, ""},
+		{Itemset{0}, "0"},
+		{Itemset{3, 17, 42}, "3,17,42"},
+		{Itemset{9, 10, 99, 100, 1000}, "9,10,99,100,1000"},
+		{Itemset{4294967295}, "4294967295"},
+		{long, strings.Join(want, ",")},
+	}
+	for _, c := range cases {
+		if got := c.in.Key(); got != c.want {
+			t.Errorf("Key(%v) = %q, want %q", []Item(c.in), got, c.want)
+		}
 	}
 }
 

@@ -1,8 +1,10 @@
 package mining
 
 import (
+	"slices"
 	"testing"
 
+	"github.com/ossm-mining/ossm/internal/core"
 	"github.com/ossm-mining/ossm/internal/dataset"
 )
 
@@ -146,4 +148,79 @@ func encodePairsInput(txs [][]byte, span, base byte, mask []byte) []byte {
 	out := countHeader(1, 2, txs)
 	out = append(out, span, base)
 	return append(out, mask...)
+}
+
+// FuzzPairCount: CountPairs must match the brute-force SubsetOf scan for
+// every pair of items, at any pool size, whichever items the transactions
+// hold beyond them.
+//
+// Input layout: byte 0 picks the pool size (1–4), bytes 1–8 are a mask
+// over items 0–63 choosing the counted items, byte 9 the transaction
+// count (0–8); then each transaction is a length byte (0–15) followed by
+// that many items, each taken mod 64.
+func FuzzPairCount(f *testing.F) {
+	f.Add(encodePairCountInput(1, ^uint64(0),
+		[][]byte{{0, 1, 2, 63}, {1, 2, 63}, {0, 63}, {5}, {}}))
+	f.Add(encodePairCountInput(3, 0x8000_0000_0000_f0f1,
+		[][]byte{{0, 4, 5, 6, 7, 12, 63}, {0, 1, 4, 63}, {2, 3, 5, 12, 13}, {4, 5}, {0, 12, 15, 63}, {6, 7, 14, 15}, {0}}))
+	f.Add(encodePairCountInput(2, 0b1011_0110,
+		[][]byte{{1, 2, 4, 5, 7}, {1, 3, 7, 40}, {2, 5, 7}, {0, 6, 7}}))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) < 10 {
+			return
+		}
+		workers := 1 + int(in[0])%4
+		var items []dataset.Item
+		for it := 0; it < 64; it++ {
+			if in[1+it/8]&(1<<(it%8)) != 0 {
+				items = append(items, dataset.Item(it))
+			}
+		}
+		ntx := int(in[9]) % 9
+		in = in[10:]
+		txs := make([]dataset.Itemset, 0, ntx)
+		for len(txs) < ntx && len(in) > 0 {
+			n := min(int(in[0])%16, len(in)-1)
+			raw := make([]dataset.Item, n)
+			for i := range raw {
+				raw[i] = dataset.Item(in[1+i] % 64)
+			}
+			txs = append(txs, dataset.NewItemset(raw...))
+			in = in[1+n:]
+		}
+		n := len(items)
+		want := make([]uint32, max(0, n*(n-1)/2))
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				pair := dataset.Itemset{items[i], items[j]}
+				for _, tx := range txs {
+					if pair.SubsetOf(tx) {
+						want[core.PairIndex(i, j, n)]++
+					}
+				}
+			}
+		}
+		for name, got := range map[string][]uint32{
+			"CountPairs":        CountPairs(txs, items, workers, nil),
+			"countPairsSharded": countPairsSharded(txs, items, workers, nil),
+		} {
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s over items %v, %d workers, txs %v:\n got %v\nwant %v", name, items, workers, txs, got, want)
+			}
+		}
+	})
+}
+
+// encodePairCountInput lays out a FuzzPairCount input.
+func encodePairCountInput(workers byte, mask uint64, txs [][]byte) []byte {
+	out := []byte{workers - 1}
+	for b := 0; b < 8; b++ {
+		out = append(out, byte(mask>>(8*b)))
+	}
+	out = append(out, byte(len(txs)))
+	for _, tx := range txs {
+		out = append(out, byte(len(tx)))
+		out = append(out, tx...)
+	}
+	return out
 }

@@ -11,8 +11,8 @@
 //	ossm-serve -ingest live=/var/lib/ossm/live -ingest-items 1024
 //
 // Endpoints: GET /healthz, GET /v1/indexes, POST /v1/ubsup,
-// POST /v1/mine, POST /v1/ingest (durable stores only), GET /v1/metrics
-// (JSON) and GET /metrics (Prometheus text; ?exemplars=1 adds trace-id
+// POST /v1/mine, POST /v1/ingest (durable stores only), GET /metrics and
+// GET /v1/metrics (the same Prometheus text; ?exemplars=1 adds trace-id
 // exemplars), GET /v1/traces (cross-process assembly on remote fleets),
 // GET /v1/fleetz (fleet health summary), and /debug/pprof/ behind
 // -pprof. See README.md for the request shapes and the observability

@@ -37,9 +37,8 @@ type Options struct {
 	// Progress, when non-nil, is invoked once per completed level with
 	// that level's statistics. Level-wise miners (Apriori, DHP) call it
 	// as each pass finishes; depth-first and partition-based miners call
-	// it per assembled level once the search completes. New consumers
-	// should prefer Instrument's structured event stream, which carries
-	// the same per-pass records plus run framing.
+	// it per assembled level once the search completes. It runs on the
+	// mining goroutine, right after the pass is folded into Instrument.
 	Progress func(PassStats)
 	// Instrument, when non-nil, collects engine-wide telemetry: per-pass
 	// candidate accounting and wall time, transactions scanned, and
@@ -70,11 +69,10 @@ func (o Options) Param(name string, def int) int {
 }
 
 // Emit reports one finished pass: it folds the pass into the Instrument
-// collector (which also emits an EventPassEnd on the structured stream)
-// and invokes the legacy Progress hook, if any.
+// collector and invokes the Progress hook, if any.
 func (o Options) Emit(ps PassStats) {
 	if o.Instrument != nil {
-		o.Instrument.RecordPass("", ps.sample())
+		o.Instrument.RecordPass(ps.sample())
 	}
 	if o.Progress != nil {
 		o.Progress(ps)
@@ -148,14 +146,13 @@ func Names() []string {
 
 // MineBy looks the named miner up and runs it, with a listing of known
 // names in the error for an unknown one. When the options carry an
-// Instrument collector, MineBy frames the run with start/end events and
-// attaches the frozen telemetry report to the result's Stats.
+// Instrument collector, MineBy attaches the frozen telemetry report to
+// the result's Stats.
 func MineBy(name string, d *dataset.Dataset, minCount int64, opts Options) (*Result, error) {
 	drv, ok := Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("mining: unknown miner %q (registered: %v)", name, Names())
 	}
-	opts.Instrument.Emit(telemetry.Event{Kind: telemetry.EventRunStart, Algorithm: name})
 	res, err := drv(d, minCount, opts)
 	if err != nil {
 		return nil, err

@@ -2,21 +2,21 @@ package mining
 
 // The engine-side instrumentation bridge: mining.Options carries an
 // optional *Instrumentation (a telemetry.Collector), every miner's
-// per-pass Emit folds its PassStats into it, and MineBy frames the run
-// with start/end events and attaches the frozen telemetry.Report to the
-// result's Stats envelope. A nil Instrumentation is the default and costs
-// a single branch per pass — the uninstrumented hot path is unchanged.
+// per-pass Emit folds its PassStats into it, and MineBy attaches the
+// frozen telemetry.Report to the result's Stats envelope. A nil
+// Instrumentation is the default and costs a single branch per pass —
+// the uninstrumented hot path is unchanged.
 
 import (
 	"github.com/ossm-mining/ossm/internal/core"
 	"github.com/ossm-mining/ossm/internal/telemetry"
 )
 
-// Instrumentation is the engine-wide telemetry hook: an atomic
-// counter/timer collector every registered miner reports into (candidates
-// generated / OSSM-pruned / hash-pruned / counted, per-pass wall time,
-// transactions scanned, worker-pool utilization) plus a structured event
-// stream (SetSink) superseding the ad-hoc per-level Progress callback.
+// Instrumentation is the engine-wide telemetry hook: a collector every
+// registered miner reports into (candidates generated / OSSM-pruned /
+// hash-pruned / counted, per-pass wall time, transactions scanned,
+// worker-pool utilization). Live per-pass consumers use Options.Progress,
+// which receives the same PassStats at the same moment.
 type Instrumentation = telemetry.Collector
 
 // NewInstrumentation returns an empty collector whose run clock starts
@@ -70,9 +70,9 @@ func (d *KernelDelta) Note(ps *PassStats) {
 	d.base = kc
 }
 
-// FinishRun attaches the collector's frozen report to the result and
-// closes the event stream; MineBy calls it after every registry dispatch,
-// and direct hosts (episodes, bench wrappers) may call it themselves.
+// FinishRun attaches the collector's frozen report to the result; MineBy
+// calls it after every registry dispatch, and direct hosts (episodes,
+// bench wrappers) may call it themselves.
 // No-op without an Instrument or a result.
 func (o Options) FinishRun(res *Result) {
 	if o.Instrument == nil || res == nil {
@@ -83,11 +83,6 @@ func (o Options) FinishRun(res *Result) {
 	if kc, ok := core.KernelCountersOf(o.Pruner); ok {
 		o.Instrument.SetKernelTotals(kc.Checked, kc.EarlyExit, kc.Abandoned)
 	}
-	o.Instrument.Emit(telemetry.Event{
-		Kind:      telemetry.EventRunEnd,
-		Algorithm: res.Stats.Algorithm,
-		Elapsed:   res.Stats.Elapsed,
-	})
 	res.Stats.Telemetry = o.Instrument.Snapshot()
 }
 

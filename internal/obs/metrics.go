@@ -328,8 +328,8 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 }
 
 // CounterFunc registers a counter whose value is read from fn at scrape
-// time — the bridge to counters owned elsewhere (the bound cache's
-// hit/miss/eviction counts).
+// time — the bridge to counters owned elsewhere (the Go runtime's
+// allocation and GC totals).
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	r.register(name, help, kindCounter, nil, nil, fn)
 }

@@ -198,8 +198,8 @@ func (t *Tracer) Start(ctx context.Context, name string) (context.Context, *Span
 
 // StartAt is Start with an explicit start time — the hook for
 // synthesized spans whose duration is known only after the fact (per-pass
-// spans reconstructed from telemetry events carry the pass's measured
-// wall time).
+// spans reconstructed from a mining run's Progress reports carry the
+// pass's measured wall time).
 func (t *Tracer) StartAt(ctx context.Context, name string, start time.Time) (context.Context, *Span) {
 	if t == nil {
 		return ctx, nil

@@ -6,7 +6,7 @@ import (
 	"sync"
 
 	ossm "github.com/ossm-mining/ossm"
-	"github.com/ossm-mining/ossm/internal/telemetry"
+	"github.com/ossm-mining/ossm/internal/obs"
 )
 
 // boundCache is the hot-path LRU of ubsup answers. Bound queries dominate
@@ -25,9 +25,9 @@ type boundCache struct {
 	ll    *list.List // front = most recently used
 	items map[string]*list.Element
 
-	hits      telemetry.Counter
-	misses    telemetry.Counter
-	evictions telemetry.Counter
+	hits      *obs.Counter // ossm_cache_hits_total
+	misses    *obs.Counter // ossm_cache_misses_total
+	evictions *obs.Counter // ossm_cache_evictions_total
 }
 
 type cacheEntry struct {
@@ -36,13 +36,20 @@ type cacheEntry struct {
 }
 
 // newBoundCache returns an LRU holding up to capacity bounds; capacity
-// <= 0 disables caching (every get misses, puts are dropped).
-func newBoundCache(capacity int) *boundCache {
-	return &boundCache{
-		cap:   capacity,
-		ll:    list.New(),
-		items: make(map[string]*list.Element),
+// <= 0 disables caching (every get misses, puts are dropped). The cache
+// registers its hit, miss and eviction counters and its size gauge on r.
+func newBoundCache(capacity int, r *obs.Registry) *boundCache {
+	c := &boundCache{
+		cap:       capacity,
+		ll:        list.New(),
+		items:     make(map[string]*list.Element),
+		hits:      r.Counter("ossm_cache_hits_total", "Bound-cache hits."),
+		misses:    r.Counter("ossm_cache_misses_total", "Bound-cache misses."),
+		evictions: r.Counter("ossm_cache_evictions_total", "Bound-cache LRU evictions."),
 	}
+	r.GaugeFunc("ossm_cache_entries", "Bounds currently cached.",
+		func() float64 { return float64(c.len()) })
+	return c
 }
 
 // appendCacheKey canonicalizes (index name, index version, itemset) into
@@ -111,23 +118,4 @@ func (c *boundCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
-}
-
-// CacheStats is the cache section of the metrics report.
-type CacheStats struct {
-	Capacity  int   `json:"capacity"`
-	Size      int   `json:"size"`
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-}
-
-func (c *boundCache) stats() CacheStats {
-	return CacheStats{
-		Capacity:  c.cap,
-		Size:      c.len(),
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-	}
 }

@@ -6,11 +6,12 @@ import (
 	"testing"
 
 	ossm "github.com/ossm-mining/ossm"
+	"github.com/ossm-mining/ossm/internal/obs"
 )
 
 func TestBoundCacheLRU(t *testing.T) {
 	k := func(s string) []byte { return []byte(s) }
-	c := newBoundCache(2)
+	c := newBoundCache(2, obs.NewRegistry())
 	c.put(k("a"), 1)
 	c.put(k("b"), 2)
 	if b, ok := c.get(k("a")); !ok || b != 1 {
@@ -32,18 +33,17 @@ func TestBoundCacheLRU(t *testing.T) {
 	if b, _ := c.get(k("a")); b != 10 {
 		t.Fatalf("updated a = %d, want 10", b)
 	}
-	st := c.stats()
-	if st.Capacity != 2 || st.Size != 2 || st.Evictions != 1 {
-		t.Fatalf("stats = %+v", st)
+	if c.len() != 2 || c.evictions.Value() != 1 {
+		t.Fatalf("len %d, evictions %d; want 2, 1", c.len(), c.evictions.Value())
 	}
-	if st.Hits == 0 || st.Misses == 0 {
-		t.Fatalf("stats did not count hits/misses: %+v", st)
+	if c.hits.Value() == 0 || c.misses.Value() == 0 {
+		t.Fatalf("hits %d, misses %d: not counted", c.hits.Value(), c.misses.Value())
 	}
 }
 
 func TestBoundCacheDisabled(t *testing.T) {
 	for _, capacity := range []int{0, -1} {
-		c := newBoundCache(capacity)
+		c := newBoundCache(capacity, obs.NewRegistry())
 		c.put([]byte("a"), 1)
 		if _, ok := c.get([]byte("a")); ok {
 			t.Fatalf("capacity %d cached a value", capacity)
@@ -119,9 +119,9 @@ func TestCachedBoundMatchesFresh(t *testing.T) {
 						i, got.Bound, want, items, got.Cached)
 				}
 			}
-			st := s.cache.stats()
-			if st.Hits == 0 || st.Evictions == 0 {
-				t.Fatalf("query stream exercised no hits or no evictions: %+v", st)
+			if s.cache.hits.Value() == 0 || s.cache.evictions.Value() == 0 {
+				t.Fatalf("query stream exercised no hits (%d) or no evictions (%d)",
+					s.cache.hits.Value(), s.cache.evictions.Value())
 			}
 		})
 	}

@@ -91,7 +91,7 @@ func TestIngestEndToEnd(t *testing.T) {
 	}
 
 	// Ingest metrics moved.
-	samples := scrape(t, ts.URL)
+	samples := scrape(t, ts.URL+"/metrics")
 	if got := samples[`ossm_ingest_total{outcome="ok"}`]; got != 2 {
 		t.Errorf("ossm_ingest_total{outcome=ok} = %v, want 2", got)
 	}

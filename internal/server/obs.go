@@ -2,12 +2,12 @@ package server
 
 // The serving-side observability wiring: one obsState per Server holds
 // the tracer (span ring behind GET /v1/traces), the Prometheus metrics
-// registry (text exposition behind GET /metrics), and the structured
-// access logger. The middleware in this file is the single entry point
-// every request passes through — it mints the request ID, opens the root
-// span, and emits the access-log line — so handlers only add the child
-// spans of their own phases (admission, cache probe, ubsup scan,
-// per-pass counting).
+// registry (the server's only metrics store, exposed at GET /metrics and
+// GET /v1/metrics), and the structured access logger. The middleware in
+// this file is the single entry point every request passes through — it
+// mints the request ID, opens the root span, and emits the access-log
+// line — so handlers only add the child spans of their own phases
+// (admission, cache probe, ubsup scan, per-pass counting).
 
 import (
 	"context"
@@ -33,6 +33,7 @@ type obsState struct {
 
 	httpRequests *obs.CounterVec   // ossm_http_requests_total{route,status}
 	httpLatency  *obs.HistogramVec // ossm_http_request_duration_seconds{route}
+	boundQueries *obs.Counter      // ossm_bound_queries_total
 	mineRuns     *obs.CounterVec   // ossm_mine_runs_total{miner}
 	minePasses   *obs.CounterVec   // ossm_mine_passes_total{miner}
 	mineCand     *obs.CounterVec   // ossm_mine_candidates_total{stage}
@@ -133,16 +134,7 @@ func (s *Server) initObs() {
 	o.shardBreaker = r.GaugeVec("ossm_shard_breaker_state",
 		"Remote shard circuit-breaker state, by shard id (0 closed, 1 half-open, 2 open).", "shard")
 
-	r.CounterFunc("ossm_cache_hits_total", "Bound-cache hits.",
-		func() float64 { return float64(s.cache.hits.Load()) })
-	r.CounterFunc("ossm_cache_misses_total", "Bound-cache misses.",
-		func() float64 { return float64(s.cache.misses.Load()) })
-	r.CounterFunc("ossm_cache_evictions_total", "Bound-cache LRU evictions.",
-		func() float64 { return float64(s.cache.evictions.Load()) })
-	r.GaugeFunc("ossm_cache_entries", "Bounds currently cached.",
-		func() float64 { return float64(s.cache.len()) })
-	r.CounterFunc("ossm_bound_queries_total", "Itemset bound queries answered.",
-		func() float64 { return float64(s.queries.Load()) })
+	o.boundQueries = r.Counter("ossm_bound_queries_total", "Itemset bound queries answered.")
 	r.GaugeFunc("ossm_mine_inflight", "Mining runs currently holding an admission slot.",
 		func() float64 { return float64(len(s.mineSem)) })
 	r.GaugeFunc("ossm_mine_waiting", "Requests waiting for a mining admission slot.",
@@ -214,14 +206,13 @@ func routeLabel(path string) string {
 	return "other"
 }
 
-// middleware is the per-request observability envelope: request counting
-// and body capping as before, plus the request ID (minted or taken from
-// the client's X-Request-Id and echoed back), the root span, the
-// route/status metrics and the structured access-log line.
+// middleware is the per-request observability envelope: body capping,
+// the request ID (minted or taken from the client's X-Request-Id and
+// echoed back), the root span, the route/status metrics and the
+// structured access-log line.
 func (s *Server) middleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		s.requests.Inc()
 		route := routeLabel(r.URL.Path)
 
 		reqID := r.Header.Get("X-Request-Id")
@@ -472,39 +463,11 @@ func attrInt(attrs map[string]any, name string) (int64, bool) {
 	return 0, false
 }
 
-// handleMetrics is the single content-negotiated metrics handler behind
-// both GET /metrics and GET /v1/metrics: Prometheus text exposition for
-// scrapers, the JSON snapshot for the pre-existing API consumers. An
-// explicit ?format=json|prometheus wins, then the Accept header, then
-// the path's own convention (/metrics scrapes, /v1/metrics is JSON).
-// ?exemplars=1 appends OpenMetrics exemplar suffixes to the text
-// exposition, linking latency buckets to trace IDs in the ring; the
-// default output stays byte-compatible with plain Prometheus parsers.
+// handleMetrics serves the Prometheus text exposition behind both GET
+// /metrics and GET /v1/metrics. ?exemplars=1 appends OpenMetrics exemplar
+// suffixes, linking latency buckets to trace IDs in the ring; the default
+// output stays byte-compatible with plain Prometheus parsers.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if metricsFormat(r) == "json" {
-		s.writeJSON(w, http.StatusOK, s.MetricsSnapshot())
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.obs.metrics.WriteExposition(w, r.URL.Query().Get("exemplars") == "1")
-}
-
-func metricsFormat(r *http.Request) string {
-	switch r.URL.Query().Get("format") {
-	case "json":
-		return "json"
-	case "prometheus", "text":
-		return "prometheus"
-	}
-	accept := r.Header.Get("Accept")
-	if strings.Contains(accept, "application/json") {
-		return "json"
-	}
-	if strings.Contains(accept, "text/plain") || strings.Contains(accept, "openmetrics") {
-		return "prometheus"
-	}
-	if r.URL.Path == "/v1/metrics" {
-		return "json"
-	}
-	return "prometheus"
 }

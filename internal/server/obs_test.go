@@ -142,7 +142,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	logBuf := &syncBuffer{}
 	_, ts, _, _ := newTestServer(t, Config{Logger: obs.NewLogger(logBuf, 0)})
 
-	before := scrape(t, ts.URL)
+	before := scrape(t, ts.URL+"/metrics")
 
 	resp, err := ts.Client().Post(ts.URL+"/v1/mine", "application/json",
 		strings.NewReader(`{"index":"retail","support":0.1}`))
@@ -240,7 +240,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 
 	// (3) Counters and histograms advanced.
-	after := scrape(t, ts.URL)
+	after := scrape(t, ts.URL+"/metrics")
 	for _, series := range []string{
 		`ossm_http_requests_total{route="/v1/mine",status="200"}`,
 		`ossm_mine_runs_total{miner="apriori"}`,
@@ -258,15 +258,18 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 }
 
-// scrape fetches /metrics and returns every sample keyed by its full
-// series name (name plus rendered labels).
-func scrape(t *testing.T, base string) map[string]float64 {
+// scrape fetches a metrics URL and returns every sample keyed by its
+// full series name (name plus labels in sorted order).
+func scrape(t *testing.T, url string) map[string]float64 {
 	t.Helper()
-	resp, err := http.Get(base + "/metrics")
+	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+		t.Fatalf("%s content type = %q, want Prometheus text", url, ct)
+	}
 	samples, err := obs.ParseText(resp.Body)
 	if err != nil {
 		t.Fatal(err)
@@ -320,32 +323,6 @@ func TestRouteLabelBounded(t *testing.T) {
 	for path, want := range cases {
 		if got := routeLabel(path); got != want {
 			t.Errorf("routeLabel(%q) = %q, want %q", path, got, want)
-		}
-	}
-}
-
-// TestMetricsFormatNegotiation pins the precedence: explicit format
-// param, then Accept header, then the path's own convention.
-func TestMetricsFormatNegotiation(t *testing.T) {
-	cases := []struct {
-		path, accept, want string
-	}{
-		{"/metrics", "", "prometheus"},
-		{"/v1/metrics", "", "json"},
-		{"/metrics?format=json", "", "json"},
-		{"/v1/metrics?format=prometheus", "", "prometheus"},
-		{"/v1/metrics?format=text", "", "prometheus"},
-		{"/metrics", "application/json", "json"},
-		{"/v1/metrics", "text/plain", "prometheus"},
-		{"/metrics?format=json", "text/plain", "json"}, // param beats Accept
-	}
-	for _, tc := range cases {
-		r, _ := http.NewRequest("GET", tc.path, nil)
-		if tc.accept != "" {
-			r.Header.Set("Accept", tc.accept)
-		}
-		if got := metricsFormat(r); got != tc.want {
-			t.Errorf("metricsFormat(%s, Accept=%q) = %q, want %q", tc.path, tc.accept, got, tc.want)
 		}
 	}
 }

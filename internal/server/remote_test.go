@@ -144,7 +144,8 @@ func TestRemoteFleetUbsupBitIdentical(t *testing.T) {
 
 // TestRemoteFleetDeadWorkerAndReload kills a worker (503 to callers),
 // then points the registry at a replacement and reloads: service must
-// come back without restarting the coordinator.
+// come back without restarting the coordinator. Only answered itemsets
+// count towards ossm_bound_queries_total, so the 503 batch adds none.
 func TestRemoteFleetDeadWorkerAndReload(t *testing.T) {
 	d, ix := fixture(t, 1200, 17)
 	urls, servers := startWorkerFleet(t, "retail", ix, d, 2)
@@ -154,9 +155,16 @@ func TestRemoteFleetDeadWorkerAndReload(t *testing.T) {
 		body := fmt.Sprintf(`{"index":"retail","itemsets":[[0],[1,2],[%s]],"no_cache":true}`, tag)
 		return postJSON(t, http.DefaultClient, rc.url+"/v1/ubsup", body)
 	}
+	answered := func(want float64) {
+		t.Helper()
+		if got := scrape(t, rc.url+"/metrics")["ossm_bound_queries_total"]; got != want {
+			t.Errorf("ossm_bound_queries_total = %v, want %v", got, want)
+		}
+	}
 	if code, got := query("3"); code != http.StatusOK {
 		t.Fatalf("healthy fleet = %d: %v", code, got)
 	}
+	answered(3)
 
 	// Kill worker 1: the shard is unreachable, so the scatter fails and
 	// the coordinator reports unavailability, not a wrong answer.
@@ -164,6 +172,7 @@ func TestRemoteFleetDeadWorkerAndReload(t *testing.T) {
 	if code, got := query("4"); code != http.StatusServiceUnavailable {
 		t.Fatalf("dead worker = %d: %v, want 503", code, got)
 	}
+	answered(3)
 
 	// Stand up a replacement worker for the same slice and reload the
 	// fleet registry — the coordinator rebuilds clients on the next call.
@@ -180,4 +189,5 @@ func TestRemoteFleetDeadWorkerAndReload(t *testing.T) {
 	if b := int64(bounds[2].(map[string]any)["bound"].(float64)); b != want[0] {
 		t.Fatalf("after reload bound = %d, want %d", b, want[0])
 	}
+	answered(6)
 }

@@ -35,7 +35,6 @@ import (
 	"github.com/ossm-mining/ossm/internal/conc"
 	"github.com/ossm-mining/ossm/internal/obs"
 	"github.com/ossm-mining/ossm/internal/shard"
-	"github.com/ossm-mining/ossm/internal/telemetry"
 )
 
 // Config tunes a Server. The zero value serves with a 4096-entry bound
@@ -135,26 +134,6 @@ type Server struct {
 	// obs holds the serving observability layer: tracer, Prometheus
 	// metrics registry and access logger (see obs.go).
 	obs obsState
-
-	// Service counters, built from the telemetry layer's atomic
-	// primitives (the same Counter/Timer types the mining collector
-	// aggregates).
-	requests  telemetry.Counter
-	errs      telemetry.Counter
-	queries   telemetry.Counter // itemset bounds answered
-	mines     telemetry.Counter // mining runs completed
-	timeouts  telemetry.Counter // requests that hit their deadline
-	queryWall telemetry.Timer
-	mineWall  telemetry.Timer
-	// Cumulative candidate accounting folded from every mining run's
-	// telemetry report.
-	mineGenerated telemetry.Counter
-	minePruned    telemetry.Counter
-	mineCounted   telemetry.Counter
-	// Bound-kernel shortcut decisions (early exits and early abandons)
-	// folded from the same reports.
-	mineEarlyExit telemetry.Counter
-	mineAbandoned telemetry.Counter
 }
 
 // New returns a Server over an empty registry.
@@ -163,13 +142,13 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		reg:     NewRegistry(),
-		cache:   newBoundCache(cfg.CacheSize),
 		workers: conc.Resolve(cfg.Workers),
 		mineSem: make(chan struct{}, cfg.MineConcurrency),
 		start:   time.Now(),
 		fleets:  make(map[string]*fleetEntry),
 	}
 	s.initObs()
+	s.cache = newBoundCache(cfg.CacheSize, s.obs.metrics)
 	return s
 }
 
@@ -378,7 +357,6 @@ func (s *Server) bound(ctx context.Context, ix *ossm.Index, fleet *shard.Fleet, 
 	if max := set[len(set)-1]; int(max) >= ix.NumItems() {
 		return BoundResult{}, fmt.Errorf("%w: item %d outside the index domain of %d items", errBadItemset, max, ix.NumItems())
 	}
-	s.queries.Inc()
 	var key []byte
 	if !noCache {
 		key = appendCacheKey(make([]byte, 0, 64), name, version, set)
@@ -387,6 +365,7 @@ func (s *Server) bound(ctx context.Context, ix *ossm.Index, fleet *shard.Fleet, 
 		probe.SetAttr("hit", ok)
 		probe.End()
 		if ok {
+			s.obs.boundQueries.Inc()
 			return BoundResult{Itemset: set, Bound: b, Cached: true}, nil
 		}
 	}
@@ -396,7 +375,6 @@ func (s *Server) bound(ctx context.Context, ix *ossm.Index, fleet *shard.Fleet, 
 	var b int64
 	if fleet != nil {
 		sctx, scan := s.obs.tracer.Start(ctx, "ubsup-scatter")
-		start := time.Now()
 		out := make([]int64, 1)
 		if err := fleet.Bounds(sctx, []ossm.Itemset{set}, out); err != nil {
 			scan.SetAttr("outcome", "error")
@@ -404,20 +382,18 @@ func (s *Server) bound(ctx context.Context, ix *ossm.Index, fleet *shard.Fleet, 
 			return BoundResult{}, err
 		}
 		b = out[0]
-		s.queryWall.Observe(time.Since(start))
 		scan.SetAttr("bound", b)
 		scan.End()
 	} else {
 		_, scan := s.obs.tracer.Start(ctx, "ubsup-scan")
-		start := time.Now()
 		b = ix.UpperBound(set)
-		s.queryWall.Observe(time.Since(start))
 		scan.SetAttr("bound", b)
 		scan.End()
 	}
 	if !noCache {
 		s.cache.put(key, b)
 	}
+	s.obs.boundQueries.Inc()
 	return BoundResult{Itemset: set, Bound: b}, nil
 }
 
@@ -445,7 +421,6 @@ func (s *Server) boundBatch(ctx context.Context, ix *ossm.Index, fleet *shard.Fl
 		}
 		sets[i] = set
 	}
-	s.queries.Add(int64(len(sets)))
 	results := make([]BoundResult, len(sets))
 	var missIdx []int
 	var keys [][]byte
@@ -479,22 +454,18 @@ func (s *Server) boundBatch(ctx context.Context, ix *ossm.Index, fleet *shard.Fl
 			// over its own segment range with the batch kernel, and the
 			// coordinator merges the partial sums by addition.
 			sctx, scan := s.obs.tracer.Start(ctx, "ubsup-scatter")
-			start := time.Now()
 			if err := fleet.Bounds(sctx, missSets, bounds); err != nil {
 				scan.SetAttr("outcome", "error")
 				scan.End()
 				return nil, err
 			}
-			s.queryWall.Observe(time.Since(start))
 			scan.SetAttr("sets", len(missSets))
 			scan.End()
 		} else {
 			_, scan := s.obs.tracer.Start(ctx, "ubsup-batch")
-			start := time.Now()
 			conc.ForChunks(s.workers, len(missSets), func(_, lo, hi int) {
 				ix.UpperBoundBatch(missSets[lo:hi], bounds[lo:hi])
 			})
-			s.queryWall.Observe(time.Since(start))
 			scan.SetAttr("sets", len(missSets))
 			scan.End()
 		}
@@ -505,6 +476,7 @@ func (s *Server) boundBatch(ctx context.Context, ix *ossm.Index, fleet *shard.Fl
 			}
 		}
 	}
+	s.obs.boundQueries.Add(int64(len(results)))
 	return results, nil
 }
 
@@ -518,9 +490,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/mine", s.handleMine)
 	mux.HandleFunc("GET /v1/traces", s.handleTraces)
 	mux.HandleFunc("GET /v1/fleetz", s.handleFleetz)
-	// Both metrics paths share the one content-negotiating handler:
-	// /metrics is the scrape convention, /v1/metrics the JSON API
-	// spelling, and either serves either representation on request.
+	// Both metrics paths serve the same Prometheus exposition: /metrics
+	// is the scrape convention, /v1/metrics the versioned API spelling.
 	for _, pattern := range []string{"GET /v1/metrics", "GET /metrics"} {
 		mux.HandleFunc(pattern, s.handleMetrics)
 	}
@@ -543,12 +514,6 @@ type errorResponse struct {
 }
 
 func (s *Server) writeErr(w http.ResponseWriter, code int, format string, args ...any) {
-	if code >= 400 {
-		s.errs.Inc()
-	}
-	if code == http.StatusGatewayTimeout {
-		s.timeouts.Inc()
-	}
 	s.writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
@@ -800,32 +765,29 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	run.SetAttr("miner", req.Miner)
 	run.SetAttr("min_count", minCount)
 	s.markMineStart(runCtx, req.Miner, minCount)
-	// Each EventPassEnd carries the pass's wall time, so the per-pass
-	// spans are synthesized retroactively: started Wall ago, ended now.
-	// The sink runs on the mining goroutine; the tracer ring is
-	// concurrency-safe.
-	instr.SetSink(func(e ossm.TelemetryEvent) {
-		if e.Kind != telemetry.EventPassEnd {
-			return
-		}
-		_, span := s.obs.tracer.StartAt(runCtx, fmt.Sprintf("pass-%d", e.Pass.K), time.Now().Add(-e.Pass.Wall))
-		span.SetAttr("generated", e.Pass.Generated)
-		span.SetAttr("pruned_ossm", e.Pass.PrunedOSSM)
-		span.SetAttr("counted", e.Pass.Counted)
-		span.SetAttr("frequent", e.Pass.Frequent)
+	// Each finished pass reports its wall time through Progress, so the
+	// per-pass spans are synthesized retroactively: started Elapsed ago,
+	// ended now. Progress runs on the mining goroutine; the tracer ring
+	// is concurrency-safe.
+	progress := func(ps ossm.PassStats) {
+		_, span := s.obs.tracer.StartAt(runCtx, fmt.Sprintf("pass-%d", ps.K), time.Now().Add(-ps.Elapsed))
+		span.SetAttr("generated", ps.Generated)
+		span.SetAttr("pruned_ossm", ps.Pruned)
+		span.SetAttr("counted", ps.Counted)
+		span.SetAttr("frequent", ps.Frequent)
 		span.End()
-	})
+	}
 	type mineOut struct {
 		res *ossm.Result
 		err error
 	}
 	ch := make(chan mineOut, 1)
-	start := time.Now()
 	go func() {
 		res, err := ossm.MineAt(req.Miner, d, minCount, ossm.MineOptions{
 			Filter:     filter,
 			MaxLen:     req.MaxLen,
 			Workers:    req.Workers,
+			Progress:   progress,
 			Params:     req.Params,
 			Instrument: instr,
 			RequestID:  obs.RequestIDFrom(ctx),
@@ -848,19 +810,12 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusInternalServerError, "mining: %v", out.err)
 		return
 	}
-	s.mines.Inc()
-	s.mineWall.Observe(time.Since(start))
 	s.obs.mineRuns.With(req.Miner).Inc()
 	if rep := out.res.Stats.Telemetry; rep != nil {
-		s.mineGenerated.Add(rep.Generated)
-		s.minePruned.Add(rep.PrunedOSSM + rep.PrunedHash)
-		s.mineCounted.Add(rep.Counted)
 		s.obs.minePasses.With(req.Miner).Add(int64(len(rep.Passes)))
 		s.obs.mineCand.With("generated").Add(rep.Generated)
 		s.obs.mineCand.With("pruned").Add(rep.PrunedOSSM + rep.PrunedHash)
 		s.obs.mineCand.With("counted").Add(rep.Counted)
-		s.mineEarlyExit.Add(rep.KernelEarlyExit)
-		s.mineAbandoned.Add(rep.KernelAbandoned)
 		if rep.KernelDecided > 0 {
 			s.obs.mineKernel.With("early_exit").Add(rep.KernelEarlyExit)
 			s.obs.mineKernel.With("abandoned").Add(rep.KernelAbandoned)
@@ -929,7 +884,6 @@ func (s *Server) mineSharded(ctx context.Context, w http.ResponseWriter, fleet *
 	run.SetAttr("min_count", minCount)
 	run.SetAttr("shards", fleet.NumShards())
 	s.markMineStart(runCtx, req.Miner, minCount)
-	start := time.Now()
 	res, err := fleet.Mine(runCtx, shard.MineConfig{Miner: req.Miner, MinCount: minCount, MaxLen: req.MaxLen})
 	if err != nil {
 		if ctx.Err() != nil {
@@ -947,8 +901,6 @@ func (s *Server) mineSharded(ctx context.Context, w http.ResponseWriter, fleet *
 		s.writeErr(w, code, "mining: %v", err)
 		return
 	}
-	s.mines.Inc()
-	s.mineWall.Observe(time.Since(start))
 	s.obs.mineRuns.With(req.Miner).Inc()
 	run.SetAttr("outcome", "ok")
 	run.SetAttr("frequent", len(res.Frequent))
@@ -977,52 +929,6 @@ func (s *Server) mineSharded(ctx context.Context, w http.ResponseWriter, fleet *
 		}
 	}
 	s.writeJSON(w, http.StatusOK, resp)
-}
-
-// Metrics is the GET /v1/metrics report: service counters (built on the
-// telemetry layer's atomic primitives), cache effectiveness, cumulative
-// mining candidate accounting and the registry's entries.
-type Metrics struct {
-	UptimeNS      time.Duration `json:"uptime_ns"`
-	Requests      int64         `json:"requests"`
-	Errors        int64         `json:"errors"`
-	Timeouts      int64         `json:"timeouts"`
-	BoundQueries  int64         `json:"bound_queries"`
-	QueryWallNS   time.Duration `json:"query_wall_ns"`
-	MineRuns      int64         `json:"mine_runs"`
-	MineWallNS    time.Duration `json:"mine_wall_ns"`
-	MineGenerated int64         `json:"mine_generated"`
-	MinePruned    int64         `json:"mine_pruned"`
-	MineCounted   int64         `json:"mine_counted"`
-	MineEarlyExit int64         `json:"mine_early_exit"`
-	MineAbandoned int64         `json:"mine_abandoned"`
-	Workers       int           `json:"workers"`
-	MineSlots     int           `json:"mine_slots"`
-	Cache         CacheStats    `json:"cache"`
-	Indexes       []IndexInfo   `json:"indexes"`
-}
-
-// MetricsSnapshot assembles the current metrics report.
-func (s *Server) MetricsSnapshot() Metrics {
-	return Metrics{
-		UptimeNS:      time.Since(s.start),
-		Requests:      s.requests.Load(),
-		Errors:        s.errs.Load(),
-		Timeouts:      s.timeouts.Load(),
-		BoundQueries:  s.queries.Load(),
-		QueryWallNS:   s.queryWall.Total(),
-		MineRuns:      s.mines.Load(),
-		MineWallNS:    s.mineWall.Total(),
-		MineGenerated: s.mineGenerated.Load(),
-		MinePruned:    s.minePruned.Load(),
-		MineCounted:   s.mineCounted.Load(),
-		MineEarlyExit: s.mineEarlyExit.Load(),
-		MineAbandoned: s.mineAbandoned.Load(),
-		Workers:       s.workers,
-		MineSlots:     s.cfg.MineConcurrency,
-		Cache:         s.cache.stats(),
-		Indexes:       s.indexInfos(),
-	}
 }
 
 // Serve runs the service on ln until ctx is canceled, then shuts down

@@ -367,82 +367,40 @@ func TestMaxBodyBytes(t *testing.T) {
 	}
 }
 
+// TestMetricsEndpoint checks that known traffic shows up, exactly, on
+// both metrics paths — they serve the same Prometheus exposition.
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts, _, _ := newTestServer(t, Config{})
-	// Generate traffic: two queries (second cached), one mine, one error.
+	// Generate traffic: two queries (second cached), one mine, one 404.
 	postJSON(t, ts.Client(), ts.URL+"/v1/ubsup", `{"index":"retail","itemset":[1,2]}`)
 	postJSON(t, ts.Client(), ts.URL+"/v1/ubsup", `{"index":"retail","itemset":[1,2]}`)
 	postJSON(t, ts.Client(), ts.URL+"/v1/mine", `{"index":"retail","support":0.1}`)
 	postJSON(t, ts.Client(), ts.URL+"/v1/ubsup", `{"index":"nope","itemset":[1]}`)
 
-	// Both paths serve the JSON snapshot on request: /v1/metrics by its
-	// path convention, /metrics via the explicit format override.
-	for _, path := range []string{"/v1/metrics", "/metrics?format=json"} {
-		code, m := getJSON(t, ts.URL+path)
-		if code != http.StatusOK {
-			t.Fatalf("%s = %d", path, code)
+	for _, path := range []string{"/metrics", "/v1/metrics"} {
+		m := scrape(t, ts.URL+path)
+		for series, want := range map[string]float64{
+			`ossm_http_requests_total{route="/v1/ubsup",status="200"}`:   2,
+			`ossm_http_requests_total{route="/v1/ubsup",status="404"}`:   1,
+			`ossm_http_requests_total{route="/v1/mine",status="200"}`:    1,
+			`ossm_http_request_duration_seconds_count{route="/v1/mine"}`: 1,
+			"ossm_bound_queries_total":                                   2,
+			`ossm_mine_runs_total{miner="apriori"}`:                      1,
+			"ossm_cache_hits_total":                                      1,
+			"ossm_cache_misses_total":                                    1,
+			"ossm_cache_entries":                                         1,
+			"ossm_indexes":                                               1,
+		} {
+			if got, ok := m[series]; !ok || got != want {
+				t.Errorf("%s: %s = %v (present %v), want %v", path, series, got, ok, want)
+			}
 		}
-		if n := int(m["requests"].(float64)); n < 4 {
-			t.Errorf("requests = %d, want >= 4", n)
+		if got := m[`ossm_mine_candidates_total{stage="generated"}`]; got <= 0 {
+			t.Errorf("%s: generated candidates = %v, want > 0", path, got)
 		}
-		if n := int(m["bound_queries"].(float64)); n != 2 {
-			t.Errorf("bound_queries = %d, want 2", n)
+		if _, ok := m["go_goroutines"]; !ok {
+			t.Errorf("%s: runtime block missing", path)
 		}
-		if n := int(m["mine_runs"].(float64)); n != 1 {
-			t.Errorf("mine_runs = %d, want 1", n)
-		}
-		if n := int(m["errors"].(float64)); n != 1 {
-			t.Errorf("errors = %d, want 1", n)
-		}
-		cache := m["cache"].(map[string]any)
-		if hits := int(cache["hits"].(float64)); hits != 1 {
-			t.Errorf("cache hits = %d, want 1", hits)
-		}
-		if m["mine_generated"] == nil || int(m["mine_generated"].(float64)) <= 0 {
-			t.Errorf("mine_generated missing or zero: %v", m["mine_generated"])
-		}
-		if len(m["indexes"].([]any)) != 1 {
-			t.Errorf("indexes = %v", m["indexes"])
-		}
-	}
-
-	// The scrape path defaults to Prometheus text exposition, and the
-	// traffic above must be visible in it.
-	resp, err := ts.Client().Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Errorf("scrape content type = %q", ct)
-	}
-	text := string(body)
-	for _, want := range []string{
-		"# TYPE ossm_http_requests_total counter",
-		"ossm_bound_queries_total 2",
-		`ossm_mine_runs_total{miner="apriori"} 1`,
-		"ossm_cache_hits_total 1",
-		"# TYPE ossm_http_request_duration_seconds histogram",
-		"go_goroutines",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("exposition missing %q", want)
-		}
-	}
-	// An Accept header negotiates JSON from the scrape path too.
-	req, _ := http.NewRequest("GET", ts.URL+"/metrics", nil)
-	req.Header.Set("Accept", "application/json")
-	resp, err = ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("negotiated content type = %q", ct)
 	}
 }
 

@@ -36,8 +36,7 @@ func (p PassReport) PruneRate() float64 {
 }
 
 // Report is the immutable run-level telemetry snapshot attached to a
-// result's Stats envelope. Totals include both the per-pass counters and
-// any run-level (unattributed) accounting.
+// result's Stats envelope. Its totals sum the per-pass rows.
 type Report struct {
 	// RequestID is the serving-layer request that triggered the run
 	// (SetRequestID), correlating the report with access logs and
@@ -71,7 +70,6 @@ type Report struct {
 	Utilization float64       `json:"utilization,omitempty"`
 
 	Elapsed time.Duration `json:"elapsed_ns"`
-	Events  int64         `json:"events,omitempty"`
 }
 
 // PruneRate is the run-level fraction of generated candidates discarded

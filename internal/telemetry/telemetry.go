@@ -1,7 +1,6 @@
-// Package telemetry is the engine-wide observability layer: allocation-free
-// atomic counters and timers that every miner reports into while it runs,
-// a structured event stream for live consumers, and an immutable Report
-// snapshot that rides on the result's Stats envelope.
+// Package telemetry is the mining-run observability layer: a Collector
+// every miner reports its finished passes into while it runs, and an
+// immutable Report snapshot that rides on the result's Stats envelope.
 //
 // The design follows the paper's own argument (Sections 6–7): the OSSM
 // pays off only when the candidates it prunes outnumber the cost of the
@@ -22,129 +21,6 @@ import (
 	"time"
 )
 
-// Counter is an allocation-free atomic event counter. The zero value is
-// ready to use; a nil receiver ignores writes and reads as zero.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) {
-	if c != nil {
-		c.v.Add(n)
-	}
-}
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Load returns the current value.
-func (c *Counter) Load() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-// Timer accumulates wall-clock durations atomically: total time and the
-// number of observations. The zero value is ready; nil ignores writes.
-type Timer struct {
-	ns Counter
-	n  Counter
-}
-
-// Observe records one duration.
-func (t *Timer) Observe(d time.Duration) {
-	if t != nil {
-		t.ns.Add(int64(d))
-		t.n.Inc()
-	}
-}
-
-// Total returns the accumulated duration.
-func (t *Timer) Total() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Duration(t.ns.Load())
-}
-
-// Count returns the number of observations.
-func (t *Timer) Count() int64 { return t.n.Load() }
-
-// PassCounters is the per-pass counter block: the candidate accounting of
-// one level k plus the transactions scanned and wall time of that pass.
-// All fields are atomic; miners may update them from several goroutines.
-type PassCounters struct {
-	K          int
-	Generated  Counter // candidate k-itemsets generated
-	PrunedOSSM Counter // discarded by the OSSM bound before counting
-	PrunedHash Counter // discarded by hash filtering (DHP buckets)
-	Counted    Counter // candidates whose support was actually counted
-	Frequent   Counter // candidates found frequent
-	TxScanned  Counter // transactions scanned during this pass
-	// EarlyExit / Abandoned break down the decision-mode bound kernel's
-	// shortcuts this pass: candidates admitted (resp. rejected) before the
-	// kernel scanned every segment of the OSSM.
-	EarlyExit Counter
-	Abandoned Counter
-	Wall      Timer // wall time attributed to this pass
-}
-
-// report snapshots the pass counters.
-func (p *PassCounters) report() PassReport {
-	return PassReport{
-		K:          p.K,
-		Generated:  p.Generated.Load(),
-		PrunedOSSM: p.PrunedOSSM.Load(),
-		PrunedHash: p.PrunedHash.Load(),
-		Counted:    p.Counted.Load(),
-		Frequent:   p.Frequent.Load(),
-		TxScanned:  p.TxScanned.Load(),
-		EarlyExit:  p.EarlyExit.Load(),
-		Abandoned:  p.Abandoned.Load(),
-		Wall:       p.Wall.Total(),
-	}
-}
-
-// EventKind discriminates the structured event stream.
-type EventKind int
-
-const (
-	// EventRunStart opens a mining run (Algorithm set).
-	EventRunStart EventKind = iota
-	// EventPassEnd closes one pass (Pass set, the pass counters frozen).
-	EventPassEnd
-	// EventRunEnd closes the run (Elapsed set).
-	EventRunEnd
-)
-
-// String names the event kind.
-func (k EventKind) String() string {
-	switch k {
-	case EventRunStart:
-		return "run-start"
-	case EventPassEnd:
-		return "pass-end"
-	case EventRunEnd:
-		return "run-end"
-	}
-	return "event"
-}
-
-// Event is one element of the structured stream a Collector's sink
-// receives — the typed replacement for ad-hoc per-level progress
-// callbacks. Consumers must not retain Pass beyond the callback.
-type Event struct {
-	Kind      EventKind
-	Algorithm string
-	// Pass carries the frozen counters of the pass that just ended
-	// (EventPassEnd only).
-	Pass PassReport
-	// Elapsed is the run wall time so far (EventRunEnd only).
-	Elapsed time.Duration
-}
-
 // Collector aggregates one mining run's telemetry. Create it with New,
 // hand it to the engine via mining.Options, and read the Report from the
 // result's Stats (or call Snapshot directly at any moment, including
@@ -153,30 +29,17 @@ type Collector struct {
 	start time.Time
 
 	mu     sync.Mutex
-	passes []*PassCounters // dense by first use, sorted by K at snapshot
-
-	// Run-level counters for work that cannot be attributed to a pass
-	// (depth-first searches report their totals here).
-	generated  Counter
-	prunedOSSM Counter
-	prunedHash Counter
-	counted    Counter
-
-	txScanned  Counter
-	workerBusy Timer
-	pool       atomic.Int64
+	passes []PassReport // one row per K, folded by RecordPass
 
 	// Authoritative run-level kernel totals (SetKernelTotals). When set,
 	// Snapshot reports them instead of summing the per-pass kernel
 	// counters, so runs that account kernel outcomes both per pass and at
-	// run end never double count.
-	kernelDecided   atomic.Int64
-	kernelEarlyExit atomic.Int64
-	kernelAbandoned atomic.Int64
-	kernelSet       atomic.Bool
+	// run end never double count. Guarded by mu.
+	kernelDecided, kernelEarlyExit, kernelAbandoned int64
+	kernelSet                                       bool
 
-	sink   atomic.Pointer[func(Event)]
-	events Counter
+	workerBusy atomic.Int64 // summed busy nanoseconds of fanned-out work
+	pool       atomic.Int64
 
 	// reqID tags the run with the serving-layer request that triggered
 	// it, so a frozen report can be correlated with access logs and
@@ -187,20 +50,6 @@ type Collector struct {
 // New returns an empty Collector; the run clock starts now.
 func New() *Collector {
 	return &Collector{start: time.Now()}
-}
-
-// SetSink installs the event-stream consumer. Pass nil to detach. Safe to
-// call concurrently with a running collection, though installing the sink
-// before mining starts is the norm.
-func (c *Collector) SetSink(fn func(Event)) {
-	if c == nil {
-		return
-	}
-	if fn == nil {
-		c.sink.Store(nil)
-		return
-	}
-	c.sink.Store(&fn)
 }
 
 // SetRequestID tags the run with the originating request's identifier;
@@ -223,81 +72,30 @@ func (c *Collector) RequestID() string {
 	return ""
 }
 
-// Emit delivers one event to the sink, if any.
-func (c *Collector) Emit(e Event) {
+// RecordPass folds one finished pass into the collector: the first report
+// of a level K opens its row, and any later report of the same K adds
+// into that row field by field.
+func (c *Collector) RecordPass(r PassReport) {
 	if c == nil {
 		return
-	}
-	c.events.Inc()
-	if fn := c.sink.Load(); fn != nil {
-		(*fn)(e)
-	}
-}
-
-// Pass returns the counter block of pass k, creating it on first use.
-// Miners should fetch the block once per pass and update its atomic
-// fields directly on the hot path.
-func (c *Collector) Pass(k int) *PassCounters {
-	if c == nil {
-		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, p := range c.passes {
-		if p.K == k {
-			return p
+	for i := range c.passes {
+		if p := &c.passes[i]; p.K == r.K {
+			p.Generated += r.Generated
+			p.PrunedOSSM += r.PrunedOSSM
+			p.PrunedHash += r.PrunedHash
+			p.Counted += r.Counted
+			p.Frequent += r.Frequent
+			p.TxScanned += r.TxScanned
+			p.EarlyExit += r.EarlyExit
+			p.Abandoned += r.Abandoned
+			p.Wall += r.Wall
+			return
 		}
 	}
-	p := &PassCounters{K: k}
-	c.passes = append(c.passes, p)
-	return p
-}
-
-// RecordPass folds one finished pass into the collector in a single call
-// — the path engine-level code uses when a miner hands it an assembled
-// per-pass summary — and emits an EventPassEnd carrying the pass's frozen
-// counters.
-func (c *Collector) RecordPass(algorithm string, r PassReport) {
-	if c == nil {
-		return
-	}
-	p := c.Pass(r.K)
-	p.Generated.Add(r.Generated)
-	p.PrunedOSSM.Add(r.PrunedOSSM)
-	p.PrunedHash.Add(r.PrunedHash)
-	p.Counted.Add(r.Counted)
-	p.Frequent.Add(r.Frequent)
-	p.TxScanned.Add(r.TxScanned)
-	p.EarlyExit.Add(r.EarlyExit)
-	p.Abandoned.Add(r.Abandoned)
-	if r.Wall > 0 {
-		p.Wall.Observe(r.Wall)
-	}
-	c.Emit(Event{Kind: EventPassEnd, Algorithm: algorithm, Pass: p.report()})
-}
-
-// AddCandidates records candidate accounting that the miner cannot
-// attribute to a level (run-level totals of depth-first searches).
-func (c *Collector) AddCandidates(generated, prunedOSSM, prunedHash, counted int64) {
-	if c == nil {
-		return
-	}
-	c.generated.Add(generated)
-	c.prunedOSSM.Add(prunedOSSM)
-	c.prunedHash.Add(prunedHash)
-	c.counted.Add(counted)
-}
-
-// AddTxScanned records n transactions scanned outside any pass
-// attribution (per-pass scans go through PassCounters.TxScanned, which
-// Snapshot sums into the run total as well).
-func (c *Collector) AddTxScanned(n int64) { c.txScannedCounter().Add(n) }
-
-func (c *Collector) txScannedCounter() *Counter {
-	if c == nil {
-		return nil
-	}
-	return &c.txScanned
+	c.passes = append(c.passes, r)
 }
 
 // SetKernelTotals records the authoritative run-level totals of the
@@ -310,10 +108,10 @@ func (c *Collector) SetKernelTotals(decided, earlyExit, abandoned int64) {
 	if c == nil {
 		return
 	}
-	c.kernelDecided.Store(decided)
-	c.kernelEarlyExit.Store(earlyExit)
-	c.kernelAbandoned.Store(abandoned)
-	c.kernelSet.Store(true)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.kernelDecided, c.kernelEarlyExit, c.kernelAbandoned = decided, earlyExit, abandoned
+	c.kernelSet = true
 }
 
 // ObserveWorker records one worker's busy interval in a fanned-out
@@ -322,7 +120,7 @@ func (c *Collector) ObserveWorker(d time.Duration) {
 	if c == nil {
 		return
 	}
-	c.workerBusy.Observe(d)
+	c.workerBusy.Add(int64(d))
 }
 
 // SetPool records the resolved worker-pool size of the run (the largest
@@ -347,43 +145,29 @@ func (c *Collector) Snapshot() *Report {
 		return nil
 	}
 	elapsed := time.Since(c.start)
-	c.mu.Lock()
-	passes := make([]*PassCounters, len(c.passes))
-	copy(passes, c.passes)
-	c.mu.Unlock()
-
 	r := &Report{
 		RequestID:  c.RequestID(),
 		Elapsed:    elapsed,
-		Generated:  c.generated.Load(),
-		PrunedOSSM: c.prunedOSSM.Load(),
-		PrunedHash: c.prunedHash.Load(),
-		Counted:    c.counted.Load(),
-		TxScanned:  c.txScanned.Load(),
 		Pool:       int(c.pool.Load()),
-		WorkerBusy: c.workerBusy.Total(),
-		Events:     c.events.Load(),
+		WorkerBusy: time.Duration(c.workerBusy.Load()),
 	}
-	var passEarlyExit, passAbandoned int64
-	for _, p := range passes {
-		pr := p.report()
-		r.Passes = append(r.Passes, pr)
-		r.Generated += pr.Generated
-		r.PrunedOSSM += pr.PrunedOSSM
-		r.PrunedHash += pr.PrunedHash
-		r.Counted += pr.Counted
-		r.Frequent += pr.Frequent
-		r.TxScanned += pr.TxScanned
-		passEarlyExit += pr.EarlyExit
-		passAbandoned += pr.Abandoned
+	c.mu.Lock()
+	r.Passes = append([]PassReport(nil), c.passes...)
+	kernelSet, decided, earlyExit, abandoned := c.kernelSet, c.kernelDecided, c.kernelEarlyExit, c.kernelAbandoned
+	c.mu.Unlock()
+
+	for _, p := range r.Passes {
+		r.Generated += p.Generated
+		r.PrunedOSSM += p.PrunedOSSM
+		r.PrunedHash += p.PrunedHash
+		r.Counted += p.Counted
+		r.Frequent += p.Frequent
+		r.TxScanned += p.TxScanned
+		r.KernelEarlyExit += p.EarlyExit
+		r.KernelAbandoned += p.Abandoned
 	}
-	if c.kernelSet.Load() {
-		r.KernelDecided = c.kernelDecided.Load()
-		r.KernelEarlyExit = c.kernelEarlyExit.Load()
-		r.KernelAbandoned = c.kernelAbandoned.Load()
-	} else {
-		r.KernelEarlyExit = passEarlyExit
-		r.KernelAbandoned = passAbandoned
+	if kernelSet {
+		r.KernelDecided, r.KernelEarlyExit, r.KernelAbandoned = decided, earlyExit, abandoned
 	}
 	sortPasses(r.Passes)
 	if r.Pool > 0 && elapsed > 0 {

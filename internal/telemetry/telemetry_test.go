@@ -13,14 +13,8 @@ import (
 // more than the receiver check.
 func TestNilCollectorSafe(t *testing.T) {
 	var c *Collector
-	c.SetSink(func(Event) { t.Fatal("sink on nil collector") })
-	c.Emit(Event{})
-	if p := c.Pass(2); p != nil {
-		t.Fatalf("nil collector returned pass counters %v", p)
-	}
-	c.RecordPass("x", PassReport{K: 2, Generated: 5})
-	c.AddCandidates(1, 2, 3, 4)
-	c.AddTxScanned(10)
+	c.RecordPass(PassReport{K: 2, Generated: 5})
+	c.SetKernelTotals(3, 2, 1)
 	c.ObserveWorker(time.Millisecond)
 	c.SetPool(4)
 	c.SetRequestID("abc")
@@ -30,39 +24,39 @@ func TestNilCollectorSafe(t *testing.T) {
 	if r := c.Snapshot(); r != nil {
 		t.Fatalf("nil collector snapshot = %+v", r)
 	}
-	var cnt *Counter
-	cnt.Inc()
-	if cnt.Load() != 0 {
-		t.Fatal("nil counter loaded non-zero")
-	}
-	var tm *Timer
-	tm.Observe(time.Second)
-	if tm.Total() != 0 {
-		t.Fatal("nil timer accumulated time")
-	}
 }
 
+// TestCollectorAccumulatesPasses checks the per-K fold: a second report
+// of K = 2 adds into the first row instead of opening another, and the
+// run totals sum the folded rows.
 func TestCollectorAccumulatesPasses(t *testing.T) {
 	c := New()
-	c.RecordPass("apriori", PassReport{K: 1, Generated: 100, Counted: 100, Frequent: 20, TxScanned: 500, Wall: time.Millisecond})
-	c.RecordPass("apriori", PassReport{K: 2, Generated: 190, PrunedOSSM: 120, Counted: 70, Frequent: 9, TxScanned: 500})
-	p2 := c.Pass(2)
-	p2.PrunedHash.Add(3)
+	c.RecordPass(PassReport{K: 2, Generated: 150, PrunedOSSM: 100, Counted: 50, Frequent: 6, TxScanned: 300, EarlyExit: 4})
+	c.RecordPass(PassReport{K: 1, Generated: 100, Counted: 100, Frequent: 20, TxScanned: 500, Wall: time.Millisecond})
+	c.RecordPass(PassReport{K: 2, Generated: 40, PrunedOSSM: 20, PrunedHash: 3, Counted: 20, Frequent: 3, TxScanned: 200, Abandoned: 5, Wall: time.Millisecond})
 	c.SetPool(4)
 	c.ObserveWorker(2 * time.Millisecond)
 
 	r := c.Snapshot()
 	if len(r.Passes) != 2 {
-		t.Fatalf("got %d passes, want 2", len(r.Passes))
+		t.Fatalf("got %d passes, want 2 (repeated K must fold): %+v", len(r.Passes), r.Passes)
 	}
 	if r.Passes[0].K != 1 || r.Passes[1].K != 2 {
 		t.Fatalf("passes out of order: %+v", r.Passes)
+	}
+	want2 := PassReport{K: 2, Generated: 190, PrunedOSSM: 120, PrunedHash: 3, Counted: 70, Frequent: 9,
+		TxScanned: 500, EarlyExit: 4, Abandoned: 5, Wall: time.Millisecond}
+	if r.Passes[1] != want2 {
+		t.Fatalf("folded pass 2 = %+v, want %+v", r.Passes[1], want2)
 	}
 	if r.Generated != 290 || r.PrunedOSSM != 120 || r.PrunedHash != 3 || r.Counted != 170 {
 		t.Fatalf("totals wrong: %+v", r)
 	}
 	if r.Frequent != 29 || r.TxScanned != 1000 {
 		t.Fatalf("frequent/txscanned wrong: %+v", r)
+	}
+	if r.KernelEarlyExit != 4 || r.KernelAbandoned != 5 || r.KernelDecided != 0 {
+		t.Fatalf("per-pass kernel sums wrong: %+v", r)
 	}
 	if r.Pool != 4 || r.WorkerBusy != 2*time.Millisecond {
 		t.Fatalf("pool accounting wrong: %+v", r)
@@ -73,10 +67,14 @@ func TestCollectorAccumulatesPasses(t *testing.T) {
 	if got := r.Passes[1].PruneRate(); got < 0.6 || got > 0.7 {
 		t.Fatalf("pass-2 prune rate = %v, want ≈ 123/190", got)
 	}
+
+	// Authoritative run-level kernel totals replace the per-pass sums.
+	c.SetKernelTotals(90, 7, 8)
+	if r := c.Snapshot(); r.KernelDecided != 90 || r.KernelEarlyExit != 7 || r.KernelAbandoned != 8 {
+		t.Fatalf("kernel totals not authoritative: %+v", r)
+	}
 }
 
-// TestCollectorConcurrent hammers one collector from many goroutines; run
-// under -race this is the race-cleanliness gate for the counter layer.
 // TestRequestIDPropagation pins the serving-layer correlation contract:
 // the id set on the collector surfaces verbatim in the frozen report,
 // and the empty id never overwrites a set one.
@@ -98,43 +96,43 @@ func TestRequestIDPropagation(t *testing.T) {
 	}
 }
 
+// TestCollectorConcurrent hammers one collector from many goroutines —
+// passes folding into shared rows, worker intervals, pool reports and
+// mid-run snapshots; run under -race this is the race-cleanliness gate.
 func TestCollectorConcurrent(t *testing.T) {
 	c := New()
-	var seen Counter
-	c.SetSink(func(Event) { seen.Inc() })
 	const workers, iters = 8, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
-			p := c.Pass(3)
 			for i := 0; i < iters; i++ {
-				p.Generated.Inc()
-				p.Counted.Inc()
-				c.AddTxScanned(1)
+				c.RecordPass(PassReport{K: 1 + i%3, Generated: 1, Counted: 1, TxScanned: 1})
 				c.ObserveWorker(time.Nanosecond)
-				c.SetPool(workers)
+				c.SetPool(w + 1)
+				if i%100 == 0 {
+					c.Snapshot()
+				}
 			}
-			c.Emit(Event{Kind: EventPassEnd})
-		}()
+		}(w)
 	}
 	wg.Wait()
 	r := c.Snapshot()
-	if r.Generated != workers*iters || r.Counted != workers*iters {
+	if len(r.Passes) != 3 {
+		t.Fatalf("got %d pass rows, want 3", len(r.Passes))
+	}
+	if r.Generated != workers*iters || r.Counted != workers*iters || r.TxScanned != workers*iters {
 		t.Fatalf("lost updates: %+v", r)
 	}
-	if r.TxScanned != workers*iters {
-		t.Fatalf("tx scanned = %d", r.TxScanned)
-	}
-	if seen.Load() != workers || r.Events != workers {
-		t.Fatalf("events: sink saw %d, counted %d, want %d", seen.Load(), r.Events, workers)
+	if r.WorkerBusy != workers*iters*time.Nanosecond || r.Pool != workers {
+		t.Fatalf("worker accounting wrong: busy %v, pool %d", r.WorkerBusy, r.Pool)
 	}
 }
 
 func TestReportPrint(t *testing.T) {
 	c := New()
-	c.RecordPass("dhp", PassReport{K: 2, Generated: 10, PrunedOSSM: 4, PrunedHash: 2, Counted: 4, Frequent: 1})
+	c.RecordPass(PassReport{K: 2, Generated: 10, PrunedOSSM: 4, PrunedHash: 2, Counted: 4, Frequent: 1})
 	var buf bytes.Buffer
 	c.Snapshot().Print(&buf)
 	out := buf.String()

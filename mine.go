@@ -30,9 +30,6 @@ type (
 	Telemetry = telemetry.Report
 	// TelemetryPass is one per-pass row of a Telemetry report.
 	TelemetryPass = telemetry.PassReport
-	// TelemetryEvent is one record of the structured event stream
-	// (Instrumentation.SetSink): run start, per-pass end, run end.
-	TelemetryEvent = telemetry.Event
 )
 
 // NewInstrumentation returns an empty telemetry collector whose run clock

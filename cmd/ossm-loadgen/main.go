@@ -188,7 +188,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		locals, err := shard.NewLocalShards(ix, nil, n, 0)
 		var fleet *shard.Fleet
 		if err == nil {
-			fleet, err = shard.NewFleet(shard.Config{HedgeAfter: -1}, shard.Transports(locals))
+			fleet, err = shard.NewFleet(shard.Config{}, shard.Transports(locals))
 		}
 		if err != nil {
 			fmt.Fprintf(stderr, "ossm-loadgen: %d shards: %v\n", n, err)

@@ -88,7 +88,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		traceBuf = fs.Int("trace-buffer", 2048, "finished-span ring capacity behind GET /v1/traces (negative disables tracing)")
 		pprofOn  = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		shards   = fs.Int("shards", 0, "segment-range shards per index, served scatter-gather (0 or 1 = unsharded)")
-		hedge    = fs.Duration("hedge-after", 0, "fleet hedge cutoff: duplicate a shard call past this latency (0 = adaptive p95, negative disables; needs -shards > 1)")
 		role     = fs.String("shard-role", "", "process role: empty serves queries; \"worker\" serves one shard of every entry under /shard/v1/ (needs -shard-id and -shard-count)")
 		shardID  = fs.Int("shard-id", -1, "this worker's shard id in [0, shard-count) (worker role)")
 		shardCnt = fs.Int("shard-count", 0, "fleet width the worker slices every index into (worker role)")
@@ -144,7 +143,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		TraceBuffer:     *traceBuf,
 		EnablePprof:     *pprofOn,
 		Shards:          *shards,
-		HedgeAfter:      *hedge,
 	})
 	if err := loadEntries(srv, indexes, datasets, *buildSeg, stdout); err != nil {
 		logger.Error("startup failed", slog.String("error", err.Error()))

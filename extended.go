@@ -70,14 +70,3 @@ func (xi *ExtendedIndex) Pruner(minSupport float64) Filter {
 func MineAprioriFiltered(d *Dataset, minSupport float64, f Filter) (*Result, error) {
 	return Mine(apriori.Name, d, minSupport, MineOptions{Filter: f})
 }
-
-// MineAprioriParallel is MineAprioriFiltered with hash-tree counting
-// sharded over a goroutine pool. The result is identical to the serial
-// run.
-//
-// Deprecated: every miner now takes the pool size through
-// MineOptions.Workers; use Mine("apriori", d, minSupport,
-// MineOptions{Filter: f, Workers: workers}) instead.
-func MineAprioriParallel(d *Dataset, minSupport float64, f Filter, workers int) (*Result, error) {
-	return Mine(apriori.Name, d, minSupport, MineOptions{Filter: f, Workers: workers})
-}

@@ -61,9 +61,9 @@ func For(workers, n int, f func(i int)) {
 // Scatter runs f(i) for i in [0, n) on one goroutine per task — n wide,
 // regardless of NumCPU — and waits for all of them. It is the fan-out
 // shape of scatter-gather serving: each task may spend its time waiting
-// (a remote shard's round trip, a hedge timer) rather than computing, so
-// capping the width at NumCPU would serialize the waiting. For CPU-bound
-// loops use For or ForChunks, which cap at the worker knob.
+// on a remote shard's round trip rather than computing, so capping the
+// width at NumCPU would serialize the waiting. For CPU-bound loops use
+// For or ForChunks, which cap at the worker knob.
 func Scatter(n int, f func(i int)) {
 	if n <= 0 {
 		return

@@ -28,11 +28,9 @@ type FleetzResponse struct {
 
 // FleetzFleet is one registry entry's scatter-gather fleet.
 type FleetzFleet struct {
-	Index       string        `json:"index"`
-	Generation  uint64        `json:"generation"`
-	HedgesFired int64         `json:"hedges_fired"`
-	HedgesWon   int64         `json:"hedges_won"`
-	Shards      []FleetzShard `json:"shards"`
+	Index      string        `json:"index"`
+	Generation uint64        `json:"generation"`
+	Shards     []FleetzShard `json:"shards"`
 }
 
 // FleetzShard is one shard's health row: the transport's own Info plus
@@ -108,11 +106,9 @@ func (s *Server) handleFleetz(w http.ResponseWriter, r *http.Request) {
 		}
 		st := fleet.Describe()
 		ff := FleetzFleet{
-			Index:       e.name,
-			Generation:  st.Generation,
-			HedgesFired: st.HedgesFired,
-			HedgesWon:   st.HedgesWon,
-			Shards:      make([]FleetzShard, 0, len(st.Shards)),
+			Index:      e.name,
+			Generation: st.Generation,
+			Shards:     make([]FleetzShard, 0, len(st.Shards)),
 		}
 		for _, info := range st.Shards {
 			row := FleetzShard{Info: info, Breaker: breakers[info.ID]}

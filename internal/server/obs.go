@@ -45,7 +45,6 @@ type obsState struct {
 	compaction *obs.Histogram  // ossm_compaction_seconds
 
 	shardRequests *obs.CounterVec // ossm_shard_requests_total{shard,outcome}
-	shardHedges   *obs.CounterVec // ossm_shard_hedges_total{event}
 
 	// Remote-transport families, fed by remote.Hooks (RemoteHooks).
 	shardRPC     *obs.CounterVec // ossm_shard_rpc_total{shard,method,outcome}
@@ -125,8 +124,6 @@ func (s *Server) initObs() {
 		})
 	o.shardRequests = r.CounterVec("ossm_shard_requests_total",
 		"Scatter-gather shard calls, by shard id and outcome (ok, error, overloaded).", "shard", "outcome")
-	o.shardHedges = r.CounterVec("ossm_shard_hedges_total",
-		"Hedged duplicate shard calls, by event (fired, won).", "event")
 	o.shardRPC = r.CounterVec("ossm_shard_rpc_total",
 		"Remote shard RPCs, by shard id, method (info, bounds, frequent, supports) and outcome (ok, error, overloaded, timeout, breaker_open).", "shard", "method", "outcome")
 	o.shardRetries = r.CounterVec("ossm_shard_rpc_retries_total",

@@ -150,8 +150,6 @@ type IndexInfo struct {
 	// omitted from the JSON.
 	ShardCount      int          `json:"shard_count,omitempty"`
 	FleetGeneration uint64       `json:"fleet_generation,omitempty"`
-	HedgesFired     int64        `json:"hedges_fired,omitempty"`
-	HedgesWon       int64        `json:"hedges_won,omitempty"`
 	Shards          []shard.Info `json:"shards,omitempty"`
 }
 

@@ -57,7 +57,7 @@ func (rc *remoteCoordinator) setAddrs(addrs []string) {
 
 func newRemoteCoordinator(t *testing.T, d *ossm.Dataset, ix *ossm.Index, addrs []string) *remoteCoordinator {
 	t.Helper()
-	s := New(Config{HedgeAfter: -1})
+	s := New(Config{})
 	if err := s.AddIndex("retail", ix); err != nil {
 		t.Fatal(err)
 	}

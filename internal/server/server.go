@@ -73,11 +73,6 @@ type Config struct {
 	// sum over segments and supports are sums over transactions, so
 	// partition-and-merge is lossless.
 	Shards int
-	// HedgeAfter is the fleet's hedge cutoff: past this latency the
-	// coordinator fires a duplicate shard call and takes the first
-	// answer. 0 adapts to the observed p95; negative disables hedging.
-	// Only meaningful with Shards > 1.
-	HedgeAfter time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -264,7 +259,6 @@ func (s *Server) fleetFor(name string, ix *ossm.Index, d *ossm.Dataset) (*shard.
 func (s *Server) installTransports(fe *fleetEntry, transports []shard.Transport) error {
 	if fe.fleet == nil {
 		f, err := shard.NewFleet(shard.Config{
-			HedgeAfter:     s.cfg.HedgeAfter,
 			Tracer:         s.obs.tracer,
 			OnShardOutcome: s.noteShardOutcome,
 		}, transports)
@@ -282,17 +276,10 @@ func (s *Server) installTransports(fe *fleetEntry, transports []shard.Transport)
 	return nil
 }
 
-// noteShardOutcome is the fleet callback feeding the Prometheus shard
-// families.
+// noteShardOutcome is the fleet callback feeding
+// ossm_shard_requests_total.
 func (s *Server) noteShardOutcome(shardID int, outcome string) {
-	switch outcome {
-	case "hedge_fired":
-		s.obs.shardHedges.With("fired").Inc()
-	case "hedge_won":
-		s.obs.shardHedges.With("won").Inc()
-	default:
-		s.obs.shardRequests.With(strconv.Itoa(shardID), outcome).Inc()
-	}
+	s.obs.shardRequests.With(strconv.Itoa(shardID), outcome).Inc()
 }
 
 // indexInfos augments the registry listing with each entry's fleet
@@ -316,8 +303,6 @@ func (s *Server) indexInfos() []IndexInfo {
 		st := fleet.Describe()
 		infos[i].ShardCount = len(st.Shards)
 		infos[i].FleetGeneration = st.Generation
-		infos[i].HedgesFired = st.HedgesFired
-		infos[i].HedgesWon = st.HedgesWon
 		infos[i].Shards = st.Shards
 	}
 	return infos
@@ -737,7 +722,8 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Admission control: at most MineConcurrency runs at once; waiters
-	// give up at their deadline. The admission span times the wait, so
+	// give up at their deadline. A slot is held until its run ends, not
+	// until the handler answers. The admission span times the wait, so
 	// queueing delay is separable from mining wall time in the trace.
 	s.obs.mineWaiting.Add(1)
 	_, admit := s.obs.tracer.Start(ctx, "admission")
@@ -746,7 +732,6 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		s.obs.mineWaiting.Add(-1)
 		admit.SetAttr("admitted", true)
 		admit.End()
-		defer func() { <-s.mineSem }()
 	case <-ctx.Done():
 		s.obs.mineWaiting.Add(-1)
 		admit.SetAttr("admitted", false)
@@ -756,6 +741,7 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if fleet != nil {
+		defer func() { <-s.mineSem }()
 		s.mineSharded(ctx, w, fleet, req, minCount)
 		return
 	}
@@ -792,6 +778,9 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 			Instrument: instr,
 			RequestID:  obs.RequestIDFrom(ctx),
 		})
+		// The run may outlive the handler, which answers 504 at its
+		// deadline; the slot is released only when mining stops.
+		<-s.mineSem
 		ch <- mineOut{res, err}
 	}()
 	var out mineOut

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -355,6 +356,85 @@ func TestMineDeadlineMidRun(t *testing.T) {
 	}
 	if !strings.Contains(out["error"].(string), "deadline") {
 		t.Errorf("error = %v", out["error"])
+	}
+}
+
+// countedName is a test-only miner that sleeps like sleepyName and
+// records how many of its runs are mining at once.
+const countedName = "counted-test-miner"
+
+var countedRunning, countedPeak atomic.Int64
+
+func init() {
+	mining.Register(countedName, func(_ *dataset.Dataset, minCount int64, _ mining.Options) (*mining.Result, error) {
+		n := countedRunning.Add(1)
+		for {
+			p := countedPeak.Load()
+			if n <= p || countedPeak.CompareAndSwap(p, n) {
+				break
+			}
+		}
+		time.Sleep(300 * time.Millisecond)
+		countedRunning.Add(-1)
+		return &mining.Result{MinCount: minCount}, nil
+	})
+}
+
+// TestMineSlotHeldUntilRunEnds pins admission to the mining run, not to
+// the handler: a run that outlives its 50 ms deadline keeps its slot, so
+// back-to-back requests wait for it and time out instead of mining
+// beside it, and ossm_mine_inflight counts the run until it ends.
+func TestMineSlotHeldUntilRunEnds(t *testing.T) {
+	_, ts, _, _ := newTestServer(t, Config{MineConcurrency: 1, RequestTimeout: 50 * time.Millisecond})
+	countedPeak.Store(0)
+	body := fmt.Sprintf(`{"index":"retail","miner":%q,"support":0.1}`, countedName)
+	done := make(chan []int, 1)
+	go func() {
+		var codes []int
+		for i := 0; i < 4; i++ {
+			code, _ := postJSONQuiet(ts.Client(), ts.URL+"/v1/mine", body)
+			codes = append(codes, code)
+		}
+		done <- codes
+	}()
+	var codes []int
+	deadline := time.Now().Add(5 * time.Second)
+	for codes == nil || countedRunning.Load() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("mining runs did not finish within 5s")
+		}
+		if n := countedRunning.Load(); n > 1 {
+			t.Fatalf("%d runs mining at once with MineConcurrency 1", n)
+		}
+		if got := scrape(t, ts.URL+"/metrics")["ossm_mine_inflight"]; got > 1 {
+			t.Fatalf("ossm_mine_inflight = %v with MineConcurrency 1", got)
+		}
+		select {
+		case codes = <-done:
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+	for i, code := range codes {
+		if code != http.StatusGatewayTimeout {
+			t.Fatalf("call %d = %d, want 504", i, code)
+		}
+	}
+	if p := countedPeak.Load(); p != 1 {
+		t.Fatalf("peak concurrent runs = %d, want 1", p)
+	}
+	// The slot comes back once the run has ended.
+	for {
+		got, ok := scrape(t, ts.URL+"/metrics")["ossm_mine_inflight"]
+		if !ok {
+			t.Fatal("ossm_mine_inflight missing from the exposition")
+		}
+		if got == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("ossm_mine_inflight = %v after every run ended, want 0", got)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

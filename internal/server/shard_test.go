@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	ossm "github.com/ossm-mining/ossm"
 )
@@ -29,7 +28,7 @@ func shardedPair(t *testing.T, shards int) (sharded, plain *Server, shardedURL, 
 		ts := newHTTPServer(t, s)
 		return s, ts
 	}
-	sharded, shardedURL = build(Config{Shards: shards, HedgeAfter: -1})
+	sharded, shardedURL = build(Config{Shards: shards})
 	plain, plainURL = build(Config{})
 	return sharded, plain, shardedURL, plainURL
 }
@@ -170,7 +169,7 @@ func TestShardedIndexesTopology(t *testing.T) {
 // version bump keeps stale cached bounds unreachable).
 func TestShardedSwapRebuildsFleet(t *testing.T) {
 	d, ix := fixture(t, 900, 21)
-	s := New(Config{Shards: 3, HedgeAfter: -1})
+	s := New(Config{Shards: 3})
 	if err := s.AddIndex("retail", ix); err != nil {
 		t.Fatal(err)
 	}
@@ -214,11 +213,11 @@ func TestShardedSwapRebuildsFleet(t *testing.T) {
 	}
 }
 
-// TestShardedHedgeMetrics runs a sharded server with an aggressive hedge
-// cutoff and checks the hedge counters surface in the Prometheus text.
-func TestShardedHedgeMetrics(t *testing.T) {
+// TestShardedShardMetrics runs a sharded server and checks every shard's
+// call outcomes surface in the Prometheus text.
+func TestShardedShardMetrics(t *testing.T) {
 	d, ix := fixture(t, 1200, 5)
-	s := New(Config{Shards: 2, HedgeAfter: time.Nanosecond})
+	s := New(Config{Shards: 2})
 	if err := s.AddIndex("retail", ix); err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +244,6 @@ func TestShardedHedgeMetrics(t *testing.T) {
 	for _, needle := range []string{
 		`ossm_shard_requests_total{shard="0",outcome="ok"}`,
 		`ossm_shard_requests_total{shard="1",outcome="ok"}`,
-		`ossm_shard_hedges_total{event="fired"}`,
 	} {
 		if !strings.Contains(text, needle) {
 			t.Fatalf("metrics exposition lacks %q:\n%s", needle, text)

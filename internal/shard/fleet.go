@@ -4,42 +4,24 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	ossm "github.com/ossm-mining/ossm"
 	"github.com/ossm-mining/ossm/internal/conc"
 	"github.com/ossm-mining/ossm/internal/obs"
 )
 
-// Config tunes a Fleet. The zero value serves with adaptive hedging and
-// no tracing or metrics callbacks.
+// Config tunes a Fleet. The zero value serves with no tracing or
+// metrics callbacks.
 type Config struct {
-	// HedgeAfter is the latency cutoff after which the coordinator fires
-	// a duplicate request at the slowest shard: 0 means adaptive (a
-	// multiple of the observed p95 once enough calls are recorded),
-	// negative disables hedging entirely.
-	HedgeAfter time.Duration
 	// Tracer, when non-nil, records one span per shard call under the
 	// caller's context.
 	Tracer *obs.Tracer
-	// OnShardOutcome, when non-nil, is called once per shard-call event
-	// with the shard id and an outcome label: "ok", "error" or
-	// "overloaded" when a call completes, "hedge_fired" when a duplicate
-	// is launched and "hedge_won" when the duplicate finishes first.
-	// Callbacks may run concurrently.
+	// OnShardOutcome, when non-nil, is called once per completed shard
+	// call with the shard id and an outcome label: "ok", "error" or
+	// "overloaded". Callbacks may run concurrently.
 	OnShardOutcome func(shard int, outcome string)
 }
-
-// hedgeMinCutoff floors the adaptive cutoff so microsecond-scale
-// in-process fleets do not hedge every call.
-const hedgeMinCutoff = 500 * time.Microsecond
-
-// hedgeWarmup is the number of recorded calls before adaptive hedging
-// arms.
-const hedgeWarmup = 32
 
 // topology is one immutable generation of the fleet: the shard set and
 // the refcount that in-flight requests hold. Swapping installs a new
@@ -53,19 +35,15 @@ type topology struct {
 
 // Fleet is the scatter-gather coordinator over a set of shards: it fans
 // bound (and mining) requests out over every shard, merges partial
-// results by addition at the top, hedges the slowest shard past a
-// latency cutoff, and swaps topologies with a graceful drain.
+// results by addition at the top, and swaps topologies with a graceful
+// drain. Each shard is called once per request: the bound is a sum over
+// segments, so one answer per segment range is exact.
 type Fleet struct {
 	cfg Config
 
 	mu  sync.Mutex
 	top *topology
 	gen uint64
-
-	lat latencyTracker
-
-	hedgesFired atomic.Int64
-	hedgesWon   atomic.Int64
 }
 
 // NewFleet builds a coordinator over shards (at least one).
@@ -117,24 +95,21 @@ func (f *Fleet) Swap(shards []Transport) error {
 	return nil
 }
 
-// Stats is the fleet section of the metrics report.
+// Stats is the fleet topology that Describe reports for /v1/indexes and
+// /v1/fleetz.
 type Stats struct {
-	Generation  uint64 `json:"generation"`
-	HedgesFired int64  `json:"hedges_fired"`
-	HedgesWon   int64  `json:"hedges_won"`
-	Shards      []Info `json:"shards"`
+	Generation uint64 `json:"generation"`
+	Shards     []Info `json:"shards"`
 }
 
-// Describe reports the current topology and hedge counters.
+// Describe reports the current topology.
 func (f *Fleet) Describe() Stats {
 	f.mu.Lock()
 	top := f.top
 	f.mu.Unlock()
 	st := Stats{
-		Generation:  top.gen,
-		HedgesFired: f.hedgesFired.Load(),
-		HedgesWon:   f.hedgesWon.Load(),
-		Shards:      make([]Info, 0, len(top.shards)),
+		Generation: top.gen,
+		Shards:     make([]Info, 0, len(top.shards)),
 	}
 	for _, t := range top.shards {
 		st.Shards = append(st.Shards, t.Info())
@@ -162,11 +137,10 @@ func (f *Fleet) Bounds(ctx context.Context, sets []ossm.Itemset, out []int64) er
 	top := f.acquire()
 	defer top.refs.Done()
 	n := len(top.shards)
-	cutoff := f.hedgeCutoff()
 	partials := make([][]int64, n)
 	errs := make([]error, n)
 	conc.Scatter(n, func(i int) {
-		partials[i], errs[i] = f.callBounds(ctx, top.shards[i], cutoff, sets)
+		partials[i], errs[i] = f.callBounds(ctx, top.shards[i], sets)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -184,12 +158,8 @@ func (f *Fleet) Bounds(ctx context.Context, sets []ossm.Itemset, out []int64) er
 	return nil
 }
 
-// callBounds runs one shard's partial-bound call with hedging: if the
-// primary call has not answered by the cutoff, an identical duplicate is
-// fired at the same transport and the first response wins (the loser's
-// result is discarded via the buffered channel). Hedging trades duplicate
-// work for tail latency — exactly one response is merged either way.
-func (f *Fleet) callBounds(ctx context.Context, t Transport, cutoff time.Duration, sets []ossm.Itemset) ([]int64, error) {
+// callBounds runs one shard's partial-bound call and notes its outcome.
+func (f *Fleet) callBounds(ctx context.Context, t Transport, sets []ossm.Itemset) ([]int64, error) {
 	info := t.Info()
 	var span *obs.Span
 	if f.cfg.Tracer != nil {
@@ -201,139 +171,29 @@ func (f *Fleet) callBounds(ctx context.Context, t Transport, cutoff time.Duratio
 		span.SetAttr("segments_hi", info.Segments.Hi)
 		span.SetAttr("sets", len(sets))
 	}
-	type result struct {
-		out   []int64
-		err   error
-		hedge bool
+	out := make([]int64, len(sets))
+	err := t.PartialBounds(ctx, sets, out)
+	// outcome is what OnShardOutcome sees; the span tells a deadline
+	// apart from other errors.
+	outcome, spanOutcome := "ok", "ok"
+	switch {
+	case err == nil:
+	case ctx.Err() != nil:
+		// Report the caller's deadline or cancellation rather than
+		// however the transport wrapped it.
+		err, outcome, spanOutcome = ctx.Err(), "error", "deadline"
+	case errors.Is(err, ErrOverloaded):
+		outcome, spanOutcome = "overloaded", "overloaded"
+	default:
+		outcome, spanOutcome = "error", "error"
 	}
-	ch := make(chan result, 2)
-	launch := func(hedge bool) {
-		go func() {
-			buf := make([]int64, len(sets))
-			err := t.PartialBounds(ctx, sets, buf)
-			ch <- result{out: buf, err: err, hedge: hedge}
-		}()
+	f.note(info.ID, outcome)
+	if span != nil {
+		span.SetAttr("outcome", spanOutcome)
+		span.End()
 	}
-	start := time.Now()
-	launch(false)
-	var timerC <-chan time.Time
-	if cutoff > 0 {
-		timer := time.NewTimer(cutoff)
-		defer timer.Stop()
-		timerC = timer.C
+	if err != nil {
+		return nil, err
 	}
-	hedged := false
-	var firstErr error
-	outstanding := 1
-	for {
-		select {
-		case r := <-ch:
-			outstanding--
-			if r.err == nil {
-				f.lat.observe(time.Since(start))
-				f.note(info.ID, "ok")
-				if r.hedge {
-					f.hedgesWon.Add(1)
-					f.note(info.ID, "hedge_won")
-				}
-				if span != nil {
-					span.SetAttr("hedged", hedged)
-					span.SetAttr("outcome", "ok")
-					span.End()
-				}
-				return r.out, nil
-			}
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			if outstanding > 0 {
-				// The twin call is still in flight and may yet succeed.
-				continue
-			}
-			outcome := "error"
-			if errorsIsOverload(r.err) || errorsIsOverload(firstErr) {
-				outcome = "overloaded"
-			}
-			f.note(info.ID, outcome)
-			if span != nil {
-				span.SetAttr("hedged", hedged)
-				span.SetAttr("outcome", outcome)
-				span.End()
-			}
-			return nil, firstErr
-		case <-timerC:
-			timerC = nil
-			hedged = true
-			outstanding++
-			f.hedgesFired.Add(1)
-			f.note(info.ID, "hedge_fired")
-			launch(true)
-		case <-ctx.Done():
-			f.note(info.ID, "error")
-			if span != nil {
-				span.SetAttr("hedged", hedged)
-				span.SetAttr("outcome", "deadline")
-				span.End()
-			}
-			return nil, ctx.Err()
-		}
-	}
-}
-
-func errorsIsOverload(err error) bool {
-	return errors.Is(err, ErrOverloaded)
-}
-
-// hedgeCutoff resolves the hedge latency cutoff for one request:
-// explicit configuration wins; otherwise the adaptive cutoff is a
-// multiple of the fleet's observed p95, floored, and armed only after a
-// warmup's worth of samples.
-func (f *Fleet) hedgeCutoff() time.Duration {
-	if f.cfg.HedgeAfter < 0 {
-		return 0
-	}
-	if f.cfg.HedgeAfter > 0 {
-		return f.cfg.HedgeAfter
-	}
-	return f.lat.cutoff()
-}
-
-// latencyTracker keeps a small ring of recent shard-call latencies and a
-// cached adaptive hedge cutoff (3× the ring's p95, floored), recomputed
-// every refresh interval of observations rather than per call.
-type latencyTracker struct {
-	mu      sync.Mutex
-	ring    [256]time.Duration
-	n       int // total observations
-	cutoffV atomic.Int64
-}
-
-func (l *latencyTracker) observe(d time.Duration) {
-	l.mu.Lock()
-	l.ring[l.n%len(l.ring)] = d
-	l.n++
-	recompute := l.n >= hedgeWarmup && l.n%32 == 0
-	var sample []time.Duration
-	if recompute {
-		held := l.n
-		if held > len(l.ring) {
-			held = len(l.ring)
-		}
-		sample = append(sample, l.ring[:held]...)
-	}
-	l.mu.Unlock()
-	if !recompute {
-		return
-	}
-	sort.Slice(sample, func(i, j int) bool { return sample[i] < sample[j] })
-	p95 := sample[len(sample)*95/100]
-	c := 3 * p95
-	if c < hedgeMinCutoff {
-		c = hedgeMinCutoff
-	}
-	l.cutoffV.Store(int64(c))
-}
-
-func (l *latencyTracker) cutoff() time.Duration {
-	return time.Duration(l.cutoffV.Load())
+	return out, nil
 }

@@ -115,7 +115,7 @@ func TestChaosSoak(t *testing.T) {
 		}
 	}
 	rf := startRemoteFleet(t, "retail", ix, d, numShards, mkCfg(log1, 1))
-	fl, err := shard.NewFleet(shard.Config{HedgeAfter: -1, Tracer: coordTracer}, rf.transports())
+	fl, err := shard.NewFleet(shard.Config{Tracer: coordTracer}, rf.transports())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,12 +42,12 @@ func TestRemoteBoundsDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				localFleet, err := shard.NewFleet(shard.Config{HedgeAfter: -1}, shard.Transports(locals))
+				localFleet, err := shard.NewFleet(shard.Config{}, shard.Transports(locals))
 				if err != nil {
 					t.Fatal(err)
 				}
 				rf := startRemoteFleet(t, "retail", ix, d, n, ClientConfig{})
-				remoteFleet, err := shard.NewFleet(shard.Config{HedgeAfter: -1}, rf.transports())
+				remoteFleet, err := shard.NewFleet(shard.Config{}, rf.transports())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -95,12 +95,12 @@ func TestRemoteMineDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		localFleet, err := shard.NewFleet(shard.Config{HedgeAfter: -1}, shard.Transports(locals))
+		localFleet, err := shard.NewFleet(shard.Config{}, shard.Transports(locals))
 		if err != nil {
 			t.Fatal(err)
 		}
 		rf := startRemoteFleet(t, "retail", ix, d, n, ClientConfig{})
-		remoteFleet, err := shard.NewFleet(shard.Config{HedgeAfter: -1}, rf.transports())
+		remoteFleet, err := shard.NewFleet(shard.Config{}, rf.transports())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,9 +13,133 @@ import (
 	"github.com/ossm-mining/ossm/internal/shard"
 )
 
+// ErrInjected marks failures manufactured by a Fault decorator, so
+// tests can tell injected faults from real ones.
+var ErrInjected = errors.New("remote: injected fault")
+
+// Fault wraps a shard.Transport with seeded fault injection for the
+// chaos tests. Under a Worker it makes a real HTTP shard misbehave, so
+// the coordinator sees genuine wire failures.
+//
+// Info, CanMine and NumTx pass through untouched: faults model the data
+// path, and the coordinator must still be able to read identity.
+type Fault struct {
+	t shard.Transport
+
+	mu      sync.Mutex // guards rng and the settings below
+	rng     *rand.Rand
+	latency time.Duration
+	jitter  time.Duration
+	errRate float64
+	hung    atomic.Bool
+
+	calls         atomic.Int64
+	injectedErrs  atomic.Int64
+	injectedHangs atomic.Int64
+}
+
+// NewFault wraps t with no faults armed. seed drives every random
+// decision (latency jitter and error draws), so a given seed over the
+// same call sequence injects the same faults.
+func NewFault(t shard.Transport, seed int64) *Fault {
+	return &Fault{t: t, rng: rand.New(rand.NewSource(seed))}
+}
+
+// SetLatency delays every data call by latency plus a uniform
+// [0, jitter) extra, honoring the call's context.
+func (f *Fault) SetLatency(latency, jitter time.Duration) {
+	f.mu.Lock()
+	f.latency, f.jitter = latency, jitter
+	f.mu.Unlock()
+}
+
+// SetErrorRate sets the probability that a data call fails with
+// ErrInjected instead of reaching the wrapped transport.
+func (f *Fault) SetErrorRate(p float64) {
+	f.mu.Lock()
+	f.errRate = p
+	f.mu.Unlock()
+}
+
+// SetHung makes every data call block on its context (true) or restores
+// normal service (false) — the chaos tests' "one shard wedged" lever.
+func (f *Fault) SetHung(v bool) { f.hung.Store(v) }
+
+// FaultStats counts what a Fault has injected so far.
+type FaultStats struct {
+	Calls          int64 // data calls that reached the decorator
+	InjectedErrors int64 // calls failed with ErrInjected
+	InjectedHangs  int64 // calls blocked until their context ended
+}
+
+// Stats snapshots the injection counters.
+func (f *Fault) Stats() FaultStats {
+	return FaultStats{
+		Calls:          f.calls.Load(),
+		InjectedErrors: f.injectedErrs.Load(),
+		InjectedHangs:  f.injectedHangs.Load(),
+	}
+}
+
+func (f *Fault) Info() shard.Info { return f.t.Info() }
+func (f *Fault) CanMine() bool    { return f.t.CanMine() }
+func (f *Fault) NumTx() int       { return f.t.NumTx() }
+
+func (f *Fault) PartialBounds(ctx context.Context, sets []ossm.Itemset, out []int64) error {
+	if err := f.inject(ctx); err != nil {
+		return err
+	}
+	return f.t.PartialBounds(ctx, sets, out)
+}
+
+func (f *Fault) LocalFrequent(ctx context.Context, miner string, localMin int64, maxLen int) ([]ossm.Itemset, error) {
+	if err := f.inject(ctx); err != nil {
+		return nil, err
+	}
+	return f.t.LocalFrequent(ctx, miner, localMin, maxLen)
+}
+
+func (f *Fault) PartialSupports(ctx context.Context, cands []ossm.Itemset, out []int64) error {
+	if err := f.inject(ctx); err != nil {
+		return err
+	}
+	return f.t.PartialSupports(ctx, cands, out)
+}
+
+// inject runs the faults for one data call: hang, then an error draw,
+// then latency.
+func (f *Fault) inject(ctx context.Context) error {
+	f.calls.Add(1)
+	if f.hung.Load() {
+		f.injectedHangs.Add(1)
+		<-ctx.Done()
+		return ctx.Err()
+	}
+	f.mu.Lock()
+	fail := f.errRate > 0 && f.rng.Float64() < f.errRate
+	d := f.latency
+	if !fail && f.jitter > 0 {
+		d += time.Duration(f.rng.Int63n(int64(f.jitter)))
+	}
+	f.mu.Unlock()
+	if fail {
+		f.injectedErrs.Add(1)
+		return ErrInjected
+	}
+	if d > 0 {
+		t := time.NewTimer(d)
+		defer t.Stop()
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+		}
+	}
+	return ctx.Err()
+}
+
 // faultFixture wraps one local shard in a Fault for direct (no-wire)
 // injection tests.
-func faultFixture(t *testing.T, cfg FaultConfig) (*Fault, []ossm.Itemset) {
+func faultFixture(t *testing.T, seed int64) (*Fault, []ossm.Itemset) {
 	t.Helper()
 	d, ix := fixture(t, 400, 8, ossm.RandomGreedy, 3)
 	locals, err := shard.NewLocalShards(ix, d, 1, 0)
@@ -21,7 +147,7 @@ func faultFixture(t *testing.T, cfg FaultConfig) (*Fault, []ossm.Itemset) {
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(17))
-	return NewFault(shard.Transports(locals)[0], cfg), randomSets(r, ix.NumItems(), 8)
+	return NewFault(shard.Transports(locals)[0], seed), randomSets(r, ix.NumItems(), 8)
 }
 
 func boundsErr(f *Fault, ctx context.Context, sets []ossm.Itemset) error {
@@ -31,7 +157,8 @@ func boundsErr(f *Fault, ctx context.Context, sets []ossm.Itemset) error {
 
 func TestFaultErrorScheduleIsDeterministic(t *testing.T) {
 	run := func() []bool {
-		f, sets := faultFixture(t, FaultConfig{Seed: 99, ErrorRate: 0.5})
+		f, sets := faultFixture(t, 99)
+		f.SetErrorRate(0.5)
 		var outcomes []bool
 		for i := 0; i < 40; i++ {
 			outcomes = append(outcomes, boundsErr(f, context.Background(), sets) == nil)
@@ -54,7 +181,8 @@ func TestFaultErrorScheduleIsDeterministic(t *testing.T) {
 }
 
 func TestFaultInjectedErrorsAreRecognizable(t *testing.T) {
-	f, sets := faultFixture(t, FaultConfig{ErrorRate: 1})
+	f, sets := faultFixture(t, 1)
+	f.SetErrorRate(1)
 	err := boundsErr(f, context.Background(), sets)
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
@@ -66,7 +194,7 @@ func TestFaultInjectedErrorsAreRecognizable(t *testing.T) {
 }
 
 func TestFaultHangHonorsContext(t *testing.T) {
-	f, sets := faultFixture(t, FaultConfig{})
+	f, sets := faultFixture(t, 1)
 	f.SetHung(true)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
@@ -88,47 +216,14 @@ func TestFaultHangHonorsContext(t *testing.T) {
 	}
 }
 
-func TestFaultScheduledPartitionWindows(t *testing.T) {
-	// Cycle of 5 with the last 2 dropped: calls 4,5,9,10,14,15,... fail.
-	f, sets := faultFixture(t, FaultConfig{PartitionEvery: 5, PartitionFor: 2})
-	for i := 1; i <= 15; i++ {
-		err := boundsErr(f, context.Background(), sets)
-		inWindow := (i-1)%5 >= 3
-		if inWindow && !errors.Is(err, ErrPartitioned) {
-			t.Fatalf("call %d: err = %v, want ErrPartitioned", i, err)
-		}
-		if !inWindow && err != nil {
-			t.Fatalf("call %d: err = %v, want success outside the window", i, err)
-		}
-	}
-	if st := f.Stats(); st.PartitionDrops != 6 {
-		t.Fatalf("stats = %+v, want 6 partition drops over 3 cycles", st)
-	}
-}
-
-func TestFaultRuntimePartitionAndHeal(t *testing.T) {
-	f, sets := faultFixture(t, FaultConfig{})
-	f.SetPartitioned(true)
-	if err := boundsErr(f, context.Background(), sets); !errors.Is(err, ErrPartitioned) {
-		t.Fatalf("partitioned err = %v, want ErrPartitioned", err)
-	}
-	// ErrPartitioned wraps ErrInjected so callers can treat all chaos alike.
-	if err := boundsErr(f, context.Background(), sets); !errors.Is(err, ErrInjected) {
-		t.Fatalf("partitioned err = %v, want it to wrap ErrInjected", err)
-	}
-	f.SetPartitioned(false)
-	if err := boundsErr(f, context.Background(), sets); err != nil {
-		t.Fatalf("after heal: %v", err)
-	}
-}
-
 func TestFaultLatencyDelaysButPreservesAnswers(t *testing.T) {
 	d, ix := fixture(t, 400, 8, ossm.RandomGreedy, 3)
 	locals, err := shard.NewLocalShards(ix, d, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewFault(shard.Transports(locals)[0], FaultConfig{Latency: 30 * time.Millisecond})
+	f := NewFault(shard.Transports(locals)[0], 1)
+	f.SetLatency(30*time.Millisecond, 0)
 	r := rand.New(rand.NewSource(17))
 	sets := randomSets(r, ix.NumItems(), 8)
 	want := make([]int64, len(sets))

@@ -55,7 +55,7 @@ func startRemoteFleet(t testing.TB, name string, ix *ossm.Index, d *ossm.Dataset
 	}
 	rf := &remoteFleet{}
 	for i, tr := range shard.Transports(locals) {
-		f := NewFault(tr, FaultConfig{Seed: int64(i) + 1})
+		f := NewFault(tr, int64(i)+1)
 		w := NewWorker()
 		wt := obs.NewTracer(4096)
 		w.SetObs(nil, wt)

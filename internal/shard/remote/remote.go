@@ -10,26 +10,17 @@
 // into shard.Fleet — the coordinator never learns whether a shard is a
 // goroutine or a machine.
 //
-// Networks fail in ways in-process calls cannot, and the fleet's
-// hedging/admission machinery was built for exactly that regime, so the
-// Client owns the failure handling the wire demands: a per-attempt
-// timeout, bounded retry with jittered exponential backoff (every shard
-// RPC is an idempotent read — partial bounds, partial supports and
-// local mining are pure functions of the shard's slice), and a
-// closed/open/half-open circuit breaker per shard that fails fast while
-// a worker is down and probes it back to health with a single in-flight
-// request. Breaker state is overlaid on Info so the coordinator's
+// Networks fail in ways in-process calls cannot, so the Client owns the
+// failure handling the wire demands: a per-attempt timeout, bounded
+// retry with jittered exponential backoff (every shard RPC is an
+// idempotent read — partial bounds, partial supports and local mining
+// are pure functions of the shard's slice), and a closed/open/half-open
+// circuit breaker per shard that fails fast while a worker is down and
+// probes it back to health with a single in-flight request. Breaker state is overlaid on Info so the coordinator's
 // health view (GET /v1/indexes) reports it without an extra RPC.
-//
-// Fault is the package's test-and-chaos workhorse: a Transport
-// decorator with deterministically seeded latency, error, hang and
-// partition injection that wraps either side of the wire — under a
-// Worker it makes a real HTTP shard misbehave; over a Client it
-// exercises the coordinator alone.
 package remote
 
 import (
-	"errors"
 	"fmt"
 
 	ossm "github.com/ossm-mining/ossm"
@@ -51,13 +42,6 @@ const (
 // call is rejected without touching the wire because the shard's
 // circuit breaker is open.
 var ErrBreakerOpen = fmt.Errorf("%w: circuit breaker open", shard.ErrUnavailable)
-
-// ErrInjected marks failures manufactured by a Fault decorator, so
-// tests can tell injected faults from real ones.
-var ErrInjected = errors.New("remote: injected fault")
-
-// ErrPartitioned marks calls dropped by a Fault partition window.
-var ErrPartitioned = fmt.Errorf("%w: network partition", ErrInjected)
 
 // Wire types for the /shard/v1/* endpoints. Requests carry the index
 // name because one worker process serves a shard of every index it has

@@ -34,9 +34,9 @@ const maxWireBody = 16 << 20
 //	POST /shard/v1/supports   {index, itemsets} -> {supports}
 //
 // Admission, draining and mining capability are whatever the wrapped
-// Transport reports — a Worker adds no policy of its own, so a Fault
-// decorator slipped underneath makes a real HTTP shard misbehave for
-// chaos tests.
+// Transport reports — a Worker adds no policy of its own, so a
+// fault-injecting decorator slipped underneath makes a real HTTP shard
+// misbehave for chaos tests.
 type Worker struct {
 	mu      sync.RWMutex
 	entries map[string]workerEntry

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	ossm "github.com/ossm-mining/ossm"
+	"github.com/ossm-mining/ossm/internal/obs"
 )
 
 func TestPartitionSegments(t *testing.T) {
@@ -98,7 +99,7 @@ func TestFleetBoundsDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			f, err := NewFleet(Config{HedgeAfter: -1}, Transports(shards))
+			f, err := NewFleet(Config{}, Transports(shards))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,7 +146,7 @@ func TestFleetMineDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := NewFleet(Config{HedgeAfter: -1}, Transports(shards))
+		f, err := NewFleet(Config{}, Transports(shards))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +182,7 @@ func TestFleetMineMaxLen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := NewFleet(Config{HedgeAfter: -1}, Transports(shards))
+	f, err := NewFleet(Config{}, Transports(shards))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +226,6 @@ func TestShardAdmissionCap(t *testing.T) {
 	var mu sync.Mutex
 	outcomes := map[string]int{}
 	f, err := NewFleet(Config{
-		HedgeAfter: -1,
 		OnShardOutcome: func(_ int, o string) {
 			mu.Lock()
 			outcomes[o]++
@@ -255,26 +255,26 @@ func TestShardAdmissionCap(t *testing.T) {
 	}
 }
 
-// fakeTransport wraps a LocalTransport with an injectable per-call delay
-// and call counting — the stand-in for a slow remote shard.
+// fakeTransport wraps a LocalTransport with an injectable delay and call
+// counting — the stand-in for a slow remote shard.
 type fakeTransport struct {
-	inner   Transport
-	calls   atomic.Int64
-	delayFn func(call int64) time.Duration
-	block   chan struct{} // when non-nil, PartialBounds waits on it
+	inner Transport
+	calls atomic.Int64
+	delay time.Duration // PartialBounds waits this long, or for ctx
+	block chan struct{} // when non-nil, PartialBounds waits on it
 }
 
 func (t *fakeTransport) Info() Info    { return t.inner.Info() }
 func (t *fakeTransport) CanMine() bool { return t.inner.CanMine() }
 func (t *fakeTransport) NumTx() int    { return t.inner.NumTx() }
 func (t *fakeTransport) PartialBounds(ctx context.Context, sets []ossm.Itemset, out []int64) error {
-	call := t.calls.Add(1)
+	t.calls.Add(1)
 	if t.block != nil {
 		<-t.block
 	}
-	if t.delayFn != nil {
+	if t.delay > 0 {
 		select {
-		case <-time.After(t.delayFn(call)):
+		case <-time.After(t.delay):
 		case <-ctx.Done():
 			return ctx.Err()
 		}
@@ -288,10 +288,11 @@ func (t *fakeTransport) PartialSupports(ctx context.Context, cands []ossm.Itemse
 	return t.inner.PartialSupports(ctx, cands, out)
 }
 
-// TestFleetHedging slows a shard's first response far past the cutoff:
-// the coordinator must fire a duplicate, take the duplicate's (fast)
-// answer, and still return exact bounds.
-func TestFleetHedging(t *testing.T) {
+// TestFleetBoundsDeadline pins the deadline path: a shard that outlasts
+// the caller's deadline must end Bounds with context.DeadlineExceeded as
+// soon as the deadline passes, note an "error" outcome and close its
+// shard span with outcome=deadline.
+func TestFleetBoundsDeadline(t *testing.T) {
 	d, err := ossm.GenerateSkewed(ossm.DefaultSkewed(400, 2))
 	if err != nil {
 		t.Fatal(err)
@@ -304,54 +305,49 @@ func TestFleetHedging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow := &fakeTransport{
-		inner: LocalTransport{shards[0]},
-		delayFn: func(call int64) time.Duration {
-			if call == 1 {
-				return 200 * time.Millisecond
-			}
-			return 0
-		},
-	}
-	var fired, won atomic.Int64
+	const delay = 2 * time.Second
+	slow := &fakeTransport{inner: LocalTransport{shards[0]}, delay: delay}
+	tracer := obs.NewTracer(16)
+	var mu sync.Mutex
+	var outcomes []string
 	f, err := NewFleet(Config{
-		HedgeAfter: 5 * time.Millisecond,
+		Tracer: tracer,
 		OnShardOutcome: func(_ int, o string) {
-			switch o {
-			case "hedge_fired":
-				fired.Add(1)
-			case "hedge_won":
-				won.Add(1)
-			}
+			mu.Lock()
+			outcomes = append(outcomes, o)
+			mu.Unlock()
 		},
 	}, []Transport{slow})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sets := []ossm.Itemset{ossm.NewItemset(0), ossm.NewItemset(1, 2)}
-	want := ix.UpperBoundBatch(sets, nil)
-	got := make([]int64, len(sets))
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	if err := f.Bounds(context.Background(), sets, got); err != nil {
-		t.Fatal(err)
+	err = f.Bounds(ctx, []ossm.Itemset{ossm.NewItemset(0)}, make([]int64, 1))
+	if took := time.Since(start); took > delay/2 {
+		t.Fatalf("Bounds returned after %v; the 20ms deadline should end it", took)
 	}
-	if took := time.Since(start); took > 150*time.Millisecond {
-		t.Fatalf("hedge did not cut the tail: request took %v", took)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Bounds error = %v, want context.DeadlineExceeded", err)
 	}
-	for i := range sets {
-		if got[i] != want[i] {
-			t.Fatalf("hedged bound[%d] = %d, want %d", i, got[i], want[i])
+	mu.Lock()
+	got := fmt.Sprint(outcomes)
+	mu.Unlock()
+	if got != "[error]" {
+		t.Fatalf("shard outcomes = %s, want [error]", got)
+	}
+	var found bool
+	for _, rec := range tracer.Snapshot() {
+		if rec.Name == "shard-0" {
+			found = true
+			if rec.Attrs["outcome"] != "deadline" {
+				t.Fatalf("shard-0 span outcome = %v, want deadline", rec.Attrs["outcome"])
+			}
 		}
 	}
-	st := f.Describe()
-	if fired.Load() < 1 || st.HedgesFired < 1 {
-		t.Fatalf("hedge never fired (callback %d, stats %d)", fired.Load(), st.HedgesFired)
-	}
-	if won.Load() < 1 || st.HedgesWon < 1 {
-		t.Fatalf("hedge fired but never won (callback %d, stats %d)", won.Load(), st.HedgesWon)
-	}
-	if slow.calls.Load() < 2 {
-		t.Fatalf("transport saw %d calls, want the hedged duplicate", slow.calls.Load())
+	if !found {
+		t.Fatal("no shard-0 span recorded")
 	}
 }
 
@@ -373,7 +369,7 @@ func TestFleetSwapDrain(t *testing.T) {
 	}
 	gate := make(chan struct{})
 	blocked := &fakeTransport{inner: LocalTransport{oldShards[0]}, block: gate}
-	f, err := NewFleet(Config{HedgeAfter: -1}, []Transport{blocked, LocalTransport{oldShards[1]}})
+	f, err := NewFleet(Config{}, []Transport{blocked, LocalTransport{oldShards[1]}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +438,7 @@ func TestFleetSwapDrain(t *testing.T) {
 }
 
 // TestFleetRaceSoak hammers one fleet from 40 goroutines mixing bound
-// queries, hedged queries, mining, stats reads and topology swaps. Run
+// queries, mining, stats reads and topology swaps. Run
 // under -race this is the concurrency gate for the coordinator; every
 // bound answered during the storm must still be exact.
 func TestFleetRaceSoak(t *testing.T) {
@@ -458,8 +454,7 @@ func TestFleetRaceSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := NewFleet(Config{HedgeAfter: 50 * time.Microsecond, OnShardOutcome: func(int, string) {}},
-		Transports(shards))
+	f, err := NewFleet(Config{OnShardOutcome: func(int, string) {}}, Transports(shards))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +503,7 @@ func TestFleetRaceSoak(t *testing.T) {
 						fail(err)
 						return
 					}
-				default: // query traffic, hedges firing at the tiny cutoff
+				default: // query traffic
 					if err := f.Bounds(context.Background(), sets, out); err != nil {
 						fail(err)
 						return
@@ -569,7 +564,7 @@ func TestFleetMineNoDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := NewFleet(Config{HedgeAfter: -1}, Transports(shards))
+	f, err := NewFleet(Config{}, Transports(shards))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,6 +85,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz FuzzReadMap                 -fuzztime 10s ./internal/core
 	$(GO) test -run=NONE -fuzz 'FuzzBoundKernels$$'        -fuzztime 10s ./internal/core
 	$(GO) test -run=NONE -fuzz FuzzBoundKernelsQuantized   -fuzztime 10s ./internal/core
+	$(GO) test -run=NONE -fuzz FuzzSumDiff                 -fuzztime 10s ./internal/core
 	$(GO) test -run=NONE -fuzz FuzzIndexRoundTrip          -fuzztime 10s .
 	$(GO) test -run=NONE -fuzz FuzzAppenderSnapshot        -fuzztime 10s .
 	$(GO) test -run=NONE -fuzz FuzzWALReplay               -fuzztime 10s ./internal/wal

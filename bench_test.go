@@ -362,9 +362,9 @@ func BenchmarkAblationExtended(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelSegmentation measures worker scaling of the Greedy
-// initialization (deterministic output at any worker count).
-func BenchmarkParallelSegmentation(b *testing.B) {
+// BenchmarkGreedySegmentation measures a Greedy build over the bubble
+// list, the sumdiff-bound segmentation path.
+func BenchmarkGreedySegmentation(b *testing.B) {
 	cfg := benchConfig()
 	d, err := cfg.Regular()
 	if err != nil {
@@ -372,21 +372,16 @@ func BenchmarkParallelSegmentation(b *testing.B) {
 	}
 	rows := dataset.PageCounts(d, dataset.PaginateN(d, cfg.Pages))
 	bubble := core.BubbleListFromCounts(rows, mining.MinCountFor(d, cfg.BubbleSupport), cfg.BubbleSize)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, err := core.Segment(rows, core.Options{
-					Algorithm:      core.AlgGreedy,
-					TargetSegments: 40,
-					Bubble:         bubble,
-					Seed:           1,
-					Workers:        workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
+	for i := 0; i < b.N; i++ {
+		_, err := core.Segment(rows, core.Options{
+			Algorithm:      core.AlgGreedy,
+			TargetSegments: 40,
+			Bubble:         bubble,
+			Seed:           1,
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

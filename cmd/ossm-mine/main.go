@@ -43,7 +43,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed       = fs.Int64("seed", 1, "RNG seed")
 		top        = fs.Int("top", 10, "print the top-N frequent itemsets by support")
 		rulesConf  = fs.Float64("rules", 0, "if > 0, also generate rules at this confidence")
-		workers    = fs.Int("workers", 0, "goroutine pool for segmentation and counting (0 = serial)")
+		workers    = fs.Int("workers", 0, "goroutine pool for the counting passes (0 = serial; segmentation always runs serially)")
 		metrics    = fs.Bool("metrics", false, "collect and print engine telemetry (per-pass accounting, pool utilization)")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the mining run to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile taken after mining to this file")
@@ -76,7 +76,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			BubbleSize:       *bubble,
 			BubbleMinSupport: *bubbleSupp,
 			Seed:             *seed,
-			Workers:          *workers,
 		})
 		if err != nil {
 			return fail(stderr, err)

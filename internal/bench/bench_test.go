@@ -2,8 +2,10 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 )
 
 // tinyConfig keeps harness tests fast while still exercising every code
@@ -111,20 +113,27 @@ func TestRunFig6(t *testing.T) {
 		}
 	}
 	// Larger bubbles cost more to segment with (the Figure 6(a) slope).
-	for _, alg := range Fig6Strategies {
-		var small, large Fig6Point
-		for _, p := range r.Points {
-			if p.Strategy != alg {
-				continue
-			}
-			if p.BubblePct == 10 {
-				small = p
-			} else {
-				large = p
+	// Segmentation at this scale takes well under a millisecond, where one
+	// scheduling delay can exceed the difference, so compare the best of
+	// three runs.
+	best := map[string]time.Duration{}
+	for rep := 0; rep < 3; rep++ {
+		if rep > 0 {
+			if r, err = RunFig6(cfg, 8, 25, []int{10, 50}); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if small.SegTime >= large.SegTime {
-			t.Errorf("%v: 10%% bubble (%v) not cheaper than 50%% (%v)", alg, small.SegTime, large.SegTime)
+		for _, p := range r.Points {
+			key := fmt.Sprint(p.Strategy, p.BubblePct)
+			if b, ok := best[key]; !ok || p.SegTime < b {
+				best[key] = p.SegTime
+			}
+		}
+	}
+	for _, alg := range Fig6Strategies {
+		small, large := best[fmt.Sprint(alg, 10)], best[fmt.Sprint(alg, 50)]
+		if small >= large {
+			t.Errorf("%v: 10%% bubble (%v) not cheaper than 50%% (%v)", alg, small, large)
 		}
 	}
 	var buf bytes.Buffer

@@ -9,8 +9,9 @@ import (
 // BubbleList selects the items "on the bubble" (Section 5.3): the items
 // whose global supports barely satisfy, and are closest to, the support
 // threshold minCount. Restricting the sumdiff summation to these items
-// removes the k² factor from Greedy's and RC's complexity while keeping
-// the segmentation focused where OSSM filtering matters most.
+// replaces the k log k factor in Greedy's and RC's complexity (the
+// paper's k²) with b log b for a b-item bubble, while keeping the
+// segmentation focused where OSSM filtering matters most.
 //
 // Selection order: items with support ≥ minCount, closest-above first;
 // if fewer than size such items exist, the list is padded with the items

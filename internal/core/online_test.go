@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -178,5 +180,41 @@ func TestAppenderPartialPageVisible(t *testing.T) {
 	}
 	if m == nil || m.ItemSupport(1) != 1 {
 		t.Error("transaction in the partial page not visible in the snapshot")
+	}
+}
+
+// TestAppenderCountOverflow: an appender restored near the uint32 cell
+// limit compacts to exactly 2³²−1, then refuses the compaction that
+// would wrap, from Add and from Snapshot alike.
+func TestAppenderCountOverflow(t *testing.T) {
+	for _, alg := range []Algorithm{AlgRandom, AlgRC, AlgGreedy} {
+		a, err := RestoreAppender(AppenderState{
+			NumItems: 2, PageSize: 2, MaxSegments: 1, CompactAt: 3, Algorithm: alg,
+			Rows: [][]uint32{{math.MaxUint32 - 3, 0}, {1, 1}},
+			Cur:  []uint32{0, 0},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx := dataset.NewItemset(0)
+		for i := 0; i < 2; i++ {
+			if err := a.Add(tx); err != nil {
+				t.Fatalf("%v: compaction to 2³²−1: %v", alg, err)
+			}
+		}
+		if a.Segments() != 1 || a.rows[0][0] != math.MaxUint32 {
+			t.Fatalf("%v: after first compaction rows = %v", alg, a.rows)
+		}
+		for i := 0; i < 3; i++ {
+			if err := a.Add(tx); err != nil {
+				t.Fatalf("%v: add %d before the crossing: %v", alg, i, err)
+			}
+		}
+		if err := a.Add(tx); !errors.Is(err, ErrCountOverflow) {
+			t.Fatalf("%v: crossing 2³²: err = %v, want ErrCountOverflow", alg, err)
+		}
+		if _, err := a.Snapshot(); !errors.Is(err, ErrCountOverflow) {
+			t.Errorf("%v: Snapshot after the crossing: err = %v, want ErrCountOverflow", alg, err)
+		}
 	}
 }

@@ -46,20 +46,30 @@ type Map struct {
 // copied into the flat backing store, so callers remain free to reuse
 // them.
 func NewMap(segCounts [][]uint32) (*Map, error) {
-	if len(segCounts) == 0 {
-		return nil, ErrNoSegments
-	}
-	k := len(segCounts[0])
-	for i, row := range segCounts {
-		if len(row) != k {
-			return nil, fmt.Errorf("%w: row 0 has %d items, row %d has %d", ErrRaggedSegments, k, i, len(row))
-		}
+	k, err := checkRows(segCounts)
+	if err != nil {
+		return nil, err
 	}
 	flat := make([]uint32, len(segCounts)*k)
 	for s, row := range segCounts {
 		copy(flat[s*k:(s+1)*k], row)
 	}
 	return newMapFromFlat(len(segCounts), k, flat), nil
+}
+
+// checkRows validates support rows, one per segment or page: at least
+// one, all over the same item domain, whose size it returns.
+func checkRows(rows [][]uint32) (int, error) {
+	if len(rows) == 0 {
+		return 0, ErrNoSegments
+	}
+	k := len(rows[0])
+	for i, row := range rows {
+		if len(row) != k {
+			return 0, fmt.Errorf("%w: row 0 has %d items, row %d has %d", ErrRaggedSegments, k, i, len(row))
+		}
+	}
+	return k, nil
 }
 
 // newMapFromFlat assumes ownership of the segment-major cells and derives
@@ -94,7 +104,8 @@ func newMapFromFlat(numSegs, numItems int, segMajor []uint32) *Map {
 
 // BuildFromPages constructs a Map directly from a dataset and a page
 // assignment: assign[s] lists the pages composing segment s. It is the
-// bridge between a segmentation result and a queryable OSSM.
+// bridge between a segmentation result and a queryable OSSM. A segment
+// whose support would pass 2³²−1 fails with ErrCountOverflow.
 func BuildFromPages(d *dataset.Dataset, pages []dataset.Page, assign [][]int) (*Map, error) {
 	if len(assign) == 0 {
 		return nil, ErrNoSegments
@@ -108,8 +119,8 @@ func BuildFromPages(d *dataset.Dataset, pages []dataset.Page, assign [][]int) (*
 				return nil, fmt.Errorf("core: segment %d references page %d of %d", s, pi, len(pages))
 			}
 			p := pages[pi]
-			for it, c := range d.ItemCounts(p.Lo, p.Hi) {
-				row[it] += c
+			if err := addCounts(row, d.ItemCounts(p.Lo, p.Hi)); err != nil {
+				return nil, fmt.Errorf("core: segment %d: %w", s, err)
 			}
 		}
 	}

@@ -2,13 +2,18 @@ package core
 
 import (
 	"container/heap"
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
 
-	"github.com/ossm-mining/ossm/internal/conc"
 	"github.com/ossm-mining/ossm/internal/dataset"
 )
+
+// ErrCountOverflow is returned when merging segments would push a
+// segment support cell past 2³²−1. A wrapped cell would under-state
+// ubsup, so segmentation refuses instead.
+var ErrCountOverflow = errors.New("core: merged segment support overflows uint32")
 
 // Algorithm selects a constrained-segmentation heuristic (Section 5.2,
 // 5.4).
@@ -20,10 +25,11 @@ const (
 	// runs in file order, no optimization.
 	AlgRandom Algorithm = iota
 	// AlgRC (Random-Closest) repeatedly picks a random segment and merges
-	// it with the segment of minimum sumdiff. O(m²·k²).
+	// it with the segment of minimum sumdiff. O(m²·k log k): each
+	// sumdiff sorts one merged row (see sumdiff.go).
 	AlgRC
 	// AlgGreedy repeatedly merges the globally cheapest pair of segments,
-	// maintained in a priority queue. O(m²·k² + m²·log m).
+	// maintained in a priority queue. O(m²·k log k + m²·log m).
 	AlgGreedy
 	// AlgRandomRC runs Random down to MidSegments, then RC to the target.
 	AlgRandomRC
@@ -62,10 +68,6 @@ type Options struct {
 	// Seed drives the randomized algorithms; a fixed seed reproduces the
 	// segmentation exactly.
 	Seed int64
-	// Workers fans the sumdiff evaluations of RC and Greedy over a
-	// goroutine pool (0 or 1 = serial; capped at NumCPU). Results are
-	// identical to the serial run.
-	Workers int
 }
 
 // Result is the outcome of a segmentation run.
@@ -78,6 +80,7 @@ type Result struct {
 // segment is the working state of one segment during merging.
 type segment struct {
 	counts []uint32
+	p      uint64 // P(counts) over the sumdiff items; maintained by the RC and Greedy loops
 	pages  []int
 	alive  bool
 	ver    int // bumped on every merge; stale heap entries detect this
@@ -85,16 +88,12 @@ type segment struct {
 
 // Segment runs the configured heuristic over the initial per-page support
 // rows and returns the resulting OSSM. rows[i] is the singleton support
-// row of page i (see dataset.PageCounts). Rows are not mutated.
+// row of page i (see dataset.PageCounts). Rows are not mutated. A merge
+// that would overflow a uint32 cell fails with ErrCountOverflow.
 func Segment(rows [][]uint32, opts Options) (*Result, error) {
-	if len(rows) == 0 {
-		return nil, ErrNoSegments
-	}
-	k := len(rows[0])
-	for i, row := range rows {
-		if len(row) != k {
-			return nil, fmt.Errorf("%w: row 0 has %d items, row %d has %d", ErrRaggedSegments, k, i, len(row))
-		}
+	k, err := checkRows(rows)
+	if err != nil {
+		return nil, err
 	}
 	if opts.TargetSegments < 1 {
 		return nil, fmt.Errorf("core: TargetSegments must be ≥ 1, got %d", opts.TargetSegments)
@@ -103,34 +102,18 @@ func Segment(rows [][]uint32, opts Options) (*Result, error) {
 	if target > len(rows) {
 		target = len(rows)
 	}
+	if hybrid(opts.Algorithm) && opts.MidSegments < target {
+		return nil, fmt.Errorf("core: MidSegments (%d) must be ≥ TargetSegments (%d) for %s", opts.MidSegments, target, opts.Algorithm)
+	}
 	items := opts.Bubble
 	if items == nil {
 		items = AllItems(k)
 	}
-	r := rand.New(rand.NewSource(opts.Seed))
 
 	start := time.Now()
 	segs := makeSegments(rows)
-	switch opts.Algorithm {
-	case AlgRandom:
-		randomMerge(r, segs, target)
-	case AlgRC:
-		rcMerge(r, segs, target, items, opts.Workers)
-	case AlgGreedy:
-		greedyMerge(segs, target, items, opts.Workers)
-	case AlgRandomRC, AlgRandomGreedy:
-		mid := opts.MidSegments
-		if mid < target {
-			return nil, fmt.Errorf("core: MidSegments (%d) must be ≥ TargetSegments (%d) for %s", mid, target, opts.Algorithm)
-		}
-		randomMerge(r, segs, mid)
-		if opts.Algorithm == AlgRandomRC {
-			rcMerge(r, segs, target, items, opts.Workers)
-		} else {
-			greedyMerge(segs, target, items, opts.Workers)
-		}
-	default:
-		return nil, fmt.Errorf("core: unknown algorithm %v", opts.Algorithm)
+	if err := merge(segs, opts, target, items, nil); err != nil {
+		return nil, err
 	}
 	elapsed := time.Since(start)
 
@@ -147,6 +130,33 @@ func Segment(rows [][]uint32, opts Options) (*Result, error) {
 		return nil, err
 	}
 	return &Result{Map: m, Assignment: assign, Elapsed: elapsed}, nil
+}
+
+func hybrid(alg Algorithm) bool { return alg == AlgRandomRC || alg == AlgRandomGreedy }
+
+// merge runs opts.Algorithm over segs until target segments remain. The
+// hybrids first reduce to opts.MidSegments with Random. after, when set,
+// sees the live count once before the sumdiff-driven phase and after
+// each of its merges (SegmentSweep snapshots through it).
+func merge(segs []*segment, opts Options, target int, items []dataset.Item, after func(live int)) error {
+	switch opts.Algorithm {
+	case AlgRandom:
+		return randomMerge(segs, target)
+	case AlgRandomRC, AlgRandomGreedy:
+		if err := randomMerge(segs, opts.MidSegments); err != nil {
+			return err
+		}
+	case AlgRC, AlgGreedy:
+	default:
+		return fmt.Errorf("core: unknown algorithm %v", opts.Algorithm)
+	}
+	if after != nil {
+		after(countAlive(segs))
+	}
+	if opts.Algorithm == AlgRC || opts.Algorithm == AlgRandomRC {
+		return rcMerge(rand.New(rand.NewSource(opts.Seed)), segs, target, items, after)
+	}
+	return greedyMerge(segs, target, items, after)
 }
 
 func makeSegments(rows [][]uint32) []*segment {
@@ -169,15 +179,54 @@ func countAlive(segs []*segment) int {
 	return n
 }
 
-// mergeInto folds segment b into segment a; b dies.
-func mergeInto(a, b *segment) {
-	for i, c := range b.counts {
-		a.counts[i] += c
+// mergeInto folds segment b into segment a; b dies. It fails with
+// ErrCountOverflow, leaving a's counts partly summed, if a cell would
+// pass 2³²−1; callers abandon the segmentation then.
+func mergeInto(a, b *segment) error {
+	if err := addCounts(a.counts, b.counts); err != nil {
+		return err
 	}
 	a.pages = append(a.pages, b.pages...)
 	a.ver++
 	b.alive = false
 	b.ver++
+	return nil
+}
+
+// addCounts adds src into dst cell by cell, failing with
+// ErrCountOverflow at the first cell that would wrap.
+func addCounts(dst, src []uint32) error {
+	for i, c := range src {
+		dst[i] += c
+		if dst[i] < c {
+			return fmt.Errorf("%w: item %d", ErrCountOverflow, i)
+		}
+	}
+	return nil
+}
+
+// mergeCosted is mergeInto for the sumdiff-driven loops: it also
+// refreshes the surviving segment's cached P.
+func mergeCosted(pm *pairMins, a, b *segment) error {
+	if err := mergeInto(a, b); err != nil {
+		return err
+	}
+	a.p = pm.row(a.counts)
+	return nil
+}
+
+// costed returns the live segments with their P over the sumdiff items
+// computed, and the evaluator that keeps them current.
+func costed(segs []*segment, items []dataset.Item) ([]*segment, *pairMins) {
+	pm := newPairMins(items)
+	live := make([]*segment, 0, len(segs))
+	for _, s := range segs {
+		if s.alive {
+			s.p = pm.row(s.counts)
+			live = append(live, s)
+		}
+	}
+	return live, pm
 }
 
 // randomMerge reduces the live segments to target by "arbitrary"
@@ -187,8 +236,7 @@ func mergeInto(a, b *segment) {
 // optimization effort. Contiguity is what lets Random suffice on skewed
 // ("seasonal") data — the recipe of Figure 7 depends on it: temporal
 // drift maps to distinct segments by construction. O(m).
-func randomMerge(r *rand.Rand, segs []*segment, target int) {
-	_ = r // the arbitrary partition is deterministic; seed kept for API symmetry
+func randomMerge(segs []*segment, target int) error {
 	live := make([]*segment, 0, len(segs))
 	for _, s := range segs {
 		if s.alive {
@@ -196,7 +244,7 @@ func randomMerge(r *rand.Rand, segs []*segment, target int) {
 		}
 	}
 	if len(live) <= target {
-		return
+		return nil
 	}
 	base, rem := len(live)/target, len(live)%target
 	idx := 0
@@ -207,40 +255,45 @@ func randomMerge(r *rand.Rand, segs []*segment, target int) {
 		}
 		head := live[idx]
 		for i := 1; i < size; i++ {
-			mergeInto(head, live[idx+i])
+			if err := mergeInto(head, live[idx+i]); err != nil {
+				return err
+			}
 		}
 		idx += size
 	}
+	return nil
 }
 
 // rcMerge is the RC algorithm (Figure 3): until target segments remain,
 // pick a random live segment and merge it with the live segment of
-// minimum sumdiff.
-func rcMerge(r *rand.Rand, segs []*segment, target int, items []dataset.Item, workers int) {
-	rcMergeHook(r, segs, target, items, workers, nil)
-}
-
-// rcMergeHook is rcMerge with an after-merge callback (used by
-// SegmentSweep to snapshot intermediate segment counts).
-func rcMergeHook(r *rand.Rand, segs []*segment, target int, items []dataset.Item, workers int, after func(live int)) {
-	live := make([]*segment, 0, len(segs))
-	for _, s := range segs {
-		if s.alive {
-			live = append(live, s)
-		}
-	}
-	pool := conc.Resolve(workers)
+// minimum sumdiff, ties going to the lowest index. after, when set, runs
+// after every merge (SegmentSweep snapshots intermediate segment counts
+// through it).
+func rcMerge(r *rand.Rand, segs []*segment, target int, items []dataset.Item, after func(live int)) error {
+	live, pm := costed(segs, items)
 	for len(live) > target {
 		i := r.Intn(len(live))
 		s1 := live[i]
-		bestJ, _ := closestSegment(s1.counts, live, i, items, pool)
-		mergeInto(s1, live[bestJ])
+		bestJ := -1
+		var bestCost int64
+		for j, s := range live {
+			if j == i {
+				continue
+			}
+			if cost := pm.cost(s1, s); bestJ < 0 || cost < bestCost {
+				bestJ, bestCost = j, cost
+			}
+		}
+		if err := mergeCosted(pm, s1, live[bestJ]); err != nil {
+			return err
+		}
 		live[bestJ] = live[len(live)-1]
 		live = live[:len(live)-1]
 		if after != nil {
 			after(len(live))
 		}
 	}
+	return nil
 }
 
 // pairEntry is a candidate merge in Greedy's priority queue. verA/verB
@@ -248,7 +301,7 @@ func rcMergeHook(r *rand.Rand, segs []*segment, target int, items []dataset.Item
 // pop time marks the entry stale (lazy deletion).
 type pairEntry struct {
 	cost       int64
-	a, b       int // indices into segs
+	a, b       int // indices into the live segments
 	verA, verB int
 }
 
@@ -269,47 +322,35 @@ func (h *pairHeap) Pop() interface{} {
 // greedyMerge is the Greedy algorithm (Figure 2): a priority queue holds
 // the sumdiff of every pair of live segments; the cheapest valid pair is
 // merged, its stale entries lazily discarded, and the merged segment's
-// pairs with all remaining segments are inserted.
-func greedyMerge(segs []*segment, target int, items []dataset.Item, workers int) {
-	greedyMergeHook(segs, target, items, workers, nil)
-}
-
-// greedyMergeHook is greedyMerge with an after-merge callback (used by
-// SegmentSweep to snapshot intermediate segment counts).
-func greedyMergeHook(segs []*segment, target int, items []dataset.Item, workers int, after func(live int)) {
-	liveIdx := make([]int, 0, len(segs))
-	for i, s := range segs {
-		if s.alive {
-			liveIdx = append(liveIdx, i)
-		}
-	}
-	n := len(liveIdx)
+// pairs with all remaining segments are inserted. after, when set, runs
+// after every merge.
+func greedyMerge(segs []*segment, target int, items []dataset.Item, after func(live int)) error {
+	live, pm := costed(segs, items)
+	n := len(live)
 	if n <= target {
-		return
+		return nil
 	}
-	pool := conc.Resolve(workers)
 	h := make(pairHeap, 0, n*(n-1)/2)
 	for x := 0; x < n; x++ {
 		for y := x + 1; y < n; y++ {
-			i, j := liveIdx[x], liveIdx[y]
-			h = append(h, pairEntry{a: i, b: j, verA: segs[i].ver, verB: segs[j].ver})
+			h = append(h, pairEntry{cost: pm.cost(live[x], live[y]), a: x, b: y, verA: live[x].ver, verB: live[y].ver})
 		}
 	}
-	conc.For(pool, len(h), func(e int) {
-		h[e].cost = SumDiffPair(segs[h[e].a].counts, segs[h[e].b].counts, items)
-	})
 	heap.Init(&h)
 	remaining := n
 	for remaining > target {
 		var e pairEntry
 		for {
 			e = heap.Pop(&h).(pairEntry)
-			if segs[e.a].alive && segs[e.b].alive &&
-				segs[e.a].ver == e.verA && segs[e.b].ver == e.verB {
+			if live[e.a].alive && live[e.b].alive &&
+				live[e.a].ver == e.verA && live[e.b].ver == e.verB {
 				break
 			}
 		}
-		mergeInto(segs[e.a], segs[e.b])
+		a := live[e.a]
+		if err := mergeCosted(pm, a, live[e.b]); err != nil {
+			return err
+		}
 		remaining--
 		if after != nil {
 			after(remaining)
@@ -317,18 +358,12 @@ func greedyMergeHook(segs []*segment, target int, items []dataset.Item, workers 
 		if remaining <= target {
 			break
 		}
-		fresh := make([]pairEntry, 0, remaining)
-		for _, i := range liveIdx {
-			if i == e.a || !segs[i].alive {
+		for i, s := range live {
+			if i == e.a || !s.alive {
 				continue
 			}
-			fresh = append(fresh, pairEntry{a: e.a, b: i, verA: segs[e.a].ver, verB: segs[i].ver})
-		}
-		conc.For(pool, len(fresh), func(f int) {
-			fresh[f].cost = SumDiffPair(segs[e.a].counts, segs[fresh[f].b].counts, items)
-		})
-		for _, fe := range fresh {
-			heap.Push(&h, fe)
+			heap.Push(&h, pairEntry{cost: pm.cost(a, s), a: e.a, b: i, verA: a.ver, verB: s.ver})
 		}
 	}
+	return nil
 }

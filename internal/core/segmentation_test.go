@@ -1,11 +1,16 @@
 package core
 
 import (
+	"encoding/binary"
+	"errors"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"github.com/ossm-mining/ossm/internal/dataset"
+	"github.com/ossm-mining/ossm/internal/gen"
 )
 
 func allAlgorithms() []Algorithm {
@@ -326,6 +331,98 @@ func TestAlgorithmString(t *testing.T) {
 	for alg, want := range cases {
 		if got := alg.String(); got != want {
 			t.Errorf("String() = %q, want %q", got, want)
+		}
+	}
+}
+
+// assignmentHash is FNV-64a over a segmentation's page assignment:
+// segment count, then each segment's length and page ids in order.
+func assignmentHash(assign [][]int) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v int) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	put(len(assign))
+	for _, seg := range assign {
+		put(len(seg))
+		for _, p := range seg {
+			put(p)
+		}
+	}
+	return h.Sum64()
+}
+
+// TestSegmentAssignmentsPinned pins the exact segmentations the
+// sumdiff-driven algorithms produce on a fixed drifting Quest input, with
+// and without a bubble list. The hashes were recorded with the direct
+// O(k²) pair-loop sumdiff; any change to the merge-cost order (a stale
+// cached P, a different tie-break, a rounding cost) changes them.
+func TestSegmentAssignmentsPinned(t *testing.T) {
+	cfg := gen.DefaultQuest(3000, 11)
+	cfg.NumItems = 150
+	cfg.NumPatterns = 300
+	cfg.WeightDrift = 0.5
+	d := gen.MustQuest(cfg)
+	rows := dataset.PageCounts(d, dataset.PaginateN(d, 60))
+	bubble := BubbleListFromCounts(rows, int64(d.NumTx())/100, 40)
+	cases := []struct {
+		alg    Algorithm
+		bubble bool
+		want   uint64
+	}{
+		{AlgRC, false, 0xd5fe28a2c6c3a1bf},
+		{AlgGreedy, false, 0xbbf1ea1f79899f75},
+		{AlgRandomRC, false, 0xe4fcf1c05b615cfd},
+		{AlgRandomGreedy, false, 0xe02fb88b249a4ad},
+		{AlgRC, true, 0xbfd1f62b62ceb14f},
+		{AlgGreedy, true, 0x67642be46cfe4209},
+		{AlgRandomRC, true, 0x8bc3ca04e4cfd3d},
+		{AlgRandomGreedy, true, 0x34c9a12792c00629},
+	}
+	for _, c := range cases {
+		opts := Options{Algorithm: c.alg, TargetSegments: 8, MidSegments: 30, Seed: 5}
+		if c.bubble {
+			opts.Bubble = bubble
+		}
+		res, err := Segment(rows, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := assignmentHash(res.Assignment); got != c.want {
+			t.Errorf("%v bubble=%v: assignment hash %#x, want %#x", c.alg, c.bubble, got, c.want)
+		}
+	}
+}
+
+// TestSegmentCountOverflowBoundary: merging cells that sum to exactly
+// 2³²−1 succeeds, one more refuses with ErrCountOverflow, for every
+// algorithm and for the sweep.
+func TestSegmentCountOverflowBoundary(t *testing.T) {
+	rows := func(last uint32) [][]uint32 {
+		return [][]uint32{{math.MaxUint32 - 4, 1}, {1, 2}, {1, 3}, {last, 4}}
+	}
+	for _, alg := range allAlgorithms() {
+		opts := optsFor(alg, 1, 2, 1)
+		res, err := Segment(rows(2), opts)
+		if err != nil {
+			t.Fatalf("%v at 2³²−1: %v", alg, err)
+		}
+		if got := res.Map.ItemSupport(0); got != math.MaxUint32 {
+			t.Errorf("%v: merged cell %d, want 2³²−1", alg, got)
+		}
+		if got := res.Map.SegmentSupport(0, 0); got != math.MaxUint32 {
+			t.Errorf("%v: segment cell %d, want 2³²−1", alg, got)
+		}
+		if _, err := Segment(rows(3), opts); !errors.Is(err, ErrCountOverflow) {
+			t.Errorf("%v at 2³²: err = %v, want ErrCountOverflow", alg, err)
+		}
+		if _, err := SegmentSweep(rows(2), opts, []int{3, 1}); err != nil {
+			t.Errorf("%v sweep at 2³²−1: %v", alg, err)
+		}
+		if _, err := SegmentSweep(rows(3), opts, []int{3, 1}); !errors.Is(err, ErrCountOverflow) {
+			t.Errorf("%v sweep at 2³²: err = %v, want ErrCountOverflow", alg, err)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"math"
 	"math/big"
 	"math/rand"
@@ -16,6 +17,97 @@ func randomRow(r *rand.Rand, k, maxVal int) []uint32 {
 		row[i] = uint32(r.Intn(maxVal))
 	}
 	return row
+}
+
+// quadSumDiffPair is equation (2) for two rows as the direct O(k²) loop
+// over item pairs: the oracle the sorted-prefix evaluation must match.
+func quadSumDiffPair(a, b []uint32, items []dataset.Item) int64 {
+	var total int64
+	for i := 0; i < len(items); i++ {
+		x := items[i]
+		ax, bx := a[x], b[x]
+		for j := i + 1; j < len(items); j++ {
+			y := items[j]
+			ay, by := a[y], b[y]
+			mc := min(uint64(ax)+uint64(bx), uint64(ay)+uint64(by))
+			total += int64(mc) - int64(min(ax, ay)) - int64(min(bx, by))
+		}
+	}
+	return total
+}
+
+// quadSumDiffSet is the O(k²) loop for an arbitrary set of rows.
+func quadSumDiffSet(rows [][]uint32, items []dataset.Item) int64 {
+	if len(rows) == 0 {
+		return 0
+	}
+	merged := make([]uint64, len(rows[0]))
+	for _, row := range rows {
+		for i, c := range row {
+			merged[i] += uint64(c)
+		}
+	}
+	var total int64
+	for i := 0; i < len(items); i++ {
+		x := items[i]
+		for j := i + 1; j < len(items); j++ {
+			y := items[j]
+			var sep int64
+			for _, row := range rows {
+				sep += int64(min(row[x], row[y]))
+			}
+			total += int64(min(merged[x], merged[y])) - sep
+		}
+	}
+	return total
+}
+
+// checkSumDiffOracle compares both public forms against the quadratic
+// oracle on one input.
+func checkSumDiffOracle(t *testing.T, rows [][]uint32, items []dataset.Item) {
+	t.Helper()
+	if got, want := SumDiffSet(rows, items), quadSumDiffSet(rows, items); got != want {
+		t.Fatalf("SumDiffSet(%v, %v) = %d, oracle %d", rows, items, got, want)
+	}
+	if len(rows) == 2 {
+		if got, want := SumDiffPair(rows[0], rows[1], items), quadSumDiffPair(rows[0], rows[1], items); got != want {
+			t.Fatalf("SumDiffPair(%v, %v) = %d, oracle %d", rows, items, got, want)
+		}
+	}
+}
+
+// TestSumDiffMatchesQuadraticOracle: the sorted-prefix identity equals
+// the pair loop on random rows (small and full-range cells), on bubble
+// subsets, on an empty item list and on the wide cells of
+// TestSumDiffWideCells.
+func TestSumDiffMatchesQuadraticOracle(t *testing.T) {
+	const top = math.MaxUint32
+	wide := []uint32{0, 1, 1 << 31, 1<<31 + 1, top - 1, top}
+	r := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 600; trial++ {
+		k := 1 + r.Intn(40)
+		rows := make([][]uint32, 1+r.Intn(4))
+		for s := range rows {
+			rows[s] = make([]uint32, k)
+			for i := range rows[s] {
+				switch trial % 3 {
+				case 0:
+					rows[s][i] = uint32(r.Intn(50))
+				case 1:
+					rows[s][i] = r.Uint32()
+				default:
+					rows[s][i] = wide[r.Intn(len(wide))]
+				}
+			}
+		}
+		checkSumDiffOracle(t, rows, AllItems(k))
+		checkSumDiffOracle(t, rows, nil)
+		var bubble []dataset.Item
+		for _, x := range r.Perm(k)[:r.Intn(k+1)] {
+			bubble = append(bubble, dataset.Item(x))
+		}
+		checkSumDiffOracle(t, rows, bubble)
+	}
 }
 
 func TestSumDiffPairMatchesSet(t *testing.T) {
@@ -230,4 +322,39 @@ func TestSumDiffWideCells(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzSumDiff: for arbitrary uint32 cells and item lists (subsets,
+// repeats, empty) both sumdiff forms equal the quadratic oracle. cells
+// holds the row count, the domain size, then little-endian cells; pick
+// selects the summation items.
+func FuzzSumDiff(f *testing.F) {
+	f.Add([]byte{2, 3, 0xff, 0xff, 0xff, 0xff, 1, 0, 0, 0, 7, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0x80}, []byte{0, 1, 2})
+	f.Add([]byte{3, 5, 9, 0, 0, 0, 4}, []byte{4, 2})
+	f.Add([]byte{1, 1}, []byte{})
+	f.Fuzz(func(t *testing.T, cells, pick []byte) {
+		if len(cells) < 2 || len(pick) > 64 {
+			return
+		}
+		rows := make([][]uint32, 1+int(cells[0])%4)
+		k := 1 + int(cells[1])%16
+		cells = cells[2:]
+		for s := range rows {
+			rows[s] = make([]uint32, k)
+			for i := range rows[s] {
+				if len(cells) >= 4 {
+					rows[s][i] = binary.LittleEndian.Uint32(cells)
+					cells = cells[4:]
+				}
+			}
+		}
+		items := make([]dataset.Item, len(pick))
+		for i, b := range pick {
+			items[i] = dataset.Item(int(b) % k)
+		}
+		checkSumDiffOracle(t, rows, items)
+		if len(rows) > 2 {
+			checkSumDiffOracle(t, rows[:2], items)
+		}
+	})
 }

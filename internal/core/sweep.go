@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"time"
 )
@@ -24,19 +23,15 @@ type SweepPoint struct {
 //
 // Targets are deduplicated and served in descending order; targets above
 // the page count snapshot the initial state. opts.TargetSegments is
-// ignored (the smallest target is used).
+// ignored (the smallest target is used). A merge that would overflow a
+// uint32 cell fails with ErrCountOverflow.
 func SegmentSweep(rows [][]uint32, opts Options, targets []int) ([]SweepPoint, error) {
-	if len(rows) == 0 {
-		return nil, ErrNoSegments
+	k, err := checkRows(rows)
+	if err != nil {
+		return nil, err
 	}
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("core: SegmentSweep needs at least one target")
-	}
-	k := len(rows[0])
-	for i, row := range rows {
-		if len(row) != k {
-			return nil, fmt.Errorf("%w: row 0 has %d items, row %d has %d", ErrRaggedSegments, k, i, len(row))
-		}
 	}
 	want := map[int]bool{}
 	minTarget := targets[0]
@@ -53,28 +48,18 @@ func SegmentSweep(rows [][]uint32, opts Options, targets []int) ([]SweepPoint, e
 			minTarget = tt
 		}
 	}
+	if hybrid(opts.Algorithm) && opts.MidSegments < minTarget {
+		return nil, fmt.Errorf("core: MidSegments (%d) must be ≥ the smallest sweep target (%d) for %s",
+			opts.MidSegments, minTarget, opts.Algorithm)
+	}
 	items := opts.Bubble
 	if items == nil {
 		items = AllItems(k)
 	}
-	r := rand.New(rand.NewSource(opts.Seed))
 
 	var points []SweepPoint
 	start := time.Now()
-	segs := makeSegments(rows)
-	snapshot := func(live int) {
-		if want[live] {
-			points = append(points, SweepPoint{
-				Segments: live,
-				Map:      snapshotMap(segs),
-				Elapsed:  time.Since(start),
-			})
-			delete(want, live)
-		}
-	}
-
-	switch opts.Algorithm {
-	case AlgRandom:
+	if opts.Algorithm == AlgRandom {
 		// The contiguous partition is not incremental across targets;
 		// each is O(m), so build each directly.
 		var ts []int
@@ -83,67 +68,32 @@ func SegmentSweep(rows [][]uint32, opts Options, targets []int) ([]SweepPoint, e
 		}
 		sort.Sort(sort.Reverse(sort.IntSlice(ts)))
 		for _, t := range ts {
-			segsT := makeSegments(rows)
-			randomMerge(r, segsT, t)
-			points = append(points, SweepPoint{
-				Segments: t,
-				Map:      snapshotMap(segsT),
-				Elapsed:  time.Since(start),
-			})
-		}
-		return points, nil
-	case AlgRC, AlgRandomRC:
-		if opts.Algorithm == AlgRandomRC {
-			if err := checkMid(opts, minTarget); err != nil {
+			segs := makeSegments(rows)
+			if err := randomMerge(segs, t); err != nil {
 				return nil, err
 			}
-			randomMerge(r, segs, opts.MidSegments)
+			points = append(points, SweepPoint{Segments: t, Map: snapshotMap(segs), Elapsed: time.Since(start)})
 		}
-		snapshot(countAlive(segs))
-		rcMergeHook(r, segs, minTarget, items, opts.Workers, snapshot)
-	case AlgGreedy, AlgRandomGreedy:
-		if opts.Algorithm == AlgRandomGreedy {
-			if err := checkMid(opts, minTarget); err != nil {
-				return nil, err
-			}
-			randomMerge(r, segs, opts.MidSegments)
-		}
-		snapshot(countAlive(segs))
-		greedyMergeHook(segs, minTarget, items, opts.Workers, snapshot)
-	default:
-		return nil, fmt.Errorf("core: unknown algorithm %v", opts.Algorithm)
-	}
-	// Targets at or above the starting segment count that were never hit
-	// mid-merge snapshot the initial state.
-	if len(want) > 0 {
-		segs0 := makeSegments(rows)
-		if opts.Algorithm == AlgRandomRC || opts.Algorithm == AlgRandomGreedy {
-			randomMerge(rand.New(rand.NewSource(opts.Seed)), segs0, opts.MidSegments)
-		}
-		for t := range want {
-			if t >= countAlive(segs0) {
-				points = append(points, SweepPoint{
-					Segments: t,
-					Map:      snapshotMap(segs0),
-					Elapsed:  time.Since(start),
-				})
-				delete(want, t)
+	} else {
+		// The first call sees the state the sumdiff-driven phase starts
+		// from and serves every target at or above it; each merge then
+		// lowers the live count by one, meeting the remaining targets.
+		segs := makeSegments(rows)
+		snapshot := func(live int) {
+			elapsed := time.Since(start)
+			for t := range want {
+				if t >= live {
+					points = append(points, SweepPoint{Segments: t, Map: snapshotMap(segs), Elapsed: elapsed})
+					delete(want, t)
+				}
 			}
 		}
-	}
-	if len(want) > 0 {
-		return nil, fmt.Errorf("core: sweep targets %v were not reached", keys(want))
+		if err := merge(segs, opts, minTarget, items, snapshot); err != nil {
+			return nil, err
+		}
 	}
 	sort.Slice(points, func(i, j int) bool { return points[i].Segments > points[j].Segments })
 	return points, nil
-}
-
-func checkMid(opts Options, minTarget int) error {
-	if opts.MidSegments < minTarget {
-		return fmt.Errorf("core: MidSegments (%d) must be ≥ the smallest sweep target (%d) for %s",
-			opts.MidSegments, minTarget, opts.Algorithm)
-	}
-	return nil
 }
 
 // snapshotMap copies the live segments into a standalone Map.
@@ -151,23 +101,12 @@ func snapshotMap(segs []*segment) *Map {
 	var rows [][]uint32
 	for _, s := range segs {
 		if s.alive {
-			cp := make([]uint32, len(s.counts))
-			copy(cp, s.counts)
-			rows = append(rows, cp)
+			rows = append(rows, s.counts)
 		}
 	}
-	m, err := NewMap(rows)
+	m, err := NewMap(rows) // copies the cells
 	if err != nil {
 		panic(err) // cannot happen: at least one live segment always remains
 	}
 	return m
-}
-
-func keys(m map[int]bool) []int {
-	var out []int
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -116,12 +116,12 @@ func TestSweepElapsedMonotone(t *testing.T) {
 	}
 }
 
-func TestSweepWithBubbleAndWorkersMatchesDirect(t *testing.T) {
+func TestSweepWithBubbleMatchesDirect(t *testing.T) {
 	rows := sweepRows(t, 20, 8, 7)
 	bubble := BubbleListFromCounts(rows, 50, 4)
 	for _, alg := range []Algorithm{AlgRC, AlgGreedy} {
 		points, err := SegmentSweep(rows, Options{
-			Algorithm: alg, Bubble: bubble, Seed: 3, Workers: 4,
+			Algorithm: alg, Bubble: bubble, Seed: 3,
 		}, []int{5, 12})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)

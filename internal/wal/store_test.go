@@ -2,6 +2,7 @@ package wal
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -511,5 +512,58 @@ func TestReplayEquivalenceProperty(t *testing.T) {
 			t.Fatalf("workload %d: recovered index not bit-identical to oracle index", w)
 		}
 		s2.Close()
+	}
+}
+
+// TestAppendCountOverflowFailsStore: a compaction that would wrap a
+// segment cell past 2³²−1 fails the store, and the typed overflow error
+// survives the fail-stop wrapping.
+func TestAppendCountOverflowFailsStore(t *testing.T) {
+	opts := Options{
+		NumItems: 2,
+		Appender: ossm.AppenderOptions{PageSize: 1, MaxSegments: 1, CompactAt: 2, Algorithm: ossm.Greedy},
+	}
+	data, err := encodeSnapshot(1, ossm.AppenderState{
+		NumItems: 2, PageSize: 1, MaxSegments: 1, CompactAt: 2, Algorithm: ossm.Greedy,
+		Rows: [][]uint32{{math.MaxUint32 - 1, 0}},
+		Cur:  []uint32{0, 0},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := NewMemFS()
+	f, err := fs.Create(snapName(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.SyncDir(); err != nil {
+		t.Fatal(err)
+	}
+	s, info, err := Open(fs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if info.SnapshotSeq != 1 {
+		t.Fatalf("recovered from snapshot %d, want 1", info.SnapshotSeq)
+	}
+	if _, err := s.Append([]ossm.Itemset{itemset(0)}); err != nil {
+		t.Fatalf("compaction to 2³²−1: %v", err)
+	}
+	_, err = s.Append([]ossm.Itemset{itemset(0)})
+	if !errors.Is(err, ossm.ErrCountOverflow) || !errors.Is(err, ErrFailed) {
+		t.Fatalf("crossing 2³²: err = %v, want ErrFailed wrapping ErrCountOverflow", err)
+	}
+	if _, err := s.Append([]ossm.Itemset{itemset(1)}); !errors.Is(err, ErrFailed) {
+		t.Fatalf("append after the failure: err = %v, want ErrFailed", err)
 	}
 }

@@ -121,10 +121,6 @@ type BuildOptions struct {
 	BubbleMinSupport float64
 	// Seed drives the randomized phases.
 	Seed int64
-	// Workers fans the segmentation's sumdiff evaluations over a
-	// goroutine pool (0 or 1 = serial); the result is identical to the
-	// serial run.
-	Workers int
 }
 
 // Index is a built OSSM over a specific dataset: the Map plus the
@@ -136,6 +132,11 @@ type Index struct {
 	elapsed    time.Duration
 	numTx      int
 }
+
+// ErrCountOverflow is returned by Build, Appender.Add and
+// Appender.Snapshot when merging pages or segments would push a segment
+// support cell past 2³²−1; a wrapped cell would under-state ubsup.
+var ErrCountOverflow = core.ErrCountOverflow
 
 // Build paginates d, runs the configured segmentation, and returns the
 // resulting index.
@@ -181,7 +182,6 @@ func Build(d *Dataset, opts BuildOptions) (*Index, error) {
 		MidSegments:    mid,
 		Bubble:         bubble,
 		Seed:           opts.Seed,
-		Workers:        opts.Workers,
 	})
 	if err != nil {
 		return nil, err

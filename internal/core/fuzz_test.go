@@ -41,9 +41,9 @@ func FuzzReadMap(f *testing.F) {
 	})
 }
 
-// FuzzBoundKernels: on fuzzer-shaped random maps every decision kernel
-// must agree bit-for-bit with the reference bound walk, for any itemset
-// and threshold (the DESIGN.md §7 equivalence guarantee).
+// FuzzBoundKernels: on fuzzer-shaped random maps every decision and
+// bound path must agree bit-for-bit with the reference bound walk, for
+// any itemset and threshold (the DESIGN.md §7 equivalence guarantee).
 func FuzzBoundKernels(f *testing.F) {
 	f.Add(uint8(4), uint8(3), int64(1), uint32(50))
 	f.Add(uint8(40), uint8(6), int64(7), uint32(3))
@@ -68,11 +68,9 @@ func FuzzBoundKernels(f *testing.F) {
 }
 
 // FuzzBoundKernelsQuantized is FuzzBoundKernels on deeper maps with
-// large cells: 1 to 256 segments, so every abandon-stride remainder
-// (ns mod 8) occurs with several strides before it, and roughly a
-// quarter of the cells are near 65536, so per-segment minima and
-// suffix sums run far past the small-cell range. Decisions must stay
-// bit-identical to the reference.
+// large cells: 1 to 256 segments, and roughly a quarter of the cells
+// are near 65536, so per-segment minima and bound sums run far past the
+// small-cell range. Decisions must stay bit-identical to the reference.
 func FuzzBoundKernelsQuantized(f *testing.F) {
 	f.Add(uint8(80), uint8(4), int64(3), uint32(100000))
 	f.Add(uint8(40), uint8(6), int64(9), uint32(7))
@@ -100,39 +98,32 @@ func FuzzBoundKernelsQuantized(f *testing.F) {
 	})
 }
 
-// checkBoundKernels compares every decision kernel on random itemsets
-// of m's k items against the reference bound walk at minsup.
+// checkBoundKernels compares every decision and bound path on random
+// itemsets of m's k items against the reference bound walk, at minsup
+// and at each candidate's exact bound and the next integer.
 func checkBoundKernels(t *testing.T, m *Map, r *rand.Rand, k int, minsup int64) {
 	t.Helper()
 	cands := make([]dataset.Itemset, 1+r.Intn(12))
+	refs := make([]int64, len(cands))
 	for i := range cands {
 		cands[i] = randomNonEmptyItemset(r, k)
+		refs[i] = m.referenceUpperBound(cands[i])
 	}
-	dec := make([]bool, len(cands))
-	m.BoundBatch(cands, minsup, dec)
 	bounds := m.UpperBoundBatch(cands, nil)
 	for i, x := range cands {
-		ref := m.referenceUpperBound(x)
-		if m.UpperBound(x) != ref {
-			t.Fatalf("UpperBound(%v) ≠ reference %d", x, ref)
+		if m.UpperBound(x) != refs[i] {
+			t.Fatalf("UpperBound(%v) ≠ reference %d", x, refs[i])
 		}
-		if bounds[i] != ref {
-			t.Fatalf("UpperBoundBatch[%d] = %d ≠ reference %d", i, bounds[i], ref)
+		if bounds[i] != refs[i] {
+			t.Fatalf("UpperBoundBatch[%d] = %d ≠ reference %d", i, bounds[i], refs[i])
 		}
-		if got, want := m.BoundAtLeast(x, minsup), ref >= minsup; got != want {
-			t.Fatalf("BoundAtLeast(%v, %d) = %v, reference %d", x, minsup, got, ref)
-		}
-		if dec[i] != (ref >= minsup) {
-			t.Fatalf("BoundBatch[%d] = %v for %v at %d, reference %d", i, dec[i], x, minsup, ref)
-		}
-		if len(x) == 2 {
-			if got, want := m.BoundPairAtLeast(x[0], x[1], minsup), ref >= minsup; got != want {
-				t.Fatalf("BoundPairAtLeast(%v, %d) = %v, reference %d", x, minsup, got, ref)
-			}
+		for _, th := range []int64{minsup, refs[i], refs[i] + 1} {
+			checkAllow(t, m, x, refs[i], th)
 		}
 	}
+	checkAdmitBatch(t, m, cands, refs, minsup)
 
-	// Extension kernel against the same oracle.
+	// Extensions of a shared prefix against the same oracle.
 	prefix := randomNonEmptyItemset(r, k)
 	var exts []dataset.Item
 	for it := dataset.Item(0); int(it) < k; it++ {
@@ -141,15 +132,11 @@ func checkBoundKernels(t *testing.T, m *Map, r *rand.Rand, k int, minsup int64) 
 		}
 	}
 	if len(exts) > 0 {
-		extDec := make([]bool, len(exts))
-		m.BoundExtensions(prefix, exts, minsup, extDec)
+		extRefs := make([]int64, len(exts))
 		for e, it := range exts {
-			cand := dataset.NewItemset(append(append([]dataset.Item{}, prefix...), it)...)
-			ref := m.referenceUpperBound(cand)
-			if extDec[e] != (ref >= minsup) {
-				t.Fatalf("BoundExtensions(%v + %d) = %v at %d, reference %d", prefix, it, extDec[e], minsup, ref)
-			}
+			extRefs[e] = m.referenceUpperBound(dataset.NewItemset(append(append([]dataset.Item{}, prefix...), it)...))
 		}
+		checkAdmitExtensions(t, m, prefix, exts, extRefs, minsup)
 	}
 
 	// Pair wall over a fuzzed subset of the items in shuffled order.

@@ -24,8 +24,7 @@ const (
 // bound) so roughly half the candidates admit and half reject. Item
 // supports follow a power-ish law (item i is drawn from [0, 200≫(i mod
 // 8))), the shape frequency counting actually sees — candidate bounds
-// then disperse widely around the threshold, which is the regime the
-// early-exit/early-abandon machinery is designed for.
+// then disperse widely around the threshold.
 func benchFixture(segs int) (*Map, []dataset.Itemset, int64) {
 	r := rand.New(rand.NewSource(int64(segs)))
 	rows := make([][]uint32, segs)
@@ -76,32 +75,18 @@ func BenchmarkUpperBoundScalar(b *testing.B) {
 	}
 }
 
-// BenchmarkUpperBoundAtLeast is the scalar decision kernel: early exit
-// and early abandon, one candidate at a time.
-func BenchmarkUpperBoundAtLeast(b *testing.B) {
-	for _, segs := range benchSegCounts {
-		b.Run(fmt.Sprintf("segs=%d", segs), func(b *testing.B) {
-			m, cands, minsup := benchFixture(segs)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, x := range cands {
-					_ = m.BoundAtLeast(x, minsup)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkUpperBoundBatch is the batch kernel deciding the whole
-// generation per op.
+// BenchmarkUpperBoundBatch is the decision path the level-wise miners
+// take: one whole generation decided per op through AdmitBatch on a
+// Pruner.
 func BenchmarkUpperBoundBatch(b *testing.B) {
 	for _, segs := range benchSegCounts {
 		b.Run(fmt.Sprintf("segs=%d", segs), func(b *testing.B) {
 			m, cands, minsup := benchFixture(segs)
+			p := &Pruner{Map: m, MinCount: minsup}
 			dec := make([]bool, len(cands))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.BoundBatch(cands, minsup, dec)
+				dec = AdmitBatch(p, cands, dec)
 			}
 		})
 	}

@@ -9,15 +9,17 @@ import (
 	"github.com/ossm-mining/ossm/internal/dataset"
 )
 
-// The kernel contract (DESIGN.md §7): every decision kernel and every
-// batch kernel agrees bit-for-bit with the pre-flat-store reference walk
-// referenceUpperBound. The tests below check that contract on randomized
-// maps, itemsets and thresholds, and across all five segmentation
-// algorithms.
+// The kernel contract (DESIGN.md §7): every decision path — a Pruner's
+// Allow and AllowPair, AdmitBatch and AdmitExtensions through a Pruner,
+// and the pair wall BoundPairsAmong — and every bound path — UpperBound,
+// UpperBoundPair, UpperBoundBatch — agrees bit-for-bit with the
+// pre-flat-store reference walk referenceUpperBound. The tests below
+// check that contract on randomized maps, itemsets and thresholds, and
+// across all five segmentation algorithms.
 
-// checkKernelsAgainstReference drives every kernel over random queries
-// against m and fails the test on the first disagreement with the
-// reference oracle.
+// checkKernelsAgainstReference drives every decision and bound path over
+// random queries against m and fails the test on the first disagreement
+// with the reference oracle.
 func checkKernelsAgainstReference(t *testing.T, r *rand.Rand, m *Map, trials int) {
 	t.Helper()
 	k := m.NumItems()
@@ -28,8 +30,8 @@ func checkKernelsAgainstReference(t *testing.T, r *rand.Rand, m *Map, trials int
 		}
 	}
 
-	// Scalar paths: UpperBound, UpperBoundPair, BoundAtLeast, at widths
-	// up to 5 so the generic-k loop meets thresholds at its exact bound.
+	// Single decisions: UpperBound, UpperBoundPair, Allow and AllowPair,
+	// at widths up to 5, with thresholds straddling the exact bound.
 	for trial := 0; trial < trials; trial++ {
 		x := randomItemsetOfLen(r, k, 1+r.Intn(minInt(5, k)))
 		ref := m.referenceUpperBound(x)
@@ -41,23 +43,15 @@ func checkKernelsAgainstReference(t *testing.T, r *rand.Rand, m *Map, trials int
 				t.Fatalf("UpperBoundPair(%v) = %d, reference %d", x, got, ref)
 			}
 		}
-		// Thresholds straddling the bound, plus random ones.
 		for _, minsup := range []int64{0, 1, ref - 1, ref, ref + 1, 1 + r.Int63n(maxT+1)} {
-			if got, want := m.BoundAtLeast(x, minsup), ref >= minsup; got != want {
-				t.Fatalf("BoundAtLeast(%v, %d) = %v, reference bound %d", x, minsup, got, ref)
-			}
-			if len(x) == 2 {
-				if got, want := m.BoundPairAtLeast(x[0], x[1], minsup), ref >= minsup; got != want {
-					t.Fatalf("BoundPairAtLeast(%v, %d) = %v, reference bound %d", x, minsup, got, ref)
-				}
-			}
+			checkAllow(t, m, x, ref, minsup)
 		}
 	}
 
-	// Batch paths: one generation of random candidates per threshold.
-	// Even trials force a uniform itemset length (up to 5, so the
-	// generic-k loop is exercised past the pair/triple unrolls), odd
-	// trials mix lengths.
+	// Generations: UpperBoundBatch, and AdmitBatch through a Pruner at one
+	// candidate's exact bound, the next integer and a random threshold.
+	// Even trials force a uniform itemset length (up to 5), odd trials
+	// mix lengths.
 	for trial := 0; trial < trials; trial++ {
 		n := 1 + r.Intn(40)
 		cands := make([]dataset.Itemset, n)
@@ -72,24 +66,25 @@ func checkKernelsAgainstReference(t *testing.T, r *rand.Rand, m *Map, trials int
 				cands[i] = randomNonEmptyItemset(r, k)
 			}
 		}
-		minsup := 1 + r.Int63n(maxT+1)
-		dec := make([]bool, n)
-		checkShortcutCounts(t, m.BoundBatch(cands, minsup, dec), n, "BoundBatch")
-		bounds := m.UpperBoundBatch(cands, nil)
+		refs := make([]int64, n)
 		for i, x := range cands {
-			ref := m.referenceUpperBound(x)
-			if bounds[i] != ref {
-				t.Fatalf("UpperBoundBatch[%d] = %d for %v, reference %d", i, bounds[i], x, ref)
+			refs[i] = m.referenceUpperBound(x)
+		}
+		for i, b := range m.UpperBoundBatch(cands, nil) {
+			if b != refs[i] {
+				t.Fatalf("UpperBoundBatch[%d] = %d for %v, reference %d", i, b, cands[i], refs[i])
 			}
-			if dec[i] != (ref >= minsup) {
-				t.Fatalf("BoundBatch[%d] = %v for %v at %d, reference bound %d", i, dec[i], x, minsup, ref)
-			}
+		}
+		pick := refs[r.Intn(n)]
+		for _, minsup := range []int64{pick, pick + 1, 1 + r.Int63n(maxT+1)} {
+			checkAdmitBatch(t, m, cands, refs, minsup)
 		}
 	}
 
 	// Pair wall: the whole domain in ascending order on even trials,
 	// random subsets in shuffled order on odd ones (pairs follow the
-	// generation's positions, not the item ids).
+	// generation's positions, not the item ids), at one pair's exact
+	// bound, the next integer and a random threshold.
 	all := make([]dataset.Item, k)
 	for i := range all {
 		all[i] = dataset.Item(i)
@@ -99,10 +94,17 @@ func checkKernelsAgainstReference(t *testing.T, r *rand.Rand, m *Map, trials int
 		if trial%2 == 1 {
 			items = randomItemOrder(r, k)
 		}
-		checkPairWall(t, m, items, 1+r.Int63n(maxT+1))
+		thresholds := []int64{1 + r.Int63n(maxT+1)}
+		if len(items) >= 2 {
+			ref := m.referenceUpperBound(dataset.NewItemset(items[0], items[len(items)-1]))
+			thresholds = append(thresholds, ref, ref+1)
+		}
+		for _, minsup := range thresholds {
+			checkPairWall(t, m, items, minsup)
+		}
 	}
 
-	// Extension kernel: shared prefix, the depth-first miners' shape.
+	// Extensions of a shared prefix, the depth-first miners' shape.
 	for trial := 0; trial < trials; trial++ {
 		prefix := dataset.Itemset{}
 		if r.Intn(4) > 0 {
@@ -117,16 +119,78 @@ func checkKernelsAgainstReference(t *testing.T, r *rand.Rand, m *Map, trials int
 		if len(exts) == 0 {
 			continue
 		}
-		minsup := 1 + r.Int63n(maxT+1)
-		extDec := make([]bool, len(exts))
-		checkShortcutCounts(t, m.BoundExtensions(prefix, exts, minsup, extDec), len(exts), "BoundExtensions")
+		refs := make([]int64, len(exts))
 		for e, it := range exts {
-			cand := dataset.NewItemset(append(append([]dataset.Item{}, prefix...), it)...)
-			ref := m.referenceUpperBound(cand)
-			if extDec[e] != (ref >= minsup) {
-				t.Fatalf("BoundExtensions(%v + %d) = %v at %d, reference bound %d", prefix, it, extDec[e], minsup, ref)
-			}
+			refs[e] = m.referenceUpperBound(dataset.NewItemset(append(append([]dataset.Item{}, prefix...), it)...))
 		}
+		pick := refs[r.Intn(len(refs))]
+		for _, minsup := range []int64{pick, pick + 1, 1 + r.Int63n(maxT+1)} {
+			checkAdmitExtensions(t, m, prefix, exts, refs, minsup)
+		}
+	}
+}
+
+// checkAllow decides x through a fresh Pruner at minsup, by Allow and
+// (for pairs) AllowPair, and checks the decisions and the counters
+// against x's reference bound.
+func checkAllow(t *testing.T, m *Map, x dataset.Itemset, ref, minsup int64) {
+	t.Helper()
+	want := ref >= minsup
+	p := &Pruner{Map: m, MinCount: minsup}
+	if got := p.Allow(x); got != want {
+		t.Fatalf("Allow(%v) at %d = %v, reference bound %d", x, minsup, got, ref)
+	}
+	checkCounters(t, p, []bool{want}, "Allow")
+	if len(x) == 2 {
+		p := &Pruner{Map: m, MinCount: minsup}
+		if got := p.AllowPair(x[0], x[1]); got != want {
+			t.Fatalf("AllowPair(%v) at %d = %v, reference bound %d", x, minsup, got, ref)
+		}
+		checkCounters(t, p, []bool{want}, "AllowPair")
+	}
+}
+
+// checkAdmitBatch decides cands through AdmitBatch on a fresh Pruner at
+// minsup and checks every decision and the counters against refs.
+func checkAdmitBatch(t *testing.T, m *Map, cands []dataset.Itemset, refs []int64, minsup int64) {
+	t.Helper()
+	p := &Pruner{Map: m, MinCount: minsup}
+	dec := AdmitBatch(p, cands, nil)
+	for i, x := range cands {
+		if dec[i] != (refs[i] >= minsup) {
+			t.Fatalf("AdmitBatch[%d] = %v for %v at %d, reference bound %d", i, dec[i], x, minsup, refs[i])
+		}
+	}
+	checkCounters(t, p, dec, "AdmitBatch")
+}
+
+// checkAdmitExtensions decides prefix ∪ {exts[e]} through AdmitExtensions
+// on a fresh Pruner at minsup and checks every decision and the counters
+// against refs.
+func checkAdmitExtensions(t *testing.T, m *Map, prefix dataset.Itemset, exts []dataset.Item, refs []int64, minsup int64) {
+	t.Helper()
+	p := &Pruner{Map: m, MinCount: minsup}
+	dec := AdmitExtensions(p, prefix, exts, nil)
+	for e, it := range exts {
+		if dec[e] != (refs[e] >= minsup) {
+			t.Fatalf("AdmitExtensions(%v + %d) = %v at %d, reference bound %d", prefix, it, dec[e], minsup, refs[e])
+		}
+	}
+	checkCounters(t, p, dec, "AdmitExtensions")
+}
+
+// checkCounters verifies that a fresh Pruner counted exactly the
+// decisions dec.
+func checkCounters(t *testing.T, p *Pruner, dec []bool, ctx string) {
+	t.Helper()
+	var pruned int64
+	for _, ok := range dec {
+		if !ok {
+			pruned++
+		}
+	}
+	if p.Checked != int64(len(dec)) || p.Pruned != pruned {
+		t.Fatalf("%s: checked %d, pruned %d; want %d, %d", ctx, p.Checked, p.Pruned, len(dec), pruned)
 	}
 }
 
@@ -153,16 +217,13 @@ func randomItemOrder(r *rand.Rand, k int) []dataset.Item {
 }
 
 // checkPairWall runs BoundPairsAmong over items and checks every
-// decision against the reference bound. The wall scans every pair in
-// full, so it reports no shortcuts.
+// decision against the reference bound.
 func checkPairWall(t *testing.T, m *Map, items []dataset.Item, minsup int64) {
 	t.Helper()
 	n := len(items)
 	numPairs := n * (n - 1) / 2
 	dec := make([]bool, numPairs)
-	if st := m.BoundPairsAmong(items, minsup, dec); st != (BatchStats{}) {
-		t.Fatalf("BoundPairsAmong reported shortcuts %+v", st)
-	}
+	m.BoundPairsAmong(items, minsup, dec)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			ref := m.referenceUpperBound(dataset.NewItemset(items[i], items[j]))
@@ -170,15 +231,6 @@ func checkPairWall(t *testing.T, m *Map, items []dataset.Item, minsup int64) {
 				t.Fatalf("BoundPairsAmong pair (%d,%d) of %v = %v at %d, reference bound %d", items[i], items[j], items, got, minsup, ref)
 			}
 		}
-	}
-}
-
-// checkShortcutCounts verifies a batch call's shortcut accounting: each
-// of its n candidates exited early, abandoned, or neither.
-func checkShortcutCounts(t *testing.T, st BatchStats, n int, ctx string) {
-	t.Helper()
-	if st.EarlyExit < 0 || st.Abandoned < 0 || st.EarlyExit+st.Abandoned > int64(n) {
-		t.Fatalf("%s: shortcut counts %+v do not fit %d candidates", ctx, st, n)
 	}
 }
 
@@ -212,10 +264,9 @@ func TestKernelDifferentialAcrossSegmenters(t *testing.T) {
 	}
 }
 
-// TestKernelDifferentialProperty hits many more map shapes (including
-// multi-block maps whose segment count exceeds one abandon stride)
-// through random page→segment assignments, then one deep skewed map of
-// 2048 segments, far past every other differential input.
+// TestKernelDifferentialProperty hits many more map shapes through
+// random page→segment assignments, then one deep skewed map of 2048
+// segments, far past every other differential input.
 func TestKernelDifferentialProperty(t *testing.T) {
 	for seed := int64(0); seed < 120; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -224,8 +275,9 @@ func TestKernelDifferentialProperty(t *testing.T) {
 	}
 
 	// Item i's cells are drawn from [0, 200>>(i%8)], a skew that spreads
-	// the bounds. At each width's median bound as the threshold, a
-	// generation splits between early exits and abandons deep in the map.
+	// the bounds. At each width's median bound and the next integer as
+	// the threshold, a generation splits between admissions and
+	// rejections.
 	const segs, k = 2048, 48
 	r := rand.New(rand.NewSource(segs))
 	rows := make([][]uint32, segs)
@@ -249,54 +301,10 @@ func TestKernelDifferentialProperty(t *testing.T) {
 		}
 		sorted := slices.Clone(refs)
 		slices.Sort(sorted)
-		minsup := max(sorted[len(sorted)/2], 1)
-		dec := make([]bool, len(cands))
-		st := m.BoundBatch(cands, minsup, dec)
-		for i, x := range cands {
-			want := refs[i] >= minsup
-			if dec[i] != want || m.BoundAtLeast(x, minsup) != want {
-				t.Fatalf("width %d: BoundBatch %v, BoundAtLeast %v for %v at %d, reference bound %d",
-					width, dec[i], m.BoundAtLeast(x, minsup), x, minsup, refs[i])
-			}
+		median := max(sorted[len(sorted)/2], 1)
+		for _, minsup := range []int64{median, median + 1} {
+			checkAdmitBatch(t, m, cands, refs, minsup)
 		}
-		if st.EarlyExit == 0 || st.Abandoned == 0 {
-			t.Errorf("width %d: shortcuts %+v, want both early exits and abandons", width, st)
-		}
-	}
-}
-
-// TestKernelMultiBlockShortcuts pins the shortcut machinery on a map
-// wide enough that decisions can happen before the final abandon
-// stride: a 64-segment map where one itemset early-exits in the first
-// stride and another abandons at its end.
-func TestKernelMultiBlockShortcuts(t *testing.T) {
-	const segs, k = 64, 4
-	rows := make([][]uint32, segs)
-	for s := range rows {
-		rows[s] = make([]uint32, k)
-		rows[s][0] = 100 // item 0: plentiful everywhere
-		rows[s][1] = 100
-		// items 2, 3 are empty everywhere: their pair abandons immediately.
-	}
-	m, err := NewMap(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hot := dataset.NewItemset(0, 1)
-	cold := dataset.NewItemset(2, 3)
-	if ok, out := m.boundAtLeast(hot, 200); !ok || out != boundEarlyExit {
-		t.Errorf("hot pair: ok=%v outcome=%d, want early exit", ok, out)
-	}
-	if ok, out := m.boundAtLeast(cold, 1); ok || out != boundAbandoned {
-		t.Errorf("cold pair: ok=%v outcome=%d, want abandon", ok, out)
-	}
-	dec := make([]bool, 2)
-	st := m.BoundBatch([]dataset.Itemset{hot, cold}, 200, dec)
-	if !dec[0] || dec[1] {
-		t.Errorf("BoundBatch decisions = %v, want [true false]", dec)
-	}
-	if st.EarlyExit != 1 || st.Abandoned != 1 {
-		t.Errorf("BoundBatch stats = %+v, want one early exit and one abandon", st)
 	}
 }
 
@@ -370,8 +378,7 @@ func TestPairWallWideBounds(t *testing.T) {
 }
 
 // deepBoundaryMap builds an 80-segment, 8-item map of small random cells
-// with one cell pinned at boundary — deep enough that pair, triple and
-// k-item decisions all cross several abandon strides.
+// with one cell pinned at boundary.
 func deepBoundaryMap(t *testing.T, r *rand.Rand, boundary uint32) *Map {
 	t.Helper()
 	const segs, k = 80, 8
@@ -392,8 +399,7 @@ func deepBoundaryMap(t *testing.T, r *rand.Rand, boundary uint32) *Map {
 
 // TestKernelQuantizedOverflowBoundary pins exactness at the 16-bit
 // quantization boundary: with one cell at 65535 or at 65536, every
-// kernel decision and batch bound stays bit-identical to the reference
-// bound.
+// decision and batch bound stays bit-identical to the reference bound.
 func TestKernelQuantizedOverflowBoundary(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -493,8 +499,11 @@ func TestAppenderQuantizedOverflowCrossing(t *testing.T) {
 		if got := m.UpperBound(tx); got != total {
 			t.Fatalf("%s: UpperBound(%v) = %d, want %d", ctx, tx, got, total)
 		}
-		if !m.BoundAtLeast(tx, total) || m.BoundAtLeast(tx, total+1) {
-			t.Fatalf("%s: BoundAtLeast disagrees with the exact pair support %d", ctx, total)
+		if p := (&Pruner{Map: m, MinCount: total}); !p.Allow(tx) {
+			t.Fatalf("%s: Allow rejects %v at its exact pair support %d", ctx, tx, total)
+		}
+		if p := (&Pruner{Map: m, MinCount: total + 1}); p.Allow(tx) {
+			t.Fatalf("%s: Allow admits %v above its exact pair support %d", ctx, tx, total)
 		}
 		checkKernelsAgainstReference(t, rand.New(rand.NewSource(total)), m, 4)
 	}

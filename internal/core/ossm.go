@@ -29,17 +29,13 @@ var ErrRaggedSegments = errors.New("core: segment support rows have differing le
 // matrix is kept contiguously in both segment-major order (one cache-warm
 // row per segment, the layout the candidate-2 pair wall streams) and
 // item-major order (one contiguous column per item, the layout the
-// scalar bound and the decision kernels stream), plus per-item suffix
-// remainders suffix[it][s] = Σ_{t≥s} sup_t({it}) that let decision-mode
-// bound calls abandon hopeless candidates before scanning every segment
-// (see kernel.go).
+// bound loop streams), plus the per-item totals (see kernel.go).
 type Map struct {
 	numItems  int
 	numSegs   int
 	segMajor  []uint32 // [segment*numItems + item] singleton support
 	itemMajor []uint32 // [item*numSegs + segment], the transposed view
 	totals    []int64  // per-item global support (sum over segments)
-	suffix    []int64  // [item*(numSegs+1) + s] = Σ_{t≥s} support; trailing 0
 }
 
 // NewMap builds a Map from per-segment singleton supports. The rows are
@@ -73,7 +69,7 @@ func checkRows(rows [][]uint32) (int, error) {
 }
 
 // newMapFromFlat assumes ownership of the segment-major cells and derives
-// the transposed view, the per-item totals and the suffix remainders.
+// the transposed view and the per-item totals.
 func newMapFromFlat(numSegs, numItems int, segMajor []uint32) *Map {
 	m := &Map{
 		numItems:  numItems,
@@ -81,22 +77,12 @@ func newMapFromFlat(numSegs, numItems int, segMajor []uint32) *Map {
 		segMajor:  segMajor,
 		itemMajor: make([]uint32, numSegs*numItems),
 		totals:    make([]int64, numItems),
-		suffix:    make([]int64, numItems*(numSegs+1)),
 	}
 	for s := 0; s < numSegs; s++ {
 		row := segMajor[s*numItems : (s+1)*numItems]
 		for it, c := range row {
 			m.itemMajor[it*numSegs+s] = c
 			m.totals[it] += int64(c)
-		}
-	}
-	for it := 0; it < numItems; it++ {
-		col := m.itemMajor[it*numSegs : (it+1)*numSegs]
-		base := it * (numSegs + 1)
-		var acc int64
-		for s := numSegs - 1; s >= 0; s-- {
-			acc += int64(col[s])
-			m.suffix[base+s] = acc
 		}
 	}
 	return m
@@ -154,9 +140,7 @@ func (m *Map) Totals() []int64 { return m.totals }
 // The empty itemset is supported by every transaction, a count the Map
 // does not record, so UpperBound panics on an empty itemset.
 //
-// The scan streams the members' item-major columns in parallel; for a
-// threshold decision rather than the exact bound, BoundAtLeast is
-// cheaper (it exits as soon as the answer is determined; see kernel.go).
+// The scan streams the members' item-major columns in parallel.
 func (m *Map) UpperBound(x dataset.Itemset) int64 {
 	if len(x) == 0 {
 		panic("core: UpperBound of the empty itemset is not defined by the OSSM")
@@ -240,12 +224,12 @@ func (m *Map) NaiveUpperBound(x dataset.Itemset) int64 {
 
 // SizeBytes reports the exact memory footprint of the flat store's
 // backing arrays: both 4-byte cell matrices (segment-major and the
-// transposed item-major view), the 8-byte per-item totals and the 8-byte
-// suffix remainders. The segment-major cells alone are the quantity
+// transposed item-major view) and the 8-byte per-item totals,
+// 8·k·n + 8·k bytes. The segment-major cells alone are the quantity
 // behind the paper's "0.2–0.3 megabyte" claims; CellBytes reports them
 // separately.
 func (m *Map) SizeBytes() int {
-	return 4*(len(m.segMajor)+len(m.itemMajor)) + 8*(len(m.totals)+len(m.suffix))
+	return 4*(len(m.segMajor)+len(m.itemMajor)) + 8*len(m.totals)
 }
 
 // CellBytes reports the size of the segment support matrix proper
@@ -280,7 +264,8 @@ func (m *Map) Merged() *Map {
 
 // Pruner applies an OSSM to candidate filtering and keeps the counters
 // every experiment in the paper reports. A nil Pruner or a Pruner with a
-// nil Map admits everything (the "without OSSM" baseline).
+// nil Map admits everything (the "without OSSM" baseline). Every decision
+// is the exact bound compared against MinCount.
 type Pruner struct {
 	Map      *Map
 	MinCount int64 // absolute support threshold (count, not fraction)
@@ -290,13 +275,6 @@ type Pruner struct {
 	// returns.
 	Checked int64 // candidates tested
 	Pruned  int64 // candidates rejected by the bound
-	// EarlyExit counts decision-mode bound calls that admitted their
-	// candidate before scanning every segment (the accumulated partial
-	// sum reached MinCount); Abandoned counts calls that rejected theirs
-	// early because the suffix remainders proved MinCount unreachable.
-	// Checked − EarlyExit − Abandoned bound calls paid for a full scan.
-	EarlyExit int64
-	Abandoned int64
 }
 
 // Allow reports whether candidate x survives the OSSM bound, i.e. whether
@@ -306,14 +284,7 @@ func (p *Pruner) Allow(x dataset.Itemset) bool {
 	if p == nil || p.Map == nil {
 		return true
 	}
-	atomic.AddInt64(&p.Checked, 1)
-	ok, outcome := p.Map.boundAtLeast(x, p.MinCount)
-	p.noteOutcome(outcome)
-	if !ok {
-		atomic.AddInt64(&p.Pruned, 1)
-		return false
-	}
-	return true
+	return p.decide(p.Map.UpperBound(x))
 }
 
 // AllowPair is Allow for 2-itemsets.
@@ -321,28 +292,23 @@ func (p *Pruner) AllowPair(a, b dataset.Item) bool {
 	if p == nil || p.Map == nil {
 		return true
 	}
-	atomic.AddInt64(&p.Checked, 1)
-	ok, outcome := p.Map.boundPairAtLeast(a, b, p.MinCount)
-	p.noteOutcome(outcome)
-	if !ok {
-		atomic.AddInt64(&p.Pruned, 1)
-		return false
-	}
-	return true
+	return p.decide(p.Map.UpperBoundPair(a, b))
 }
 
-func (p *Pruner) noteOutcome(o boundOutcome) {
-	switch o {
-	case boundEarlyExit:
-		atomic.AddInt64(&p.EarlyExit, 1)
-	case boundAbandoned:
-		atomic.AddInt64(&p.Abandoned, 1)
+// decide counts one decision on an exact bound and admits it when the
+// bound reaches MinCount.
+func (p *Pruner) decide(bound int64) bool {
+	atomic.AddInt64(&p.Checked, 1)
+	if bound >= p.MinCount {
+		return true
 	}
+	atomic.AddInt64(&p.Pruned, 1)
+	return false
 }
 
 // Reset zeroes the counters.
 func (p *Pruner) Reset() {
 	if p != nil {
-		p.Checked, p.Pruned, p.EarlyExit, p.Abandoned = 0, 0, 0, 0
+		p.Checked, p.Pruned = 0, 0
 	}
 }

@@ -89,11 +89,11 @@ func TestUpperBoundPanicsOnEmpty(t *testing.T) {
 
 func TestSizeBytes(t *testing.T) {
 	// The flat store holds both 4-byte cell matrices (segment-major and
-	// item-major), the 8-byte totals, and the 8-byte suffix remainders:
-	// 4·2·k·n + 8·k + 8·k·(n+1) = 16·k·(n+1) bytes for k items, n segments.
+	// item-major) and the 8-byte totals: 4·2·k·n + 8·k = 8·k·(n+1) bytes
+	// for k items, n segments.
 	m := example1Map(t) // 3 items × 4 segments
-	if got := m.SizeBytes(); got != 16*3*(4+1) {
-		t.Errorf("SizeBytes = %d, want 240", got)
+	if got := m.SizeBytes(); got != 8*3*(4+1) {
+		t.Errorf("SizeBytes = %d, want 120", got)
 	}
 	// Paper claim check: 1000 items × 150 segments ≈ 0.6 MB of cells.
 	rows := make([][]uint32, 150)
@@ -107,8 +107,8 @@ func TestSizeBytes(t *testing.T) {
 	if got := big.CellBytes(); got != 600000 {
 		t.Errorf("CellBytes = %d, want 600000", got)
 	}
-	if got := big.SizeBytes(); got != 16*1000*151 {
-		t.Errorf("SizeBytes = %d, want 2416000", got)
+	if got := big.SizeBytes(); got != 8*1000*151 {
+		t.Errorf("SizeBytes = %d, want 1208000", got)
 	}
 }
 

@@ -9,18 +9,17 @@ import "fmt"
 //	ubsup(X, M_n) = Σ_ranges Σ_{s ∈ range} min_{x ∈ X} sup_s({x})
 //
 // A shard that owns one range answers the inner sum with the unchanged
-// batch kernels over a sub-Map, and the coordinator merges the partial
+// bound loop over a sub-Map, and the coordinator merges the partial
 // sums by int64 addition — exact, order-independent, bit-identical to
 // the single-map scan. SegmentRange is the slicing primitive behind
 // internal/shard.
 
 // SegmentRange returns a Map over the contiguous segment range [lo, hi)
 // of m. The view shares m's segment-major backing store (no cells are
-// copied); the derived item-major transpose, per-item totals and suffix
-// remainders are rebuilt for the range, so every kernel — scalar,
-// decision, batch — works on the view unchanged. Summing the views'
-// bounds over a partition of [0, NumSegments()) reproduces m's bound
-// exactly.
+// copied); the derived item-major transpose and per-item totals are
+// rebuilt for the range, so every bound and decision path works on the
+// view unchanged. Summing the views' bounds over a partition of
+// [0, NumSegments()) reproduces m's bound exactly.
 func (m *Map) SegmentRange(lo, hi int) (*Map, error) {
 	if lo < 0 || hi > m.numSegs || lo >= hi {
 		return nil, fmt.Errorf("core: segment range [%d, %d) outside [0, %d)", lo, hi, m.numSegs)

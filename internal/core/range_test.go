@@ -153,18 +153,16 @@ func TestSegmentRangeErrors(t *testing.T) {
 	}
 }
 
-// TestBatchCrossoverDispatch pins the batch front-end on both sides of
-// the abandon-stride boundary, the segment count past which the kernel
-// can abandon before the final segment: decisions and exact bounds stay
-// bit-identical to the reference, and shortcut outcomes are reported.
+// TestBatchCrossoverDispatch pins the batch front-end across small and
+// mid-sized segment counts: decisions and exact bounds stay
+// bit-identical to the reference, including at a discriminative
+// threshold that splits a generation of multi-item candidates.
 func TestBatchCrossoverDispatch(t *testing.T) {
 	r := rand.New(rand.NewSource(65))
-	for _, segs := range []int{abandonStride - 1, abandonStride, abandonStride + 1, 16, 33} {
+	for _, segs := range []int{1, 2, 7, 8, 9, 16, 33} {
 		m := randMapFor(t, r, segs, 16)
 		checkKernelsAgainstReference(t, r, m, 10)
 
-		// A discriminative threshold so the kernel actually takes
-		// shortcuts on a multi-segment map.
 		cands := make([]dataset.Itemset, 256)
 		for i := range cands {
 			for {
@@ -175,16 +173,15 @@ func TestBatchCrossoverDispatch(t *testing.T) {
 			}
 		}
 		bounds := m.UpperBoundBatch(cands, nil)
+		refs := make([]int64, len(cands))
 		var maxB int64
-		for _, b := range bounds {
-			if b > maxB {
-				maxB = b
+		for i, x := range cands {
+			refs[i] = m.referenceUpperBound(x)
+			if bounds[i] != refs[i] {
+				t.Fatalf("%d segments: UpperBoundBatch[%d] = %d, reference %d", segs, i, bounds[i], refs[i])
 			}
+			maxB = max(maxB, refs[i])
 		}
-		dec := make([]bool, len(cands))
-		st := m.BoundBatch(cands, maxB/2+1, dec)
-		if segs > 2 && st.EarlyExit+st.Abandoned == 0 {
-			t.Fatalf("%d segments: no shortcut outcomes recorded across %d candidates", segs, len(cands))
-		}
+		checkAdmitBatch(t, m, cands, refs, maxB/2+1)
 	}
 }

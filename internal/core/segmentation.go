@@ -181,7 +181,7 @@ func countAlive(segs []*segment) int {
 
 // mergeInto folds segment b into segment a; b dies. It fails with
 // ErrCountOverflow, leaving a's counts partly summed, if a cell would
-// pass 2³²−1; callers abandon the segmentation then.
+// pass 2³²−1; callers give the segmentation up then.
 func mergeInto(a, b *segment) error {
 	if err := addCounts(a.counts, b.counts); err != nil {
 		return err

@@ -220,7 +220,11 @@ func TestSumDiffIsBoundLoss(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		mer, err := NewMap([][]uint32{MergeRows(a, b)})
+		sum := make([]uint32, k)
+		for i := range sum {
+			sum[i] = a[i] + b[i]
+		}
+		mer, err := NewMap([][]uint32{sum})
 		if err != nil {
 			return false
 		}

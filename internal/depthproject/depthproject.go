@@ -106,7 +106,7 @@ func expand(prefix dataset.Itemset, tids tidlist, exts []dataset.Item,
 	lists map[dataset.Item]tidlist, minCount int64, opts Options, st *Stats,
 	tally *mining.LevelTally, dec *[]bool, out *[]mining.Counted) {
 
-	// One shared-prefix kernel call decides the whole extension frontier;
+	// One AdmitExtensions call decides the whole extension frontier;
 	// the decision buffer is reused across the walk (decisions are fully
 	// consumed before the search recurses). Candidate itemsets are built
 	// only for extensions whose projection turns out frequent.

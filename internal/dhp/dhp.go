@@ -121,7 +121,7 @@ func Mine(d *dataset.Dataset, minCount int64, opts Options) (*mining.Result, err
 
 	// Pass 2 candidate generation: a pair of frequent items becomes a
 	// candidate only if (a) the OSSM bound admits it — decided for the
-	// whole generation at once by the pair-specialized batch kernel — and
+	// whole generation at once by the pair wall (core.AdmitPairsAmong) — and
 	// (b) its hash bucket could be frequent.
 	passStart = time.Now()
 	stats2 := mining.PassStats{K: 2, Generated: len(f1) * (len(f1) - 1) / 2}
@@ -129,7 +129,6 @@ func Mine(d *dataset.Dataset, minCount int64, opts Options) (*mining.Result, err
 	for i, c := range f1 {
 		items[i] = c.Items[0]
 	}
-	kd := mining.KernelDeltaFor(opts.Pruner)
 	dec := core.AdmitPairsAmong(opts.Pruner, items, nil)
 	var cands []*mining.Candidate
 	var alloc mining.CandidateAlloc
@@ -151,7 +150,6 @@ func Mine(d *dataset.Dataset, minCount int64, opts Options) (*mining.Result, err
 			cands = append(cands, alloc.Pair(a, b))
 		}
 	}
-	kd.Note(&stats2)
 	stats2.Counted = len(cands)
 	stats2.TxScanned = d.NumTx()
 
@@ -188,7 +186,6 @@ func Mine(d *dataset.Dataset, minCount int64, opts Options) (*mining.Result, err
 		passStart = time.Now()
 		gen := generate(prev)
 		stats := mining.PassStats{K: k, Generated: len(gen)}
-		kdk := mining.KernelDeltaFor(opts.Pruner)
 		decBuf = core.AdmitBatch(opts.Pruner, gen, decBuf)
 		var kc []*mining.Candidate
 		var alloc mining.CandidateAlloc
@@ -204,7 +201,6 @@ func Mine(d *dataset.Dataset, minCount int64, opts Options) (*mining.Result, err
 			}
 			kc = append(kc, alloc.New(items))
 		}
-		kdk.Note(&stats)
 		stats.Counted = len(kc)
 		if len(kc) == 0 {
 			break

@@ -136,8 +136,8 @@ func mineRoots(items []dataset.Item, tids map[dataset.Item]tidlist, minCount int
 		st.Classes++
 		// Level 2 seeds the class with diffsets against the level-1
 		// tidsets: d(xy) = t(x) − t(y), sup(xy) = sup(x) − |d(xy)|. The
-		// whole sibling frontier is decided by one shared-prefix kernel
-		// call before any diffset is materialized.
+		// whole sibling frontier is decided by one AdmitExtensions call
+		// before any diffset is materialized.
 		ys := items[idx+1:]
 		sc.dec = core.AdmitExtensions(opts.Pruner, dataset.Itemset{x}, ys, sc.dec)
 		var class []member
@@ -175,7 +175,7 @@ func mineRoots(items []dataset.Item, tids map[dataset.Item]tidlist, minCount int
 	return found
 }
 
-// extScratch is per-worker reusable kernel scratch: the decision buffer
+// extScratch is per-worker reusable scratch: the decision buffer
 // and extension list of the current sibling frontier. Decisions are fully
 // consumed before the search recurses, so reuse across levels is safe.
 type extScratch struct {
@@ -207,8 +207,7 @@ func expand(prefix dataset.Itemset, class []member, minCount int64, opts Options
 		for e, mj := range rest {
 			exts[e] = mj.item
 		}
-		// One shared-prefix kernel call decides the whole sibling
-		// frontier; candidate itemsets are materialized only for members
+		// One AdmitExtensions call decides the whole sibling frontier; candidate itemsets are materialized only for members
 		// that survive into the result.
 		sc.dec = core.AdmitExtensions(opts.Pruner, newPrefix, exts, sc.dec)
 		k := len(newPrefix) + 1

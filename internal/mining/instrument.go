@@ -7,10 +7,7 @@ package mining
 // Instrumentation is the default and costs a single branch per pass —
 // the uninstrumented hot path is unchanged.
 
-import (
-	"github.com/ossm-mining/ossm/internal/core"
-	"github.com/ossm-mining/ossm/internal/telemetry"
-)
+import "github.com/ossm-mining/ossm/internal/telemetry"
 
 // Instrumentation is the engine-wide telemetry hook: a collector every
 // registered miner reports into (candidates generated / OSSM-pruned /
@@ -35,39 +32,8 @@ func (ps PassStats) sample() telemetry.PassReport {
 		Counted:    int64(ps.Counted),
 		Frequent:   int64(ps.Frequent),
 		TxScanned:  int64(ps.TxScanned),
-		EarlyExit:  int64(ps.EarlyExit),
-		Abandoned:  int64(ps.Abandoned),
 		Wall:       ps.Elapsed,
 	}
-}
-
-// KernelDelta snapshots the pruner's kernel counters so a miner can
-// attribute the difference across a pass to that pass's PassStats; a
-// filter without counters yields zero deltas.
-type KernelDelta struct {
-	base core.KernelCounters
-	f    core.Filter
-}
-
-// KernelDeltaFor starts a delta at the filter's current counters.
-func KernelDeltaFor(f core.Filter) KernelDelta {
-	kc, _ := core.KernelCountersOf(f)
-	return KernelDelta{base: kc, f: f}
-}
-
-// Note writes the counters accumulated since the snapshot into ps and
-// re-bases the delta, so one KernelDelta can span consecutive passes.
-func (d *KernelDelta) Note(ps *PassStats) {
-	if d.f == nil {
-		return
-	}
-	kc, ok := core.KernelCountersOf(d.f)
-	if !ok {
-		return
-	}
-	ps.EarlyExit += int(kc.EarlyExit - d.base.EarlyExit)
-	ps.Abandoned += int(kc.Abandoned - d.base.Abandoned)
-	d.base = kc
 }
 
 // FinishRun attaches the collector's frozen report to the result; MineBy
@@ -80,9 +46,6 @@ func (o Options) FinishRun(res *Result) {
 	}
 	o.Instrument.SetRequestID(o.RequestID)
 	o.Instrument.SetPool(res.Stats.Workers)
-	if kc, ok := core.KernelCountersOf(o.Pruner); ok {
-		o.Instrument.SetKernelTotals(kc.Checked, kc.EarlyExit, kc.Abandoned)
-	}
 	res.Stats.Telemetry = o.Instrument.Snapshot()
 }
 

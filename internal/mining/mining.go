@@ -30,13 +30,6 @@ type PassStats struct {
 	PrunedHash int
 	Counted    int
 	Frequent   int
-	// EarlyExit / Abandoned break down how the decision-mode bound kernels
-	// settled this pass's OSSM checks: EarlyExit candidates were admitted
-	// before the kernel scanned every segment (the partial sum reached the
-	// threshold) and Abandoned candidates were rejected early (the suffix
-	// remainders proved the threshold unreachable). Zero when no kernel ran.
-	EarlyExit int
-	Abandoned int
 	// TxScanned is the number of transactions scanned while counting this
 	// pass (after projection/trimming); zero when the pass counts nothing
 	// or the miner cannot attribute scans to a level.

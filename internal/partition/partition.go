@@ -140,7 +140,7 @@ func Mine(d *dataset.Dataset, minCount int64, opts Options) (*mining.Result, err
 
 	// Phase 2: prune with the combined per-partition OSSM and the global
 	// OSSM, then count exactly against global tidlists. Each filter sees
-	// its whole candidate set in one batch kernel call — the global OSSM
+	// its whole candidate set in one AdmitBatch call — the global OSSM
 	// only the cross-pruner's survivors, preserving the per-filter Checked
 	// accounting of the sequential loop.
 	var tally mining.LevelTally
@@ -338,7 +338,7 @@ func mineVertical(d *dataset.Dataset, p dataset.Page, localMin int64, maxLen int
 			known[n.items.Key()] = true
 		}
 		// Generate the level's candidates first, decide them all with one
-		// batch kernel call, then intersect only the survivors.
+		// AdmitBatch call, then intersect only the survivors.
 		var gen []dataset.Itemset
 		var genA, genB []int
 		for i := 0; i < len(level); i++ {

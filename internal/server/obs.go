@@ -37,7 +37,6 @@ type obsState struct {
 	mineRuns     *obs.CounterVec   // ossm_mine_runs_total{miner}
 	minePasses   *obs.CounterVec   // ossm_mine_passes_total{miner}
 	mineCand     *obs.CounterVec   // ossm_mine_candidates_total{stage}
-	mineKernel   *obs.CounterVec   // ossm_mine_kernel_total{outcome}
 	mineWaiting  atomic.Int64      // requests parked on the admission semaphore
 
 	ingests    *obs.CounterVec // ossm_ingest_total{outcome}
@@ -76,8 +75,6 @@ func (s *Server) initObs() {
 		"Counting passes executed by completed mining runs, by miner.", "miner")
 	o.mineCand = r.CounterVec("ossm_mine_candidates_total",
 		"Cumulative candidate accounting of completed mining runs, by stage (generated, pruned, counted).", "stage")
-	o.mineKernel = r.CounterVec("ossm_mine_kernel_total",
-		"Bound-kernel decisions of completed mining runs, by outcome (early_exit, abandoned, full).", "outcome")
 	o.ingests = r.CounterVec("ossm_ingest_total",
 		"Durable ingest requests, by outcome (ok, invalid, error).", "outcome")
 	o.snapshots = r.CounterVec("ossm_snapshot_total",

@@ -74,8 +74,8 @@ func TestPrometheusGolden(t *testing.T) {
 	s, ts, _, _ := newTestServer(t, Config{})
 	// Deterministic traffic: two ubsup queries (second a cache hit), one
 	// mining run, one 404. The mine threshold is low enough that the run
-	// reaches multi-item passes, so the bound kernel's per-outcome
-	// series appear in the exposition.
+	// reaches multi-item passes, so the candidate series count OSSM
+	// decisions.
 	postJSON(t, ts.Client(), ts.URL+"/v1/ubsup", `{"index":"retail","itemset":[1,2]}`)
 	postJSON(t, ts.Client(), ts.URL+"/v1/ubsup", `{"index":"retail","itemset":[1,2]}`)
 	postJSON(t, ts.Client(), ts.URL+"/v1/mine", `{"index":"retail","support":0.01}`)

@@ -805,11 +805,6 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		s.obs.mineCand.With("generated").Add(rep.Generated)
 		s.obs.mineCand.With("pruned").Add(rep.PrunedOSSM + rep.PrunedHash)
 		s.obs.mineCand.With("counted").Add(rep.Counted)
-		if rep.KernelDecided > 0 {
-			s.obs.mineKernel.With("early_exit").Add(rep.KernelEarlyExit)
-			s.obs.mineKernel.With("abandoned").Add(rep.KernelAbandoned)
-			s.obs.mineKernel.With("full").Add(rep.KernelDecided - rep.KernelEarlyExit - rep.KernelAbandoned)
-		}
 	}
 	run.SetAttr("outcome", "ok")
 	run.SetAttr("frequent", out.res.NumFrequent())

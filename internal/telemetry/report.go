@@ -10,19 +10,14 @@ import (
 // PassReport is the frozen per-pass telemetry of one level: the
 // quantities behind the paper's pruning-effectiveness tables.
 type PassReport struct {
-	K          int   `json:"k"`
-	Generated  int64 `json:"generated"`
-	PrunedOSSM int64 `json:"pruned_ossm"`
-	PrunedHash int64 `json:"pruned_hash,omitempty"`
-	Counted    int64 `json:"counted"`
-	Frequent   int64 `json:"frequent"`
-	TxScanned  int64 `json:"tx_scanned,omitempty"`
-	// EarlyExit / Abandoned are the decision-kernel shortcut counts of
-	// this pass: OSSM checks settled (admitted resp. rejected) before the
-	// kernel scanned every segment.
-	EarlyExit int64         `json:"kernel_early_exit,omitempty"`
-	Abandoned int64         `json:"kernel_abandoned,omitempty"`
-	Wall      time.Duration `json:"wall_ns"`
+	K          int           `json:"k"`
+	Generated  int64         `json:"generated"`
+	PrunedOSSM int64         `json:"pruned_ossm"`
+	PrunedHash int64         `json:"pruned_hash,omitempty"`
+	Counted    int64         `json:"counted"`
+	Frequent   int64         `json:"frequent"`
+	TxScanned  int64         `json:"tx_scanned,omitempty"`
+	Wall       time.Duration `json:"wall_ns"`
 }
 
 // PruneRate is the fraction of generated candidates discarded before
@@ -51,16 +46,6 @@ type Report struct {
 	Counted    int64 `json:"counted"`
 	Frequent   int64 `json:"frequent"`
 	TxScanned  int64 `json:"tx_scanned"`
-
-	// KernelEarlyExit / KernelAbandoned total the decision-kernel
-	// shortcuts of the run (SetKernelTotals when the run reported
-	// authoritative totals, otherwise the per-pass sums). KernelDecided
-	// is the run's total of kernel decisions, set only by
-	// SetKernelTotals; the decisions that paid for a full scan are
-	// KernelDecided − KernelEarlyExit − KernelAbandoned.
-	KernelDecided   int64 `json:"kernel_decided,omitempty"`
-	KernelEarlyExit int64 `json:"kernel_early_exit,omitempty"`
-	KernelAbandoned int64 `json:"kernel_abandoned,omitempty"`
 
 	// Pool is the resolved worker-pool size; WorkerBusy the summed busy
 	// time of fanned-out counting work; Utilization = WorkerBusy /
@@ -91,10 +76,6 @@ func (r *Report) Print(w io.Writer) {
 	fmt.Fprintf(w, "telemetry: %d generated, %d pruned by OSSM, %d pruned by hash, %d counted (prune rate %.1f%%)\n",
 		r.Generated, r.PrunedOSSM, r.PrunedHash, r.Counted, 100*r.PruneRate())
 	fmt.Fprintf(w, "           %d transactions scanned, elapsed %v\n", r.TxScanned, r.Elapsed.Round(time.Microsecond))
-	if r.KernelEarlyExit > 0 || r.KernelAbandoned > 0 {
-		fmt.Fprintf(w, "           kernel shortcuts: %d early-exit, %d abandoned\n",
-			r.KernelEarlyExit, r.KernelAbandoned)
-	}
 	if r.Pool > 0 {
 		fmt.Fprintf(w, "           pool %d workers, busy %v, utilization %.1f%%\n",
 			r.Pool, r.WorkerBusy.Round(time.Microsecond), 100*r.Utilization)

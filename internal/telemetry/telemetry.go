@@ -31,13 +31,6 @@ type Collector struct {
 	mu     sync.Mutex
 	passes []PassReport // one row per K, folded by RecordPass
 
-	// Authoritative run-level kernel totals (SetKernelTotals). When set,
-	// Snapshot reports them instead of summing the per-pass kernel
-	// counters, so runs that account kernel outcomes both per pass and at
-	// run end never double count. Guarded by mu.
-	kernelDecided, kernelEarlyExit, kernelAbandoned int64
-	kernelSet                                       bool
-
 	workerBusy atomic.Int64 // summed busy nanoseconds of fanned-out work
 	pool       atomic.Int64
 
@@ -89,29 +82,11 @@ func (c *Collector) RecordPass(r PassReport) {
 			p.Counted += r.Counted
 			p.Frequent += r.Frequent
 			p.TxScanned += r.TxScanned
-			p.EarlyExit += r.EarlyExit
-			p.Abandoned += r.Abandoned
 			p.Wall += r.Wall
 			return
 		}
 	}
 	c.passes = append(c.passes, r)
-}
-
-// SetKernelTotals records the authoritative run-level totals of the
-// decision kernel: every decision it made, and the subsets admitted
-// early and abandoned early — typically read off the pruner's counters
-// when the run finishes. Once set, Snapshot reports these instead of
-// summing per-pass kernel counters — the pruner's counters already cover
-// every pass, so summing both would double count. The last call wins.
-func (c *Collector) SetKernelTotals(decided, earlyExit, abandoned int64) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.kernelDecided, c.kernelEarlyExit, c.kernelAbandoned = decided, earlyExit, abandoned
-	c.kernelSet = true
 }
 
 // ObserveWorker records one worker's busy interval in a fanned-out
@@ -153,7 +128,6 @@ func (c *Collector) Snapshot() *Report {
 	}
 	c.mu.Lock()
 	r.Passes = append([]PassReport(nil), c.passes...)
-	kernelSet, decided, earlyExit, abandoned := c.kernelSet, c.kernelDecided, c.kernelEarlyExit, c.kernelAbandoned
 	c.mu.Unlock()
 
 	for _, p := range r.Passes {
@@ -163,11 +137,6 @@ func (c *Collector) Snapshot() *Report {
 		r.Counted += p.Counted
 		r.Frequent += p.Frequent
 		r.TxScanned += p.TxScanned
-		r.KernelEarlyExit += p.EarlyExit
-		r.KernelAbandoned += p.Abandoned
-	}
-	if kernelSet {
-		r.KernelDecided, r.KernelEarlyExit, r.KernelAbandoned = decided, earlyExit, abandoned
 	}
 	sortPasses(r.Passes)
 	if r.Pool > 0 && elapsed > 0 {

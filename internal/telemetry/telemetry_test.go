@@ -14,7 +14,6 @@ import (
 func TestNilCollectorSafe(t *testing.T) {
 	var c *Collector
 	c.RecordPass(PassReport{K: 2, Generated: 5})
-	c.SetKernelTotals(3, 2, 1)
 	c.ObserveWorker(time.Millisecond)
 	c.SetPool(4)
 	c.SetRequestID("abc")
@@ -31,9 +30,9 @@ func TestNilCollectorSafe(t *testing.T) {
 // run totals sum the folded rows.
 func TestCollectorAccumulatesPasses(t *testing.T) {
 	c := New()
-	c.RecordPass(PassReport{K: 2, Generated: 150, PrunedOSSM: 100, Counted: 50, Frequent: 6, TxScanned: 300, EarlyExit: 4})
+	c.RecordPass(PassReport{K: 2, Generated: 150, PrunedOSSM: 100, Counted: 50, Frequent: 6, TxScanned: 300})
 	c.RecordPass(PassReport{K: 1, Generated: 100, Counted: 100, Frequent: 20, TxScanned: 500, Wall: time.Millisecond})
-	c.RecordPass(PassReport{K: 2, Generated: 40, PrunedOSSM: 20, PrunedHash: 3, Counted: 20, Frequent: 3, TxScanned: 200, Abandoned: 5, Wall: time.Millisecond})
+	c.RecordPass(PassReport{K: 2, Generated: 40, PrunedOSSM: 20, PrunedHash: 3, Counted: 20, Frequent: 3, TxScanned: 200, Wall: time.Millisecond})
 	c.SetPool(4)
 	c.ObserveWorker(2 * time.Millisecond)
 
@@ -45,7 +44,7 @@ func TestCollectorAccumulatesPasses(t *testing.T) {
 		t.Fatalf("passes out of order: %+v", r.Passes)
 	}
 	want2 := PassReport{K: 2, Generated: 190, PrunedOSSM: 120, PrunedHash: 3, Counted: 70, Frequent: 9,
-		TxScanned: 500, EarlyExit: 4, Abandoned: 5, Wall: time.Millisecond}
+		TxScanned: 500, Wall: time.Millisecond}
 	if r.Passes[1] != want2 {
 		t.Fatalf("folded pass 2 = %+v, want %+v", r.Passes[1], want2)
 	}
@@ -55,9 +54,6 @@ func TestCollectorAccumulatesPasses(t *testing.T) {
 	if r.Frequent != 29 || r.TxScanned != 1000 {
 		t.Fatalf("frequent/txscanned wrong: %+v", r)
 	}
-	if r.KernelEarlyExit != 4 || r.KernelAbandoned != 5 || r.KernelDecided != 0 {
-		t.Fatalf("per-pass kernel sums wrong: %+v", r)
-	}
 	if r.Pool != 4 || r.WorkerBusy != 2*time.Millisecond {
 		t.Fatalf("pool accounting wrong: %+v", r)
 	}
@@ -66,12 +62,6 @@ func TestCollectorAccumulatesPasses(t *testing.T) {
 	}
 	if got := r.Passes[1].PruneRate(); got < 0.6 || got > 0.7 {
 		t.Fatalf("pass-2 prune rate = %v, want ≈ 123/190", got)
-	}
-
-	// Authoritative run-level kernel totals replace the per-pass sums.
-	c.SetKernelTotals(90, 7, 8)
-	if r := c.Snapshot(); r.KernelDecided != 90 || r.KernelEarlyExit != 7 || r.KernelAbandoned != 8 {
-		t.Fatalf("kernel totals not authoritative: %+v", r)
 	}
 }
 

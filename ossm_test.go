@@ -17,10 +17,10 @@ func TestBuildAndMineEndToEnd(t *testing.T) {
 	if ix.NumSegments() != 10 {
 		t.Errorf("NumSegments = %d, want 10", ix.NumSegments())
 	}
-	// Flat store: both cell matrices + totals + suffix remainders,
-	// 16·k·(n+1) bytes for k items, n segments.
-	if ix.SizeBytes() != 16*1000*(10+1) {
-		t.Errorf("SizeBytes = %d, want 176000", ix.SizeBytes())
+	// Flat store: both cell matrices + totals, 8·k·(n+1) bytes for k
+	// items, n segments.
+	if ix.SizeBytes() != 8*1000*(10+1) {
+		t.Errorf("SizeBytes = %d, want 88000", ix.SizeBytes())
 	}
 	if ix.SegmentationTime() <= 0 {
 		t.Error("SegmentationTime not recorded")

@@ -92,17 +92,19 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz FuzzHashTreeCount           -fuzztime 10s ./internal/mining
 	$(GO) test -run=NONE -fuzz FuzzPairCount               -fuzztime 10s ./internal/mining
 
-# End-to-end benchmark smoke: a 2-second window of each mining workload
-# (perfbench/README.md), untraced and traced, must check every answer
-# correct with no failed op. The traced run also replays the per-layer
-# consistency checks. Part of the default gate.
+# End-to-end benchmark smoke: a 2-second window of each workload
+# (perfbench/README.md) must check every answer correct with no failed
+# op. The mining workloads run untraced and traced (the traced run also
+# replays the per-layer consistency checks); the serving workloads run
+# untraced. Part of the default gate.
 perfbench-smoke:
-	@for w in mine-prune mine-count; do for tr in 0 1; do \
+	@for run in mine-prune:0 mine-prune:1 mine-count:0 mine-count:1 serve-fleet:0 serve-ingest:0; do \
+		w=$${run%:*}; tr=$${run#*:}; \
 		last=$$(bash perfbench/run.sh --workload $$w --seconds 2 --setups 1 --trace $$tr | tail -n 1); \
 		echo "perfbench-smoke $$w trace=$$tr: $$(echo "$$last" | cut -c1-60)"; \
 		echo "$$last" | grep -q '"correct": *true' || { echo "perfbench-smoke: $$w trace=$$tr answers not correct"; exit 1; }; \
 		echo "$$last" | grep -q '"failed": *0[,}]' || { echo "perfbench-smoke: $$w trace=$$tr had failed ops"; exit 1; }; \
-	done; done
+	done
 
 # Mutation gate: every committed mutation (testdata/mutations/*.patch,
 # each naming the gate that must catch it) is applied to a scratch copy

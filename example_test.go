@@ -21,7 +21,7 @@ func ExampleNewMap() {
 	}
 	fmt.Println("ubsup({a,b})   =", m.UpperBound(ossm.NewItemset(0, 1)))
 	fmt.Println("ubsup({a,b,c}) =", m.UpperBound(ossm.NewItemset(0, 1, 2)))
-	fmt.Println("naive({a,b})   =", m.NaiveUpperBound(ossm.NewItemset(0, 1)))
+	fmt.Println("naive({a,b})   =", min(m.ItemSupport(0), m.ItemSupport(1)))
 	// Output:
 	// ubsup({a,b})   = 80
 	// ubsup({a,b,c}) = 60

@@ -264,8 +264,8 @@ func (r *EpisodeResult) Print(w io.Writer) {
 
 // MemoryRow is one line of ablation A5. CellBytes is the paper's
 // accounting unit (the 4-byte support cells alone); SizeBytes is the true
-// resident footprint of the flat store, including the transposed view
-// and the per-item totals.
+// resident footprint of the flat store, the cells plus the per-item
+// totals.
 type MemoryRow struct {
 	Segments  int
 	SizeBytes int

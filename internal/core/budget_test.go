@@ -116,7 +116,7 @@ func TestSegmentSingleRow(t *testing.T) {
 			if res.Map.NumSegments() != 1 {
 				t.Fatalf("%s target %d: %d segments", alg, target, res.Map.NumSegments())
 			}
-			if got := res.Map.SegmentRow(0); got[0] != 4 || got[1] != 0 || got[2] != 7 {
+			if got := res.Map.AppendSegmentRow(nil, 0); got[0] != 4 || got[1] != 0 || got[2] != 7 {
 				t.Fatalf("%s: row mangled: %v", alg, got)
 			}
 		}

@@ -140,13 +140,16 @@ func (e *ExtendedMap) UpperBound(x dataset.Itemset) int64 {
 			tis = append(tis, ti)
 		}
 	}
+	cols := make([][]uint32, len(x))
+	for i, it := range x {
+		cols[i] = e.Map.Column(it)
+	}
 	n := len(e.tracked)
 	var total int64
 	for s := 0; s < e.NumSegments(); s++ {
-		row := e.Map.SegmentRow(s)
-		cap32 := row[x[0]]
-		for _, it := range x[1:] {
-			if c := row[it]; c < cap32 {
+		cap32 := cols[0][s]
+		for _, col := range cols[1:] {
+			if c := col[s]; c < cap32 {
 				cap32 = c
 			}
 		}

@@ -175,10 +175,10 @@ func TestExtendedSizeBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// base flat store: 8·4·(2+1) = 96; pair cells: C(3,2)=3 × 2 seg × 4B
-	// = 24; pair row headers: 2 × 24B = 48.
-	if got := e.SizeBytes(); got != 96+24+48 {
-		t.Errorf("SizeBytes = %d, want 168", got)
+	// base flat store: 4·4·2 + 8·4 = 64; pair cells: C(3,2)=3 × 2 seg ×
+	// 4B = 24; pair row headers: 2 × 24B = 48.
+	if got := e.SizeBytes(); got != 64+24+48 {
+		t.Errorf("SizeBytes = %d, want 136", got)
 	}
 }
 

@@ -12,10 +12,10 @@ import (
 // for whole generations come from UpperBoundBatch.
 //
 // The one kernel that changes the algorithm is the candidate-2 wall
-// (BoundPairsAmong): it runs one segment-by-segment accumulation over the
-// uint32 rows, touching only the pairs both of whose items are present in
-// a segment. On the sparse rows of deep segmentations that is far less
-// work than a per-pair scan; on fully dense rows it is about the same.
+// (BoundPairsAmong): it runs one segment-by-segment accumulation,
+// touching only the pairs both of whose items are present in a segment.
+// On the sparse segments of deep segmentations that is far less work
+// than a per-pair scan; on fully dense ones it is about the same.
 
 // UpperBoundBatch computes the exact bound ubsup(cands[i]) for every
 // candidate — UpperBound per candidate. If out is too small a fresh
@@ -31,11 +31,15 @@ func (m *Map) UpperBoundBatch(cands []dataset.Itemset, out []int64) []int64 {
 	return out
 }
 
+// pairBlock is the number of segments the pair wall gathers at once: one
+// 64-byte cache line of uint32 cells from each item's column.
+const pairBlock = 64 / 4
+
 // batchScratch is the pooled per-call working set of the pair wall.
 type batchScratch struct {
 	acc []int64
-	pos []int32
-	cnt []uint32
+	pos []int32  // [b*n + a]: generation index of segment b's a-th present item
+	cnt []uint32 // [b*n + a]: its support in segment b
 }
 
 var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
@@ -59,14 +63,18 @@ func (sc *batchScratch) accFor(n int) []int64 {
 //
 // The wall is decided segment by segment rather than pair by pair: the
 // triangular-array pass-2 count of Apriori, run over segments instead of
-// transactions. Each segment-major row is read once; the generation's
-// items present in it (non-zero cells) are gathered, and every present
+// transactions. For each segment the generation's items present in it
+// (non-zero cells) are listed in generation order, and every present
 // pair i < j adds min(c_i, c_j) into a triangular accumulator indexed
 // like PairIndex. A pair absent from a segment contributes 0 there, so
 // the accumulator ends at exactly ubsup and each decision is acc ≥
 // minsup. The cost is Σ_s C(nz_s, 2), nz_s being the number of the
 // generation's items present in segment s, instead of pairs × segments
-// column loads — on sparse rows a small fraction of it.
+// column loads — on sparse segments a small fraction of it.
+//
+// The present-item lists are gathered from the item-major columns
+// pairBlock segments at a time, so each item's column is read one cache
+// line per block rather than one cell per segment.
 func (m *Map) BoundPairsAmong(items []dataset.Item, minsup int64, decisions []bool) {
 	n := len(items)
 	numPairs := n * (n - 1) / 2
@@ -79,30 +87,36 @@ func (m *Map) BoundPairsAmong(items []dataset.Item, minsup int64, decisions []bo
 	sc := batchPool.Get().(*batchScratch)
 	defer batchPool.Put(sc)
 	acc := sc.accFor(numPairs)
-	if cap(sc.pos) < n {
-		sc.pos, sc.cnt = make([]int32, n), make([]uint32, n)
+	if cap(sc.pos) < pairBlock*n {
+		sc.pos, sc.cnt = make([]int32, pairBlock*n), make([]uint32, pairBlock*n)
 	}
-	pos, cnt := sc.pos[:n], sc.cnt[:n]
-	nk := m.numItems
-	for s := 0; s < m.numSegs; s++ {
-		row := m.segMajor[s*nk : (s+1)*nk]
-		nz := 0
+	pos, cnt := sc.pos[:pairBlock*n], sc.cnt[:pairBlock*n]
+	ns := m.numSegs
+	for s0 := 0; s0 < ns; s0 += pairBlock {
+		bl := min(pairBlock, ns-s0)
+		var nz [pairBlock]int // present items per segment of the block
 		for i, it := range items {
-			if c := row[it]; c != 0 {
-				pos[nz], cnt[nz] = int32(i), c
-				nz++
+			col := m.itemMajor[int(it)*ns+s0 : int(it)*ns+s0+bl]
+			for b, c := range col {
+				if c != 0 {
+					pos[b*n+nz[b]], cnt[b*n+nz[b]] = int32(i), c
+					nz[b]++
+				}
 			}
 		}
-		for a := 0; a < nz; a++ {
-			// base + j is PairIndex(i, j, n) for every later position j.
-			i := int(pos[a])
-			ca, base := cnt[a], PairIndex(i, i+1, n)-i-1
-			for b := a + 1; b < nz; b++ {
-				c := cnt[b]
-				if ca < c {
-					c = ca
+		for b := 0; b < bl; b++ {
+			bpos, bcnt := pos[b*n:b*n+nz[b]], cnt[b*n:b*n+nz[b]]
+			for a := range bpos {
+				// base + j is PairIndex(i, j, n) for every later position j.
+				i := int(bpos[a])
+				ca, base := bcnt[a], PairIndex(i, i+1, n)-i-1
+				for k := a + 1; k < len(bpos); k++ {
+					c := bcnt[k]
+					if ca < c {
+						c = ca
+					}
+					acc[base+int(bpos[k])] += int64(c)
 				}
-				acc[base+int(pos[b])] += int64(c)
 			}
 		}
 	}

@@ -24,10 +24,8 @@ func checkKernelsAgainstReference(t *testing.T, r *rand.Rand, m *Map, trials int
 	t.Helper()
 	k := m.NumItems()
 	maxT := int64(1)
-	for _, tot := range m.Totals() {
-		if tot > maxT {
-			maxT = tot
-		}
+	for it := 0; it < k; it++ {
+		maxT = max(maxT, m.ItemSupport(dataset.Item(it)))
 	}
 
 	// Single decisions: UpperBound, UpperBoundPair, Allow and AllowPair,
@@ -310,14 +308,15 @@ func TestKernelDifferentialProperty(t *testing.T) {
 
 // TestPairWallDifferential drives the segment-accumulation pair wall
 // over the shapes its cost depends on: mostly-zero, half-full and fully
-// dense cells, segment counts from one to several hundred, the
-// SegmentRange views shards query,
-// and item subsets in shuffled order. Thresholds include a pair's exact
-// bound and the next integer, so decisions flip inside every call.
+// dense cells, segment counts from one to several hundred (including one
+// below, at and one above the gather block, pairBlock), the SegmentRange
+// views shards query, and item subsets in shuffled order. Thresholds
+// include a pair's exact bound and the next integer, so decisions flip
+// inside every call.
 func TestPairWallDifferential(t *testing.T) {
 	const items = 24
 	r := rand.New(rand.NewSource(13))
-	for _, segs := range []int{1, 2, 31, 32, 33, 64, 400} {
+	for _, segs := range []int{1, 2, pairBlock - 1, pairBlock, pairBlock + 1, 31, 32, 33, 64, 400} {
 		for _, density := range []float64{0.05, 0.5, 1} {
 			rows := make([][]uint32, segs)
 			for s := range rows {
@@ -450,8 +449,8 @@ func TestKernelOverflowAcrossSegmenters(t *testing.T) {
 				}
 				m := res.Map
 				overflow := false
-				for s := 0; s < m.NumSegments(); s++ {
-					for _, c := range m.SegmentRow(s) {
+				for it := 0; it < m.NumItems(); it++ {
+					for _, c := range m.Column(dataset.Item(it)) {
 						if c > 0xFFFF {
 							overflow = true
 						}

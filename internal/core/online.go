@@ -129,9 +129,7 @@ func (a *Appender) compact() error {
 	}
 	rows := make([][]uint32, res.Map.NumSegments())
 	for s := range rows {
-		row := make([]uint32, a.numItems)
-		copy(row, res.Map.SegmentRow(s))
-		rows[s] = row
+		rows[s] = res.Map.AppendSegmentRow(make([]uint32, 0, a.numItems), s)
 	}
 	a.rows = rows
 	a.seed++
@@ -255,9 +253,7 @@ func (a *Appender) Snapshot() (*Map, error) {
 		}
 		snap := make([][]uint32, res.Map.NumSegments())
 		for s := range snap {
-			row := make([]uint32, a.numItems)
-			copy(row, res.Map.SegmentRow(s))
-			snap[s] = row
+			snap[s] = res.Map.AppendSegmentRow(make([]uint32, 0, a.numItems), s)
 		}
 		rows = snap
 	} else {

@@ -25,16 +25,14 @@ var ErrRaggedSegments = errors.New("core: segment support rows have differing le
 // (Section 3). The structure is query-independent — it is built once at
 // "compile time" and serves any support threshold afterwards.
 //
-// Storage is a flat columnar store rather than a ragged [][]uint32: the
-// matrix is kept contiguously in both segment-major order (one cache-warm
-// row per segment, the layout the candidate-2 pair wall streams) and
-// item-major order (one contiguous column per item, the layout the
-// bound loop streams), plus the per-item totals (see kernel.go).
+// Storage is one flat item-major matrix (one contiguous column of n
+// cells per item, the layout both the bound loop and the candidate-2
+// pair wall stream; see kernel.go) plus the per-item totals. Each cell
+// is stored once.
 type Map struct {
 	numItems  int
 	numSegs   int
-	segMajor  []uint32 // [segment*numItems + item] singleton support
-	itemMajor []uint32 // [item*numSegs + segment], the transposed view
+	itemMajor []uint32 // [item*numSegs + segment] singleton support
 	totals    []int64  // per-item global support (sum over segments)
 }
 
@@ -46,11 +44,11 @@ func NewMap(segCounts [][]uint32) (*Map, error) {
 	if err != nil {
 		return nil, err
 	}
-	flat := make([]uint32, len(segCounts)*k)
+	m := newMap(len(segCounts), k)
 	for s, row := range segCounts {
-		copy(flat[s*k:(s+1)*k], row)
+		m.setRow(s, row)
 	}
-	return newMapFromFlat(len(segCounts), k, flat), nil
+	return m.withTotals(), nil
 }
 
 // checkRows validates support rows, one per segment or page: at least
@@ -68,22 +66,33 @@ func checkRows(rows [][]uint32) (int, error) {
 	return k, nil
 }
 
-// newMapFromFlat assumes ownership of the segment-major cells and derives
-// the transposed view and the per-item totals.
-func newMapFromFlat(numSegs, numItems int, segMajor []uint32) *Map {
-	m := &Map{
+// newMap allocates an all-zero numSegs × numItems Map. Constructors fill
+// it with setRow and finish with withTotals.
+func newMap(numSegs, numItems int) *Map {
+	return &Map{
 		numItems:  numItems,
 		numSegs:   numSegs,
-		segMajor:  segMajor,
 		itemMajor: make([]uint32, numSegs*numItems),
 		totals:    make([]int64, numItems),
 	}
-	for s := 0; s < numSegs; s++ {
-		row := segMajor[s*numItems : (s+1)*numItems]
-		for it, c := range row {
-			m.itemMajor[it*numSegs+s] = c
-			m.totals[it] += int64(c)
+}
+
+// setRow stores segment s's support row into the item-major columns.
+func (m *Map) setRow(s int, row []uint32) {
+	for it, c := range row {
+		m.itemMajor[it*m.numSegs+s] = c
+	}
+}
+
+// withTotals derives the per-item totals from the columns.
+func (m *Map) withTotals() *Map {
+	ns := m.numSegs
+	for it := range m.totals {
+		var t int64
+		for _, c := range m.itemMajor[it*ns : (it+1)*ns] {
+			t += int64(c)
 		}
+		m.totals[it] = t
 	}
 	return m
 }
@@ -96,10 +105,10 @@ func BuildFromPages(d *dataset.Dataset, pages []dataset.Page, assign [][]int) (*
 	if len(assign) == 0 {
 		return nil, ErrNoSegments
 	}
-	k := d.NumItems()
-	flat := make([]uint32, len(assign)*k)
+	m := newMap(len(assign), d.NumItems())
+	row := make([]uint32, m.numItems)
 	for s, pageIdxs := range assign {
-		row := flat[s*k : (s+1)*k]
+		clear(row)
 		for _, pi := range pageIdxs {
 			if pi < 0 || pi >= len(pages) {
 				return nil, fmt.Errorf("core: segment %d references page %d of %d", s, pi, len(pages))
@@ -109,8 +118,9 @@ func BuildFromPages(d *dataset.Dataset, pages []dataset.Page, assign [][]int) (*
 				return nil, fmt.Errorf("core: segment %d: %w", s, err)
 			}
 		}
+		m.setRow(s, row)
 	}
-	return newMapFromFlat(len(assign), k, flat), nil
+	return m.withTotals(), nil
 }
 
 // NumSegments returns n, the number of segments.
@@ -122,16 +132,12 @@ func (m *Map) NumItems() int { return m.numItems }
 // SegmentSupport returns sup_i({x}), the support of item x within
 // segment i.
 func (m *Map) SegmentSupport(i int, x dataset.Item) uint32 {
-	return m.segMajor[i*m.numItems+int(x)]
+	return m.itemMajor[int(x)*m.numSegs+i]
 }
 
 // ItemSupport returns the exact global support of the singleton {x}.
 // For singletons the OSSM is lossless by construction.
 func (m *Map) ItemSupport(x dataset.Item) int64 { return m.totals[x] }
-
-// Totals returns the per-item global supports. The returned slice is
-// shared; callers must not mutate it.
-func (m *Map) Totals() []int64 { return m.totals }
 
 // UpperBound returns ubsup(X, M_n), equation (1):
 //
@@ -179,10 +185,10 @@ func (m *Map) UpperBoundPair(a, b dataset.Item) int64 {
 	return total
 }
 
-// referenceUpperBound is the pre-flat-store bound loop — a walk over the
-// segment-major rows exactly as the original ragged [][]uint32
-// implementation performed it. It is retained unexported as the
-// equivalence oracle for the kernel layer: every kernel in kernel.go must
+// referenceUpperBound is equation (1) written out cell by cell: a walk
+// over the segments reading each member's support through
+// SegmentSupport. It shares no loop with the kernels and is retained
+// unexported as their equivalence oracle: every kernel in kernel.go must
 // return bit-identical bounds (and therefore decisions) to this loop.
 func (m *Map) referenceUpperBound(x dataset.Itemset) int64 {
 	if len(x) == 0 {
@@ -193,10 +199,9 @@ func (m *Map) referenceUpperBound(x dataset.Itemset) int64 {
 	}
 	var total int64
 	for s := 0; s < m.numSegs; s++ {
-		row := m.segMajor[s*m.numItems : (s+1)*m.numItems]
-		minC := row[x[0]]
+		minC := m.SegmentSupport(s, x[0])
 		for _, it := range x[1:] {
-			if c := row[it]; c < minC {
+			if c := m.SegmentSupport(s, it); c < minC {
 				minC = c
 			}
 		}
@@ -205,43 +210,29 @@ func (m *Map) referenceUpperBound(x dataset.Itemset) int64 {
 	return total
 }
 
-// NaiveUpperBound is the bound available *without* an OSSM: the minimum of
-// the items' global supports (the "last column" bound of Example 1). It
-// equals UpperBound on a single-segment map and is never tighter than a
-// multi-segment bound.
-func (m *Map) NaiveUpperBound(x dataset.Itemset) int64 {
-	if len(x) == 0 {
-		panic("core: NaiveUpperBound of the empty itemset is not defined")
-	}
-	minC := m.totals[x[0]]
-	for _, it := range x[1:] {
-		if c := m.totals[it]; c < minC {
-			minC = c
-		}
-	}
-	return minC
-}
-
 // SizeBytes reports the exact memory footprint of the flat store's
-// backing arrays: both 4-byte cell matrices (segment-major and the
-// transposed item-major view) and the 8-byte per-item totals,
-// 8·k·n + 8·k bytes. The segment-major cells alone are the quantity
-// behind the paper's "0.2–0.3 megabyte" claims; CellBytes reports them
-// separately.
+// backing arrays: the 4-byte item-major cells and the 8-byte per-item
+// totals, 4·k·n + 8·k bytes. The cells alone are the quantity behind the
+// paper's "0.2–0.3 megabyte" claims; CellBytes reports them separately.
 func (m *Map) SizeBytes() int {
-	return 4*(len(m.segMajor)+len(m.itemMajor)) + 8*len(m.totals)
+	return 4*len(m.itemMajor) + 8*len(m.totals)
 }
 
 // CellBytes reports the size of the segment support matrix proper
-// (4 bytes per cell, one copy), the paper's accounting unit.
+// (4 bytes per cell), the paper's accounting unit.
 func (m *Map) CellBytes() int { return 4 * m.numItems * m.numSegs }
 
-// SegmentRow returns segment i's support row, a view into the flat
-// segment-major store. The returned slice is shared; callers must not
-// mutate it.
-func (m *Map) SegmentRow(i int) []uint32 {
-	lo, hi := i*m.numItems, (i+1)*m.numItems
-	return m.segMajor[lo:hi:hi]
+// AppendSegmentRow appends segment s's support row — sup_s({x}) for every
+// item x in order — to dst and returns the extended slice. The row is
+// gathered from the columns, so it is always a copy.
+func (m *Map) AppendSegmentRow(dst []uint32, s int) []uint32 {
+	if s < 0 || s >= m.numSegs {
+		panic(fmt.Sprintf("core: segment %d outside [0, %d)", s, m.numSegs))
+	}
+	for it := 0; it < m.numItems; it++ {
+		dst = append(dst, m.itemMajor[it*m.numSegs+s])
+	}
+	return dst
 }
 
 // Column returns item x's per-segment support column, a view into the
@@ -250,16 +241,6 @@ func (m *Map) SegmentRow(i int) []uint32 {
 func (m *Map) Column(x dataset.Item) []uint32 {
 	lo, hi := int(x)*m.numSegs, (int(x)+1)*m.numSegs
 	return m.itemMajor[lo:hi:hi]
-}
-
-// Merged returns a single-segment Map carrying the same global supports —
-// the degenerate M_1 whose bound is the naive bound.
-func (m *Map) Merged() *Map {
-	row := make([]uint32, m.numItems)
-	for it, t := range m.totals {
-		row[it] = uint32(t)
-	}
-	return newMapFromFlat(1, m.numItems, row)
 }
 
 // Pruner applies an OSSM to candidate filtering and keeps the counters

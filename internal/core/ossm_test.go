@@ -88,12 +88,11 @@ func TestUpperBoundPanicsOnEmpty(t *testing.T) {
 }
 
 func TestSizeBytes(t *testing.T) {
-	// The flat store holds both 4-byte cell matrices (segment-major and
-	// item-major) and the 8-byte totals: 4·2·k·n + 8·k = 8·k·(n+1) bytes
-	// for k items, n segments.
+	// The flat store holds one 4-byte cell matrix (item-major) and the
+	// 8-byte totals: 4·k·n + 8·k bytes for k items, n segments.
 	m := example1Map(t) // 3 items × 4 segments
-	if got := m.SizeBytes(); got != 8*3*(4+1) {
-		t.Errorf("SizeBytes = %d, want 120", got)
+	if got := m.SizeBytes(); got != 4*3*4+8*3 {
+		t.Errorf("SizeBytes = %d, want 72", got)
 	}
 	// Paper claim check: 1000 items × 150 segments ≈ 0.6 MB of cells.
 	rows := make([][]uint32, 150)
@@ -107,10 +106,45 @@ func TestSizeBytes(t *testing.T) {
 	if got := big.CellBytes(); got != 600000 {
 		t.Errorf("CellBytes = %d, want 600000", got)
 	}
-	if got := big.SizeBytes(); got != 8*1000*151 {
-		t.Errorf("SizeBytes = %d, want 1208000", got)
+	if got := big.SizeBytes(); got != 4*1000*150+8*1000 {
+		t.Errorf("SizeBytes = %d, want 608000", got)
 	}
 }
+
+// NaiveUpperBound is the bound available *without* an OSSM: the minimum
+// of the items' global supports (the "last column" bound of Example 1).
+// It equals UpperBound on a single-segment map and is never tighter than
+// a multi-segment bound.
+func (m *Map) NaiveUpperBound(x dataset.Itemset) int64 {
+	if len(x) == 0 {
+		panic("core: NaiveUpperBound of the empty itemset is not defined")
+	}
+	minC := m.totals[x[0]]
+	for _, it := range x[1:] {
+		if c := m.totals[it]; c < minC {
+			minC = c
+		}
+	}
+	return minC
+}
+
+// Merged returns a single-segment Map carrying the same global supports —
+// the degenerate M_1 whose bound is the naive bound.
+func (m *Map) Merged() *Map {
+	row := make([]uint32, m.numItems)
+	for it, t := range m.totals {
+		row[it] = uint32(t)
+	}
+	one, err := NewMap([][]uint32{row})
+	if err != nil {
+		panic(err)
+	}
+	return one
+}
+
+// Totals returns the per-item global supports. The returned slice is
+// shared; callers must not mutate it.
+func (m *Map) Totals() []int64 { return m.totals }
 
 func TestMergedEqualsNaive(t *testing.T) {
 	m := example1Map(t)
@@ -355,8 +389,23 @@ func TestTotalsShared(t *testing.T) {
 
 func TestSegmentRowAccess(t *testing.T) {
 	m := example1Map(t)
-	row := m.SegmentRow(2)
-	if row[0] != 40 || row[1] != 40 || row[2] != 20 {
-		t.Errorf("SegmentRow(2) = %v", row)
+	prefix := []uint32{7}
+	row := m.AppendSegmentRow(prefix, 2)
+	if len(row) != 4 || row[0] != 7 || row[1] != 40 || row[2] != 40 || row[3] != 20 {
+		t.Errorf("AppendSegmentRow([7], 2) = %v", row)
+	}
+	row[1] = 0
+	if m.SegmentSupport(2, 0) != 40 {
+		t.Error("AppendSegmentRow returned a row that aliases the map")
+	}
+	for _, s := range []int{-1, m.NumSegments()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AppendSegmentRow(nil, %d) did not panic", s)
+				}
+			}()
+			m.AppendSegmentRow(nil, s)
+		}()
 	}
 }

@@ -15,11 +15,11 @@ import "fmt"
 // internal/shard.
 
 // SegmentRange returns a Map over the contiguous segment range [lo, hi)
-// of m. The view shares m's segment-major backing store (no cells are
-// copied); the derived item-major transpose and per-item totals are
-// rebuilt for the range, so every bound and decision path works on the
-// view unchanged. Summing the views' bounds over a partition of
-// [0, NumSegments()) reproduces m's bound exactly.
+// of m: a copy of each item's column slice [lo, hi) with the per-item
+// totals rebuilt for the range, 4·k·(hi−lo) + 8·k bytes. Every bound and
+// decision path works on the view unchanged, and summing the views'
+// bounds over a partition of [0, NumSegments()) reproduces m's bound
+// exactly. The full range returns m itself.
 func (m *Map) SegmentRange(lo, hi int) (*Map, error) {
 	if lo < 0 || hi > m.numSegs || lo >= hi {
 		return nil, fmt.Errorf("core: segment range [%d, %d) outside [0, %d)", lo, hi, m.numSegs)
@@ -27,5 +27,9 @@ func (m *Map) SegmentRange(lo, hi int) (*Map, error) {
 	if lo == 0 && hi == m.numSegs {
 		return m, nil
 	}
-	return newMapFromFlat(hi-lo, m.numItems, m.segMajor[lo*m.numItems:hi*m.numItems]), nil
+	v := newMap(hi-lo, m.numItems)
+	for it := 0; it < m.numItems; it++ {
+		copy(v.itemMajor[it*v.numSegs:(it+1)*v.numSegs], m.itemMajor[it*m.numSegs+lo:it*m.numSegs+hi])
+	}
+	return v.withTotals(), nil
 }

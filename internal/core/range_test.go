@@ -121,23 +121,47 @@ func TestSegmentRangeViewsSatisfyKernelContract(t *testing.T) {
 	}
 }
 
-// TestSegmentRangeSharing pins the zero-copy contract: a view's rows are
-// the parent's rows, and the full range returns the parent itself.
-func TestSegmentRangeSharing(t *testing.T) {
+// TestSegmentRangeCopy pins what a view holds: the parent's cells over
+// its range, in 4·k·(hi−lo) + 8·k bytes of its own (writing to the
+// parent's columns leaves it unchanged), and the full range returns the
+// parent itself.
+func TestSegmentRangeCopy(t *testing.T) {
 	r := rand.New(rand.NewSource(63))
-	m := randMapFor(t, r, 10, 8)
-	v, err := m.SegmentRange(3, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := 0; s < v.NumSegments(); s++ {
-		parent := m.SegmentRow(3 + s)
-		view := v.SegmentRow(s)
-		if &parent[0] != &view[0] {
-			t.Fatalf("view row %d does not alias parent row %d", s, 3+s)
+	const segs, k = 10, 8
+	m := randMapFor(t, r, segs, k)
+	for _, rg := range [][2]int{{3, 9}, {0, 1}, {9, 10}, {0, 9}} {
+		lo, hi := rg[0], rg[1]
+		v, err := m.SegmentRange(lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.NumSegments() != hi-lo || v.NumItems() != k {
+			t.Fatalf("[%d, %d): view is %d×%d", lo, hi, v.NumSegments(), v.NumItems())
+		}
+		if got, want := v.SizeBytes(), 4*k*(hi-lo)+8*k; got != want {
+			t.Fatalf("[%d, %d): SizeBytes = %d, want %d", lo, hi, got, want)
+		}
+		for it := 0; it < k; it++ {
+			x := dataset.Item(it)
+			var total int64
+			for s := lo; s < hi; s++ {
+				if got, want := v.SegmentSupport(s-lo, x), m.SegmentSupport(s, x); got != want {
+					t.Fatalf("[%d, %d): cell (%d, %d) = %d, parent %d", lo, hi, s-lo, it, got, want)
+				}
+				total += int64(m.SegmentSupport(s, x))
+			}
+			if v.ItemSupport(x) != total {
+				t.Fatalf("[%d, %d): item %d total %d, want %d", lo, hi, it, v.ItemSupport(x), total)
+			}
 		}
 	}
-	if full, _ := m.SegmentRange(0, 10); full != m {
+	v, _ := m.SegmentRange(3, 9)
+	before := v.SegmentSupport(0, 0)
+	m.Column(0)[3]++
+	if v.SegmentSupport(0, 0) != before {
+		t.Fatal("view aliases the parent's cells")
+	}
+	if full, _ := m.SegmentRange(0, segs); full != m {
 		t.Fatal("full-range view should be the parent map itself")
 	}
 }

@@ -45,10 +45,13 @@ func WriteMap(w io.Writer, m *Map) error {
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return err
 	}
-	var cell [4]byte
-	for _, c := range m.segMajor {
-		binary.LittleEndian.PutUint32(cell[:], c)
-		if _, err := bw.Write(cell[:]); err != nil {
+	// The file is segment-major; transpose the columns one row at a time.
+	buf := make([]byte, 4*m.numItems)
+	for s := 0; s < m.numSegs; s++ {
+		for it := 0; it < m.numItems; it++ {
+			binary.LittleEndian.PutUint32(buf[4*it:], m.itemMajor[it*m.numSegs+s])
+		}
+		if _, err := bw.Write(buf); err != nil {
 			return err
 		}
 	}
@@ -86,7 +89,7 @@ func ReadMap(r io.Reader) (*Map, error) {
 	if numItems > maxCells || numSegs > maxCells || int64(numItems)*int64(numSegs) > maxCells {
 		return nil, fmt.Errorf("%w: header claims %d×%d cells", ErrBadMapFormat, numSegs, numItems)
 	}
-	flat := make([]uint32, numSegs*numItems)
+	m := newMap(numSegs, numItems)
 	buf := make([]byte, 4*numItems)
 	for s := 0; s < numSegs; s++ {
 		if _, err := io.ReadFull(br, buf); err != nil {
@@ -95,10 +98,9 @@ func ReadMap(r io.Reader) (*Map, error) {
 			}
 			return nil, fmt.Errorf("%w: segment %d: %v", ErrBadMapFormat, s, err)
 		}
-		row := flat[s*numItems : (s+1)*numItems]
-		for i := range row {
-			row[i] = binary.LittleEndian.Uint32(buf[4*i:])
+		for it := 0; it < numItems; it++ {
+			m.itemMajor[it*numSegs+s] = binary.LittleEndian.Uint32(buf[4*it:])
 		}
 	}
-	return newMapFromFlat(numSegs, numItems, flat), nil
+	return m.withTotals(), nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"os"
 	"testing"
 	"testing/quick"
 
@@ -28,6 +29,49 @@ func TestMapRoundTrip(t *testing.T) {
 		for it := 0; it < m.NumItems(); it++ {
 			if got.SegmentSupport(s, dataset.Item(it)) != m.SegmentSupport(s, dataset.Item(it)) {
 				t.Fatalf("cell (%d,%d) changed", s, it)
+			}
+		}
+	}
+}
+
+// goldenMap is the map behind testdata/map.golden: 3 segments × 5 items,
+// every cell distinct, so any reordering of the cells shows.
+var goldenMap = [][]uint32{
+	{1, 2, 3, 4, 5},
+	{16, 0, 7, 256, 65536},
+	{9, 10, 70000, 12, 4294967295},
+}
+
+// TestMapGolden pins the .ossm file format: WriteMap reproduces a map file
+// written when the map was stored segment-major byte for byte, and ReadMap
+// of that file returns the same cells.
+func TestMapGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/map.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMap(goldenMap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteMap(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("WriteMap output differs from testdata/map.golden:\ngot  %x\nwant %x", buf.Bytes(), want)
+	}
+	got, err := ReadMap(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumSegments() != len(goldenMap) || got.NumItems() != len(goldenMap[0]) {
+		t.Fatalf("ReadMap shape %d×%d, want %d×%d", got.NumSegments(), got.NumItems(), len(goldenMap), len(goldenMap[0]))
+	}
+	for s, row := range goldenMap {
+		for it, c := range row {
+			if g := got.SegmentSupport(s, dataset.Item(it)); g != c {
+				t.Fatalf("ReadMap cell (%d, %d) = %d, want %d", s, it, g, c)
 			}
 		}
 	}

@@ -50,18 +50,6 @@ func (m *Map) Heterogeneity() float64 {
 	return weighted / total
 }
 
-// HottestSegment returns the segment holding item x's largest support
-// and that support. Useful for "where does this pattern live?"
-// exploration. Ties resolve to the lowest segment index.
-func (m *Map) HottestSegment(x dataset.Item) (segment int, support uint32) {
-	for s, c := range m.Column(x) {
-		if c > support {
-			segment, support = s, c
-		}
-	}
-	return segment, support
-}
-
 // SkewSignal compares the map's measured heterogeneity against the level
 // pure sampling noise would produce if every item were spread uniformly
 // across segments (for an item with total support T over n segments the

@@ -101,6 +101,17 @@ func seasonalOrRegular(t *testing.T, seasonal bool) *dataset.Dataset {
 	return b.Build()
 }
 
+// HottestSegment returns the segment holding item x's largest support
+// and that support. Ties resolve to the lowest segment index.
+func (m *Map) HottestSegment(x dataset.Item) (segment int, support uint32) {
+	for s, c := range m.Column(x) {
+		if c > support {
+			segment, support = s, c
+		}
+	}
+	return segment, support
+}
+
 func TestHottestSegment(t *testing.T) {
 	m := mustMap(t, [][]uint32{
 		{1, 9},

@@ -115,9 +115,7 @@ func Mine(d *dataset.Dataset, minCount int64, opts Options) (*mining.Result, err
 			pruner = lp
 			m := lp.(*core.Pruner).Map
 			for s := 0; s < m.NumSegments(); s++ {
-				row := make([]uint32, d.NumItems())
-				copy(row, m.SegmentRow(s))
-				stackedRows = append(stackedRows, row)
+				stackedRows = append(stackedRows, m.AppendSegmentRow(make([]uint32, 0, d.NumItems()), s))
 			}
 		}
 		local := mineVertical(d, p, localMin, opts.MaxLen, pruner)

@@ -12,8 +12,8 @@
 //
 // Shards run in-process behind the Transport interface, so an HTTP shard
 // client can slot in later without touching the coordinator. Each shard
-// owns a contiguous columnar sub-range of the index (a zero-copy
-// core.Map segment-range view) plus, when the entry has a dataset, a
+// owns a contiguous columnar sub-range of the index (a core.Map
+// segment-range copy) plus, when the entry has a dataset, a
 // transaction slice for scatter-gather mining, and keeps its own
 // health/admission state.
 package shard
@@ -117,8 +117,8 @@ type Transport interface {
 	PartialSupports(ctx context.Context, cands []ossm.Itemset, out []int64) error
 }
 
-// Shard is one in-process segment-range shard: a zero-copy view of the
-// parent index plus admission bookkeeping.
+// Shard is one in-process segment-range shard: a segment-range view of
+// the parent index plus admission bookkeeping.
 type Shard struct {
 	id  int
 	rng Range

@@ -193,7 +193,7 @@ func decodeSnapshot(data []byte) (uint64, ossm.AppenderState, error) {
 		}
 		st.Rows = make([][]uint32, rowCount)
 		for s := range st.Rows {
-			st.Rows[s] = append([]uint32(nil), m.SegmentRow(s)...)
+			st.Rows[s] = m.AppendSegmentRow(make([]uint32, 0, st.NumItems), s)
 		}
 	}
 	st.Cur = make([]uint32, st.NumItems)

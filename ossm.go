@@ -221,7 +221,7 @@ func (ix *Index) NumSegments() int { return ix.m.NumSegments() }
 
 // SegmentRange returns an Index view over the contiguous segment range
 // [lo, hi): the slicing primitive behind sharded serving. The view
-// shares the parent's segment-major cells (no copy) and answers every
+// holds a copy of the parent's cells over the range and answers every
 // bound query over its range only, so for any partition of
 // [0, NumSegments()) the per-range bounds sum to the parent's bound
 // exactly (eq. 1 is a sum over segments). Views report the parent's

@@ -74,7 +74,9 @@ func (sc *batchScratch) accFor(n int) []int64 {
 //
 // The present-item lists are gathered from the item-major columns
 // pairBlock segments at a time, so each item's column is read one cache
-// line per block rather than one cell per segment.
+// line per block rather than one cell per segment. The gather has no
+// branch on the cell: deep maps are mostly zero cells, and a branch on
+// them mispredicts.
 func (m *Map) BoundPairsAmong(items []dataset.Item, minsup int64, decisions []bool) {
 	n := len(items)
 	numPairs := n * (n - 1) / 2
@@ -98,10 +100,11 @@ func (m *Map) BoundPairsAmong(items []dataset.Item, minsup int64, decisions []bo
 		for i, it := range items {
 			col := m.itemMajor[int(it)*ns+s0 : int(it)*ns+s0+bl]
 			for b, c := range col {
-				if c != 0 {
-					pos[b*n+nz[b]], cnt[b*n+nz[b]] = int32(i), c
-					nz[b]++
-				}
+				// Every cell is written; only a non-zero one advances
+				// (c|-c has its top bit set exactly when c ≠ 0). nz[b] ≤ i,
+				// so the write stays inside segment b's n slots.
+				pos[b*n+nz[b]], cnt[b*n+nz[b]] = int32(i), c
+				nz[b] += int((c | -c) >> 31)
 			}
 		}
 		for b := 0; b < bl; b++ {

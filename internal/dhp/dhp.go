@@ -65,6 +65,34 @@ func pairHash(a, b dataset.Item, buckets int) int {
 	return int((uint64(a)*2654435761 + uint64(b)) % uint64(buckets))
 }
 
+// residues returns pairHash's two terms for item x reduced mod buckets:
+// x·2654435761 mod buckets as the pair's first item, x mod buckets as
+// its second. Items are uint32, so a·2654435761 + b is below 2⁶⁴ and
+// never wraps, and pairHash(a, b) is exactly the residueBucket of a's
+// row residue and b's column residue.
+func residues(x dataset.Item, buckets int) (row, col int) {
+	return int(uint64(x) * 2654435761 % uint64(buckets)), int(uint64(x) % uint64(buckets))
+}
+
+// pairResidues tabulates residues over the items x < numItems, so pass 1
+// hashes every transaction pair with no division.
+func pairResidues(numItems, buckets int) (rowMod, colMod []int) {
+	rowMod, colMod = make([]int, numItems), make([]int, numItems)
+	for x := range rowMod {
+		rowMod[x], colMod[x] = residues(dataset.Item(x), buckets)
+	}
+	return rowMod, colMod
+}
+
+// residueBucket adds two residues mod buckets; each is below buckets.
+func residueBucket(row, col, buckets int) int {
+	h := row + col
+	if h >= buckets {
+		h -= buckets
+	}
+	return h
+}
+
 // tripleHash maps an item triple to a bucket of H3.
 func tripleHash(a, b, c dataset.Item, buckets int) int {
 	return int(((uint64(a)*2654435761+uint64(b))*40503 + uint64(c)) % uint64(buckets))
@@ -93,11 +121,13 @@ func Mine(d *dataset.Dataset, minCount int64, opts Options) (*mining.Result, err
 	passStart := time.Now()
 	counts := d.ItemCounts(0, d.NumTx())
 	h2 := make([]int64, buckets)
+	rowMod, colMod := pairResidues(d.NumItems(), buckets)
 	for i := 0; i < d.NumTx(); i++ {
 		tx := d.Tx(i)
-		for a := 0; a < len(tx); a++ {
-			for b := a + 1; b < len(tx); b++ {
-				h2[pairHash(tx[a], tx[b], buckets)]++
+		for a, x := range tx {
+			row := rowMod[x]
+			for _, y := range tx[a+1:] {
+				h2[residueBucket(row, colMod[y], buckets)]++
 			}
 		}
 	}
@@ -271,10 +301,20 @@ func trimPass(d *dataset.Dataset, cands []*mining.Candidate, frequentItem []bool
 		sh := &shards[w]
 		sh.state = tree.AcquireState()
 		sh.h3 = make([]int64, buckets)
-		participation := make(map[dataset.Item]int)
+		// Per-worker scratch, reused across transactions: the kept items,
+		// each item's count of matched candidates (zeroed over the kept
+		// items after every transaction, the only items a match touches),
+		// and one backing array the trimmed transactions are capped
+		// sub-slices of.
+		var kept, backing dataset.Itemset
+		participation := make([]int32, len(frequentItem))
+		onMatch := func(c *mining.Candidate) {
+			participation[c.Items[0]]++
+			participation[c.Items[1]]++
+		}
 		for i := lo; i < hi; i++ {
 			tx := d.Tx(i)
-			var kept dataset.Itemset
+			kept = kept[:0]
 			for _, it := range tx {
 				if frequentItem[it] {
 					kept = append(kept, it)
@@ -286,21 +326,17 @@ func trimPass(d *dataset.Dataset, cands []*mining.Candidate, frequentItem []bool
 				}
 				continue
 			}
-			for k := range participation {
-				delete(participation, k)
-			}
-			tree.CountTransactionIntoFunc(sh.state, kept, func(c *mining.Candidate) {
-				participation[c.Items[0]]++
-				participation[c.Items[1]]++
-			})
-			var next dataset.Itemset
+			tree.CountTransactionIntoFunc(sh.state, kept, onMatch)
+			start := len(backing)
 			for _, it := range kept {
 				if participation[it] >= 2 {
-					next = append(next, it)
+					backing = append(backing, it)
 				} else {
 					sh.trimmedItems++
 				}
+				participation[it] = 0
 			}
+			next := backing[start:len(backing):len(backing)]
 			if len(next) >= 3 {
 				sh.trimmed = append(sh.trimmed, next)
 				for a := 0; a < len(next); a++ {
@@ -311,6 +347,7 @@ func trimPass(d *dataset.Dataset, cands []*mining.Candidate, frequentItem []bool
 					}
 				}
 			} else {
+				backing = backing[:start]
 				sh.droppedTx++
 			}
 		}

@@ -180,8 +180,7 @@ type walker struct {
 	tx   dataset.Itemset
 	h    []int32         // the fanout hash of each transaction item
 	path dataset.Itemset // the items hashed on, size-1 long
-	// counts, when non-nil, receives the matches by candidate index in
-	// place of the candidates' own counts.
+	// counts receives the matches by candidate index.
 	counts  []int64
 	onMatch func(*Candidate)
 }
@@ -274,21 +273,10 @@ func (w *walker) lastLevel(block []slot, start int) {
 // hit counts the candidate at flat position q.
 func (w *walker) hit(q int) {
 	id := w.t.ids[q]
-	if w.counts != nil {
-		w.counts[id]++
-	} else {
-		w.t.cands[id].Count++
-	}
+	w.counts[id]++
 	if w.onMatch != nil {
 		w.onMatch(w.t.cands[id])
 	}
-}
-
-// CountTransaction adds tx to the counts of every candidate it contains.
-// onMatch, if non-nil, is invoked once per contained candidate (DHP uses
-// it to track item participation for transaction trimming).
-func (t *HashTree) CountTransaction(tx dataset.Itemset, onMatch func(*Candidate)) {
-	t.walk(tx, nil, onMatch)
 }
 
 // CountState is per-worker counting state for a shared, read-only
@@ -296,11 +284,6 @@ func (t *HashTree) CountTransaction(tx dataset.Itemset, onMatch func(*Candidate)
 // accumulating into its own state, and the states merge afterwards.
 type CountState struct {
 	counts []int64
-}
-
-// NewState allocates counting state sized to the tree.
-func (t *HashTree) NewState() *CountState {
-	return &CountState{counts: make([]int64, len(t.cands))}
 }
 
 // statePool recycles CountState scratch across passes (and across runs):
@@ -330,17 +313,16 @@ func ReleaseState(st *CountState) {
 	}
 }
 
-// CountTransactionInto is CountTransaction accumulating into st instead
-// of the candidates themselves; the tree is not mutated, so concurrent
-// calls with distinct states are safe.
+// CountTransactionInto adds tx to st's count of every candidate it
+// contains. The tree is not mutated, so concurrent calls with distinct
+// states are safe.
 func (t *HashTree) CountTransactionInto(st *CountState, tx dataset.Itemset) {
 	t.walk(tx, st.counts, nil)
 }
 
-// CountTransactionIntoFunc is CountTransactionInto with a per-match
-// callback, the state-based counterpart of CountTransaction's onMatch
-// (DHP's parallel trim pass uses it to track item participation per
-// worker).
+// CountTransactionIntoFunc is CountTransactionInto with a callback
+// invoked once per contained candidate (DHP's trim pass uses it to track
+// item participation per worker).
 func (t *HashTree) CountTransactionIntoFunc(st *CountState, tx dataset.Itemset, onMatch func(*Candidate)) {
 	t.walk(tx, st.counts, onMatch)
 }

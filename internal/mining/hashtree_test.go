@@ -7,6 +7,20 @@ import (
 	"github.com/ossm-mining/ossm/internal/dataset"
 )
 
+// CountTransaction adds tx to the counts of every candidate it contains,
+// calling onMatch, if non-nil, once per contained candidate.
+func (t *HashTree) CountTransaction(tx dataset.Itemset, onMatch func(*Candidate)) {
+	st := t.AcquireState()
+	defer ReleaseState(st)
+	t.walk(tx, st.counts, onMatch)
+	t.Merge(t.cands, st)
+}
+
+// NewState allocates counting state sized to the tree.
+func (t *HashTree) NewState() *CountState {
+	return &CountState{counts: make([]int64, len(t.cands))}
+}
+
 func TestHashTreeLeafSplit(t *testing.T) {
 	// More than maxLeaf candidates with a shared first item force leaf
 	// splits several levels deep.

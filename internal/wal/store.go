@@ -375,14 +375,6 @@ func (s *Store) SetOnSnapshot(fn func(err error)) {
 	s.opts.OnSnapshot = fn
 }
 
-// SetOnAppend installs (or replaces) the append-timing observer — for
-// callers that wire tracing up after Open, like the serving layer.
-func (s *Store) SetOnAppend(fn func(AppendStats)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.opts.OnAppend = fn
-}
-
 // SinceSnapshot reports the replay debt the next crash would pay: how
 // many records the active WAL holds beyond the last snapshot, and when
 // that snapshot was taken (zero time before any snapshot).

@@ -87,11 +87,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		logLevel = fs.String("log-level", "info", "structured-log threshold: debug, info, warn or error")
 		traceBuf = fs.Int("trace-buffer", 2048, "finished-span ring capacity behind GET /v1/traces (negative disables tracing)")
 		pprofOn  = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-		shards   = fs.Int("shards", 0, "segment-range shards per index, served scatter-gather (0 or 1 = unsharded)")
 		role     = fs.String("shard-role", "", "process role: empty serves queries; \"worker\" serves one shard of every entry under /shard/v1/ (needs -shard-id and -shard-count)")
 		shardID  = fs.Int("shard-id", -1, "this worker's shard id in [0, shard-count) (worker role)")
 		shardCnt = fs.Int("shard-count", 0, "fleet width the worker slices every index into (worker role)")
-		topoPath = fs.String("topology", "", "topology file mapping shard ids to worker addresses; routes sharded serving over remote workers (SIGHUP re-reads it)")
+		topoPath = fs.String("topology", "", "topology file mapping shard ids to worker addresses; /v1/ubsup and /v1/mine scatter-gather over those workers (SIGHUP re-reads it)")
 		ingestKV = fs.String("ingest", "", "name=dir of a durable ingest store; recovers WAL + snapshots from dir and accepts POST /v1/ingest")
 		ingItems = fs.Int("ingest-items", 1024, "item domain size [0, n) of the -ingest store")
 		ingSnap  = fs.Int("ingest-snapshot-every", 256, "ingested records between automatic snapshots (each truncates the WAL)")
@@ -142,7 +141,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		Logger:          logger,
 		TraceBuffer:     *traceBuf,
 		EnablePprof:     *pprofOn,
-		Shards:          *shards,
 	})
 	if err := loadEntries(srv, indexes, datasets, *buildSeg, stdout); err != nil {
 		logger.Error("startup failed", slog.String("error", err.Error()))

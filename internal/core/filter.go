@@ -9,29 +9,11 @@ import (
 // Filter is the candidate-filtering contract miners accept: given a
 // candidate itemset, may it still be frequent? Both *Pruner (the plain
 // OSSM bound) and *ExtendedPruner (footnote 3's generalized map)
-// implement it. A nil Filter admits everything; miners should go through
-// Admit/AdmitPair rather than calling methods on a possibly-nil
-// interface.
+// implement it. A nil Filter admits everything, so miners check for nil
+// before calling its methods.
 type Filter interface {
 	Allow(x dataset.Itemset) bool
 	AllowPair(a, b dataset.Item) bool
-}
-
-// Admit applies f to x, treating a nil filter as "allow".
-func Admit(f Filter, x dataset.Itemset) bool {
-	if f == nil {
-		return true
-	}
-	return f.Allow(x)
-}
-
-// AdmitPair applies f to the pair {a, b}, treating a nil filter as
-// "allow".
-func AdmitPair(f Filter, a, b dataset.Item) bool {
-	if f == nil {
-		return true
-	}
-	return f.AllowPair(a, b)
 }
 
 // BatchFilter is the optional batch contract a Filter may additionally

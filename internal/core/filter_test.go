@@ -6,22 +6,6 @@ import (
 	"github.com/ossm-mining/ossm/internal/dataset"
 )
 
-func TestAdmitHelpers(t *testing.T) {
-	if !Admit(nil, dataset.NewItemset(1)) {
-		t.Error("Admit(nil) should allow")
-	}
-	if !AdmitPair(nil, 1, 2) {
-		t.Error("AdmitPair(nil) should allow")
-	}
-	deny := FilterFunc(func(dataset.Itemset) bool { return false })
-	if Admit(deny, dataset.NewItemset(1)) {
-		t.Error("Admit should consult the filter")
-	}
-	if AdmitPair(deny, 1, 2) {
-		t.Error("AdmitPair should consult the filter")
-	}
-}
-
 func TestExtendedPrunerAllowPair(t *testing.T) {
 	d := dataset.MustFromTransactions(3, [][]dataset.Item{
 		{0, 1}, {0, 1}, {0, 2}, {1, 2},

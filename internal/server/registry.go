@@ -145,9 +145,9 @@ type IndexInfo struct {
 	HasIndex   bool   `json:"has_index"`
 
 	// Sharded-serving topology, present only when the server runs a
-	// scatter-gather fleet for this entry (Config.Shards > 1). Unsharded
-	// servers keep the original response shape: every field below is
-	// omitted from the JSON.
+	// scatter-gather fleet for this entry (Server.UseRemoteFleet).
+	// Unsharded servers keep the original response shape: every field
+	// below is omitted from the JSON.
 	ShardCount      int          `json:"shard_count,omitempty"`
 	FleetGeneration uint64       `json:"fleet_generation,omitempty"`
 	Shards          []shard.Info `json:"shards,omitempty"`

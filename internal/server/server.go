@@ -66,13 +66,6 @@ type Config struct {
 	TraceBuffer int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
-	// Shards splits every registered index into this many segment-range
-	// shards and serves /v1/ubsup and /v1/mine scatter-gather through an
-	// in-process fleet (internal/shard). 0 or 1 keeps the single-index
-	// paths. Answers are bit-identical either way — the OSSM bound is a
-	// sum over segments and supports are sums over transactions, so
-	// partition-and-merge is lossless.
-	Shards int
 }
 
 func (c Config) withDefaults() Config {
@@ -108,16 +101,13 @@ type Server struct {
 	mineSem chan struct{} // admission semaphore for mining runs
 	start   time.Time
 
-	// Sharded serving (Config.Shards > 1): one scatter-gather fleet per
-	// registry entry, built lazily from the entry's current index and
-	// swapped (with a graceful drain) whenever the entry changes.
+	// Sharded serving (UseRemoteFleet): one scatter-gather fleet per
+	// registry entry, built lazily over the shard transports remoteFn
+	// returns. topoGen versions the topology; ReloadFleets bumps it and
+	// the next lookup per entry rebuilds its transports with a graceful
+	// swap.
 	fleetsMu sync.Mutex
 	fleets   map[string]*fleetEntry
-
-	// Remote serving: when set (UseRemoteFleet), fleets scatter over HTTP
-	// shard clients built by this factory instead of in-process shards.
-	// topoGen versions the topology; ReloadFleets bumps it and the next
-	// lookup per entry rebuilds its transports with a graceful swap.
 	remoteFn func(name string) ([]shard.Transport, error)
 	topoGen  atomic.Uint64
 
@@ -167,10 +157,10 @@ func (s *Server) AddDataset(name string, d *ossm.Dataset) error { return s.reg.A
 func (s *Server) Swap(name string, ix *ossm.Index) error { return s.reg.Swap(name, ix) }
 
 // sharded reports whether this server fans queries over a shard fleet.
-func (s *Server) sharded() bool { return s.cfg.Shards > 1 || s.remoteFn != nil }
+func (s *Server) sharded() bool { return s.remoteFn != nil }
 
-// UseRemoteFleet routes sharded serving over remote HTTP shard
-// transports: fn builds the transport list (typically
+// UseRemoteFleet shards the server over remote HTTP shard transports:
+// fn builds the transport list (typically
 // remote.Topology.Transports with the server's RemoteHooks) for a named
 // entry whenever a fleet is (re)built. Call it once, before serving —
 // it is not synchronized against in-flight queries.
@@ -185,35 +175,29 @@ func (s *Server) UseRemoteFleet(fn func(name string) ([]shard.Transport, error))
 // ossm-serve calls this after re-reading the topology file.
 func (s *Server) ReloadFleets() { s.topoGen.Add(1) }
 
-// fleetEntry tracks the fleet serving one registry entry. The identity
-// fields pin which (index, dataset) the current topology was built from,
-// so any registry change — AddIndex, AddDataset, Swap, or a
-// remove-and-re-add rollback — is detected on the next lookup and
-// answered with a graceful fleet swap, never a stale shard.
+// fleetEntry tracks the fleet serving one registry entry.
 type fleetEntry struct {
-	mu      sync.Mutex
-	fleet   *shard.Fleet
-	ix      *ossm.Index
-	hasData bool
+	mu    sync.Mutex
+	fleet *shard.Fleet
 	// transports mirrors the fleet's current transport list, so the trace
 	// assembler and /v1/fleetz can reach remote clients (span fetch,
 	// breaker state) without the Fleet exposing its internals.
 	transports []shard.Transport
-	// topoGen is the Server.topoGen value the current remote transports
-	// were built under; a mismatch on lookup triggers a rebuild. Remote
-	// fleets key on this rather than index identity, so a registry Swap
-	// does not discard per-shard breaker and health state.
+	// topoGen is the Server.topoGen value the current transports were
+	// built under; a mismatch on lookup triggers a rebuild. Fleets key on
+	// this rather than index identity, so a registry Swap does not
+	// discard per-shard breaker and health state.
 	topoGen uint64
 }
 
 // fleetFor returns the scatter-gather fleet serving the named entry,
 // building it on first use and swapping its topology (draining the old
-// one) whenever the entry's index or dataset changed since the last
-// call. It returns (nil, nil) on unsharded servers. Fleets are built
-// lazily on the query path rather than at registration, so loaders that
-// register through Registry() directly are sharded all the same.
-func (s *Server) fleetFor(name string, ix *ossm.Index, d *ossm.Dataset) (*shard.Fleet, error) {
-	if !s.sharded() || ix == nil {
+// one) whenever ReloadFleets ran since the last call. It returns
+// (nil, nil) on unsharded servers. Fleets are built lazily on the query
+// path rather than at registration, so loaders that register through
+// Registry() directly are sharded all the same.
+func (s *Server) fleetFor(name string) (*shard.Fleet, error) {
+	if !s.sharded() {
 		return nil, nil
 	}
 	s.fleetsMu.Lock()
@@ -225,55 +209,29 @@ func (s *Server) fleetFor(name string, ix *ossm.Index, d *ossm.Dataset) (*shard.
 	s.fleetsMu.Unlock()
 	fe.mu.Lock()
 	defer fe.mu.Unlock()
-	if s.remoteFn != nil {
-		gen := s.topoGen.Load()
-		if fe.fleet != nil && fe.topoGen == gen {
-			return fe.fleet, nil
-		}
-		transports, err := s.remoteFn(name)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.installTransports(fe, transports); err != nil {
-			return nil, err
-		}
-		fe.topoGen, fe.ix, fe.hasData = gen, ix, d != nil
+	gen := s.topoGen.Load()
+	if fe.fleet != nil && fe.topoGen == gen {
 		return fe.fleet, nil
 	}
-	if fe.fleet != nil && fe.ix == ix && fe.hasData == (d != nil) {
-		return fe.fleet, nil
-	}
-	shards, err := shard.NewLocalShards(ix, d, s.cfg.Shards, 0)
+	transports, err := s.remoteFn(name)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.installTransports(fe, shard.Transports(shards)); err != nil {
-		return nil, err
-	}
-	fe.ix, fe.hasData = ix, d != nil
-	return fe.fleet, nil
-}
-
-// installTransports builds the entry's fleet on first use or swaps the
-// new topology in with a graceful drain of the old one.
-func (s *Server) installTransports(fe *fleetEntry, transports []shard.Transport) error {
+	// Build the fleet on first use; later topologies swap in with a
+	// graceful drain of the old one.
 	if fe.fleet == nil {
-		f, err := shard.NewFleet(shard.Config{
+		fe.fleet, err = shard.NewFleet(shard.Config{
 			Tracer:         s.obs.tracer,
 			OnShardOutcome: s.noteShardOutcome,
 		}, transports)
-		if err != nil {
-			return err
-		}
-		fe.fleet = f
-		fe.transports = transports
-		return nil
+	} else {
+		err = fe.fleet.Swap(transports)
 	}
-	if err := fe.fleet.Swap(transports); err != nil {
-		return err
+	if err != nil {
+		return nil, err
 	}
-	fe.transports = transports
-	return nil
+	fe.transports, fe.topoGen = transports, gen
+	return fe.fleet, nil
 }
 
 // noteShardOutcome is the fleet callback feeding
@@ -291,12 +249,10 @@ func (s *Server) indexInfos() []IndexInfo {
 		return infos
 	}
 	for i := range infos {
-		ix, _, ok := s.reg.Lookup(infos[i].Name)
-		if !ok {
+		if !infos[i].HasIndex {
 			continue
 		}
-		d, _ := s.reg.Dataset(infos[i].Name)
-		fleet, err := s.fleetFor(infos[i].Name, ix, d)
+		fleet, err := s.fleetFor(infos[i].Name)
 		if err != nil || fleet == nil {
 			continue
 		}
@@ -326,8 +282,7 @@ func (s *Server) Bound(name string, items []ossm.Item, noCache bool) (BoundResul
 	if !ok {
 		return BoundResult{}, fmt.Errorf("unknown index %q", name)
 	}
-	d, _ := s.reg.Dataset(name)
-	fleet, err := s.fleetFor(name, ix, d)
+	fleet, err := s.fleetFor(name)
 	if err != nil {
 		return BoundResult{}, err
 	}
@@ -572,8 +527,7 @@ func (s *Server) handleUbsup(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusNotFound, "unknown index %q", req.Index)
 		return
 	}
-	d, _ := s.reg.Dataset(req.Index)
-	fleet, err := s.fleetFor(req.Index, ix, d)
+	fleet, err := s.fleetFor(req.Index)
 	if err != nil {
 		s.writeErr(w, http.StatusInternalServerError, "building shard fleet: %v", err)
 		return
@@ -714,7 +668,7 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	var fleet *shard.Fleet
 	if hasIndex {
 		var ferr error
-		fleet, ferr = s.fleetFor(req.Index, ix, d)
+		fleet, ferr = s.fleetFor(req.Index)
 		if ferr != nil {
 			s.writeErr(w, http.StatusInternalServerError, "building shard fleet: %v", ferr)
 			return

@@ -12,25 +12,21 @@ import (
 	ossm "github.com/ossm-mining/ossm"
 )
 
-// shardedPair stands up one sharded and one unsharded server over the
-// same fixture entry.
-func shardedPair(t *testing.T, shards int) (sharded, plain *Server, shardedURL, plainURL string) {
+// shardedPair stands up a coordinator over a fleet of httptest shard
+// workers and an unsharded server, both over the same fixture entry.
+func shardedPair(t *testing.T, shards int) (shardedURL, plainURL string) {
 	t.Helper()
 	d, ix := fixture(t, 1500, 13)
-	build := func(cfg Config) (*Server, string) {
-		s := New(cfg)
-		if err := s.AddIndex("retail", ix); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.AddDataset("retail", d); err != nil {
-			t.Fatal(err)
-		}
-		ts := newHTTPServer(t, s)
-		return s, ts
+	urls, _ := startWorkerFleet(t, "retail", ix, d, shards)
+	rc := newRemoteCoordinator(t, d, ix, urls)
+	plain := New(Config{})
+	if err := plain.AddIndex("retail", ix); err != nil {
+		t.Fatal(err)
 	}
-	sharded, shardedURL = build(Config{Shards: shards})
-	plain, plainURL = build(Config{})
-	return sharded, plain, shardedURL, plainURL
+	if err := plain.AddDataset("retail", d); err != nil {
+		t.Fatal(err)
+	}
+	return rc.url, newHTTPServer(t, plain)
 }
 
 func newHTTPServer(t *testing.T, s *Server) string {
@@ -45,7 +41,7 @@ func newHTTPServer(t *testing.T, s *Server) string {
 // face of the segment-partition identity.
 func TestShardedUbsupDifferential(t *testing.T) {
 	for _, shards := range []int{2, 3, 8} {
-		_, _, shardedURL, plainURL := shardedPair(t, shards)
+		shardedURL, plainURL := shardedPair(t, shards)
 		body := `{"index":"retail","itemsets":[[0],[1,2],[3,4,5],[0,2,4,6],[7],[1,3,5,7,9]]}`
 		code, got := postJSON(t, http.DefaultClient, shardedURL+"/v1/ubsup", body)
 		if code != http.StatusOK {
@@ -81,7 +77,7 @@ func TestShardedUbsupDifferential(t *testing.T) {
 // TestShardedMineDifferential checks /v1/mine through the fleet returns
 // the same frequent itemsets and supports as the single-node run.
 func TestShardedMineDifferential(t *testing.T) {
-	_, _, shardedURL, plainURL := shardedPair(t, 3)
+	shardedURL, plainURL := shardedPair(t, 3)
 	body := `{"index":"retail","min_count":20,"top":100,"miner":"eclat"}`
 	code, got := postJSON(t, http.DefaultClient, shardedURL+"/v1/mine", body)
 	if code != http.StatusOK {
@@ -114,7 +110,7 @@ func TestShardedMineDifferential(t *testing.T) {
 // TestShardedIndexesTopology checks GET /v1/indexes reports the fleet
 // topology on sharded servers — and keeps the original shape unsharded.
 func TestShardedIndexesTopology(t *testing.T) {
-	_, _, shardedURL, plainURL := shardedPair(t, 4)
+	shardedURL, plainURL := shardedPair(t, 4)
 	// Touch the sharded server once so the fleet exists even before any
 	// lazily-built query traffic (the info path itself builds it too, but
 	// exercising the query path first is the realistic order).
@@ -164,52 +160,56 @@ func TestShardedIndexesTopology(t *testing.T) {
 	}
 }
 
-// TestShardedSwapRebuildsFleet swaps the entry's index and checks the
-// next query is served by a fresh fleet over the new index (and that the
-// version bump keeps stale cached bounds unreachable).
-func TestShardedSwapRebuildsFleet(t *testing.T) {
+// TestShardedSwapKeepsFleet swaps the coordinator's index and checks
+// the version bump keeps stale cached bounds unreachable while the fleet
+// — and with it every shard's breaker and health state — survives: only
+// ReloadFleets moves the fleet to a new generation.
+func TestShardedSwapKeepsFleet(t *testing.T) {
 	d, ix := fixture(t, 900, 21)
-	s := New(Config{Shards: 3})
-	if err := s.AddIndex("retail", ix); err != nil {
-		t.Fatal(err)
-	}
-	url := newHTTPServer(t, s)
+	urls, _ := startWorkerFleet(t, "retail", ix, d, 3)
+	rc := newRemoteCoordinator(t, d, ix, urls)
 	body := `{"index":"retail","itemset":[1,2]}`
-	code, first := postJSON(t, http.DefaultClient, url+"/v1/ubsup", body)
+	generation := func() float64 {
+		t.Helper()
+		code, info := getJSON(t, rc.url+"/v1/indexes")
+		if code != http.StatusOK {
+			t.Fatalf("status %d", code)
+		}
+		return info["indexes"].([]any)[0].(map[string]any)["fleet_generation"].(float64)
+	}
+	code, first := postJSON(t, http.DefaultClient, rc.url+"/v1/ubsup", body)
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
+	gen := generation()
 
-	// A differently-segmented index over the same data: bounds may
-	// legitimately differ, versions must.
-	ix2, err := ossm.Build(d, ossm.BuildOptions{Segments: 7, Algorithm: ossm.Greedy, Seed: 3})
-	if err != nil {
+	// A rebuild over the same data — the snapshot the workers also
+	// serve — under a new registry version.
+	_, ix2 := fixture(t, 900, 21)
+	if err := rc.s.Swap("retail", ix2); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Swap("retail", ix2); err != nil {
-		t.Fatal(err)
-	}
-	code, second := postJSON(t, http.DefaultClient, url+"/v1/ubsup", body)
+	code, second := postJSON(t, http.DefaultClient, rc.url+"/v1/ubsup", body)
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
 	if second["version"].(float64) != first["version"].(float64)+1 {
 		t.Fatalf("version %v after swap, want %v", second["version"], first["version"].(float64)+1)
 	}
-	if cached := second["bounds"].([]any)[0].(map[string]any)["cached"]; cached == true {
+	got := second["bounds"].([]any)[0].(map[string]any)
+	if got["cached"] == true {
 		t.Fatal("bound served from cache across an index swap")
 	}
-	want := ix2.UpperBound(ossm.NewItemset(1, 2))
-	if got := second["bounds"].([]any)[0].(map[string]any)["bound"].(float64); int64(got) != want {
-		t.Fatalf("post-swap bound %v, want %d (the new index's answer)", got, want)
+	if want := ix2.UpperBound(ossm.NewItemset(1, 2)); int64(got["bound"].(float64)) != want {
+		t.Fatalf("post-swap bound %v, want %d", got["bound"], want)
 	}
-	code, info := getJSON(t, url+"/v1/indexes")
-	if code != http.StatusOK {
-		t.Fatalf("status %d", code)
+	if g := generation(); g != gen {
+		t.Fatalf("fleet_generation = %v after swap, want %v (swap must keep the fleet)", g, gen)
 	}
-	entry := info["indexes"].([]any)[0].(map[string]any)
-	if gen := entry["fleet_generation"].(float64); gen != 2 {
-		t.Fatalf("fleet_generation = %v after swap, want 2", gen)
+
+	rc.s.ReloadFleets()
+	if g := generation(); g != gen+1 {
+		t.Fatalf("fleet_generation = %v after ReloadFleets, want %v", g, gen+1)
 	}
 }
 
@@ -217,14 +217,8 @@ func TestShardedSwapRebuildsFleet(t *testing.T) {
 // call outcomes surface in the Prometheus text.
 func TestShardedShardMetrics(t *testing.T) {
 	d, ix := fixture(t, 1200, 5)
-	s := New(Config{Shards: 2})
-	if err := s.AddIndex("retail", ix); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddDataset("retail", d); err != nil {
-		t.Fatal(err)
-	}
-	url := newHTTPServer(t, s)
+	urls, _ := startWorkerFleet(t, "retail", ix, d, 2)
+	url := newRemoteCoordinator(t, d, ix, urls).url
 	for i := 0; i < 20; i++ {
 		body := fmt.Sprintf(`{"index":"retail","itemset":[%d],"no_cache":true}`, i)
 		if code, out := postJSON(t, http.DefaultClient, url+"/v1/ubsup", body); code != http.StatusOK {

@@ -265,14 +265,6 @@ func (c *Client) ensureInfo() *InfoResponse {
 	return c.info.Load()
 }
 
-// RefreshInfo fetches the worker's info now, blocking the caller;
-// mostly a test and startup-validation convenience.
-func (c *Client) RefreshInfo(ctx context.Context) error {
-	err := c.fetchInfoCtx(ctx)
-	c.infoFetched.Store(true)
-	return err
-}
-
 // maybeRefreshInfo kicks a background fetch if the cache is stale and
 // none is in flight.
 func (c *Client) maybeRefreshInfo() {

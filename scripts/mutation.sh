@@ -12,7 +12,9 @@
 #   gate: ./internal/mining ^TestHashTreeMatchesSubsetScan$
 #
 # Every gate must pass on the unmutated copy first, so a gate that is
-# already failing cannot count as a kill.
+# already failing cannot count as a kill. Every hunk must apply exactly
+# where its header says: a patch git can only place at an offset or with
+# fuzz has gone stale, and may be mutating a line it was not written for.
 set -euo pipefail
 
 root=$(git rev-parse --show-toplevel)
@@ -59,8 +61,13 @@ for p in "${patches[@]}"; do
 	IFS=$'\t' read -r pkg pat < <(gate "$p")
 	rm -rf "$tmp/mut"
 	cp -a "$tmp/clean" "$tmp/mut"
-	if ! (cd "$tmp/mut" && git apply "$root/$p"); then
-		echo "mutation: $p no longer applies" >&2
+	if ! (cd "$tmp/mut" && git apply -v "$root/$p") >"$tmp/apply" 2>&1; then
+		echo "mutation: $p no longer applies:" >&2
+		cat "$tmp/apply" >&2
+		exit 1
+	fi
+	if grep -E '^Hunk #[0-9]+ .*(offset|fuzz)' "$tmp/apply" >&2; then
+		echo "mutation: $p applies only away from its hunk headers; regenerate it" >&2
 		exit 1
 	fi
 	if passes "$tmp/mut" "$pkg" "$pat"; then

@@ -91,7 +91,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		shardID  = fs.Int("shard-id", -1, "this worker's shard id in [0, shard-count) (worker role)")
 		shardCnt = fs.Int("shard-count", 0, "fleet width the worker slices every index into (worker role)")
 		topoPath = fs.String("topology", "", "topology file mapping shard ids to worker addresses; /v1/ubsup and /v1/mine scatter-gather over those workers (SIGHUP re-reads it)")
-		ingestKV = fs.String("ingest", "", "name=dir of a durable ingest store; recovers WAL + snapshots from dir and accepts POST /v1/ingest")
+		ingestKV = fs.String("ingest", "", "name=dir of a durable ingest store; recovers WAL + snapshots from dir and accepts POST /v1/ingest (not with -topology or the worker role)")
 		ingItems = fs.Int("ingest-items", 1024, "item domain size [0, n) of the -ingest store")
 		ingSnap  = fs.Int("ingest-snapshot-every", 256, "ingested records between automatic snapshots (each truncates the WAL)")
 		ingComp  = fs.Int("ingest-compact-every", 64, "ingested records between background compactions that promote the store into the registry")
@@ -130,6 +130,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}, logger, stdout, stderr)
 	default:
 		fmt.Fprintf(stderr, "ossm-serve: unknown -shard-role %q (want \"\" or \"worker\")\n", *role)
+		return 2
+	}
+	if *topoPath != "" && *ingestKV != "" {
+		fmt.Fprintln(stderr, "ossm-serve: -ingest cannot be combined with -topology; a coordinator routes every entry to its workers, which never hold the ingest store")
 		return 2
 	}
 

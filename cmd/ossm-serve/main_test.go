@@ -173,6 +173,7 @@ func TestServeFlagErrors(t *testing.T) {
 		{"positional junk", []string{"-index", "a=b", "extra"}, 2},
 		{"bad log level", []string{"-index", "a=b", "-log-level", "loud"}, 2},
 		{"in-process shards", []string{"-index", "a=b", "-shards", "4"}, 2},
+		{"ingest with topology", []string{"-ingest", "live=/nonexistent/dir", "-topology", "/nonexistent/topology"}, 2},
 		{"missing index file", []string{"-index", "a=/nonexistent/x.ossm"}, 1},
 		{"missing data file", []string{"-data", "a=/nonexistent/x.bin"}, 1},
 	}

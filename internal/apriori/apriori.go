@@ -99,46 +99,8 @@ func Mine(d *dataset.Dataset, minCount int64, opts Options) (*mining.Result, err
 	res.Levels = append(res.Levels, l2)
 	opts.Emit(l2.Stats)
 
-	// Passes k ≥ 3. The whole generation is decided at once
-	// (core.AdmitBatch), reusing one decision buffer across passes.
-	prev := l2.Frequent
-	var decBuf []bool
-	for k := 3; len(prev) >= 2 && (opts.MaxLen == 0 || k <= opts.MaxLen); k++ {
-		passStart = time.Now()
-		gen := aprioriGen(prev)
-		stats := mining.PassStats{K: k, Generated: len(gen)}
-		decBuf = core.AdmitBatch(opts.Pruner, gen, decBuf)
-		var cands []*mining.Candidate
-		var alloc mining.CandidateAlloc
-		for gi, items := range gen {
-			if decBuf[gi] {
-				cands = append(cands, alloc.New(items))
-			} else {
-				stats.Pruned++
-			}
-		}
-		stats.Counted = len(cands)
-		if len(cands) == 0 {
-			break
-		}
-		stats.TxScanned = len(txs)
-		mining.CountParallel(txs, cands, k, pool, opts.Instrument)
-		var freq []mining.Counted
-		for _, c := range cands {
-			if c.Count >= minCount {
-				freq = append(freq, mining.Counted{Items: c.Items, Count: c.Count})
-			}
-		}
-		mining.SortCounted(freq)
-		stats.Frequent = len(freq)
-		stats.Elapsed = time.Since(passStart)
-		res.Levels = append(res.Levels, mining.LevelResult{K: k, Frequent: freq, Stats: stats})
-		opts.Emit(stats)
-		prev = freq
-		if len(freq) == 0 {
-			break
-		}
-	}
+	// Passes k ≥ 3 count against the projection.
+	mining.LevelWise(res, txs, opts.Options, nil)
 	return res, nil
 }
 
@@ -185,54 +147,4 @@ func frequentItems(f1 []mining.Counted) []dataset.Item {
 		items[i] = c.Items[0]
 	}
 	return items
-}
-
-// aprioriGen implements candidate generation: join F_{k-1} with itself on
-// the first k-2 items, then prune candidates with an infrequent
-// (k-1)-subset.
-func aprioriGen(prev []mining.Counted) []dataset.Itemset {
-	known := make(map[string]bool, len(prev))
-	for _, c := range prev {
-		known[c.Items.Key()] = true
-	}
-	var out []dataset.Itemset
-	for i := 0; i < len(prev); i++ {
-		a := prev[i].Items
-		for j := i + 1; j < len(prev); j++ {
-			b := prev[j].Items
-			if !samePrefix(a, b) {
-				// prev is sorted lexicographically, so no later b shares
-				// the prefix either.
-				break
-			}
-			var cand dataset.Itemset
-			if a[len(a)-1] < b[len(b)-1] {
-				cand = append(append(dataset.Itemset{}, a...), b[len(b)-1])
-			} else {
-				cand = append(append(dataset.Itemset{}, b...), a[len(a)-1])
-			}
-			if hasAllSubsets(cand, known) {
-				out = append(out, cand)
-			}
-		}
-	}
-	return out
-}
-
-func samePrefix(a, b dataset.Itemset) bool {
-	for i := 0; i < len(a)-1; i++ {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func hasAllSubsets(cand dataset.Itemset, known map[string]bool) bool {
-	for i := range cand {
-		if !known[cand.Without(i).Key()] {
-			return false
-		}
-	}
-	return true
 }

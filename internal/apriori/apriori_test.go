@@ -103,30 +103,6 @@ func TestMinCountFor(t *testing.T) {
 	}
 }
 
-func TestAprioriGen(t *testing.T) {
-	f2 := []mining.Counted{
-		{Items: dataset.NewItemset(1, 2)},
-		{Items: dataset.NewItemset(1, 3)},
-		{Items: dataset.NewItemset(2, 3)},
-		{Items: dataset.NewItemset(2, 4)},
-	}
-	got := aprioriGen(f2)
-	if len(got) != 1 || !got[0].Equal(dataset.NewItemset(1, 2, 3)) {
-		t.Errorf("aprioriGen = %v, want [{1,2,3}]", got)
-	}
-}
-
-func TestAprioriGenPrunesMissingSubsets(t *testing.T) {
-	// {1,2,3} join {1,2,4} → {1,2,3,4}; subset {1,3,4} missing → pruned.
-	f3 := []mining.Counted{
-		{Items: dataset.NewItemset(1, 2, 3)},
-		{Items: dataset.NewItemset(1, 2, 4)},
-	}
-	if got := aprioriGen(f3); len(got) != 0 {
-		t.Errorf("aprioriGen = %v, want empty (subset prune)", got)
-	}
-}
-
 // bruteForce enumerates frequent itemsets by exhaustive subset counting
 // (small domains only).
 func bruteForce(d *dataset.Dataset, minCount int64) map[string]int64 {

@@ -41,20 +41,6 @@ func decisionsFor(buf []bool, n int) []bool {
 	return buf
 }
 
-// AdmitBatch decides a whole candidate generation through f, one Allow
-// call per candidate. buf is an optional reusable decision buffer; the
-// filled slice is returned. A nil filter admits every candidate.
-func AdmitBatch(f Filter, cands []dataset.Itemset, buf []bool) []bool {
-	decisions := decisionsFor(buf, len(cands))
-	if f == nil {
-		return decisions
-	}
-	for i, x := range cands {
-		decisions[i] = f.Allow(x)
-	}
-	return decisions
-}
-
 // AdmitPairsAmong decides every pair {items[i], items[j]}, i < j, in the
 // order a nested i-outer/j-inner loop visits them (PairIndex gives the
 // mapping). buf is an optional reusable decision buffer; the filled
@@ -75,24 +61,6 @@ func AdmitPairsAmong(f Filter, items []dataset.Item, buf []bool) []bool {
 			decisions[idx] = f.AllowPair(items[i], items[j])
 			idx++
 		}
-	}
-	return decisions
-}
-
-// AdmitExtensions decides every one-item extension prefix ∪ {exts[e]} of
-// a shared prefix, one Allow call per extension. buf is an optional
-// reusable decision buffer; the filled slice, of length len(exts), is
-// returned.
-func AdmitExtensions(f Filter, prefix dataset.Itemset, exts []dataset.Item, buf []bool) []bool {
-	decisions := decisionsFor(buf, len(exts))
-	if f == nil {
-		return decisions
-	}
-	cand := make(dataset.Itemset, len(prefix)+1)
-	copy(cand, prefix)
-	for e, it := range exts {
-		cand[len(prefix)] = it
-		decisions[e] = f.Allow(cand)
 	}
 	return decisions
 }

@@ -121,7 +121,7 @@ func checkBoundKernels(t *testing.T, m *Map, r *rand.Rand, k int, minsup int64) 
 			checkAllow(t, m, x, refs[i], th)
 		}
 	}
-	checkAdmitBatch(t, m, cands, refs, minsup)
+	checkAllowEach(t, m, cands, refs, minsup)
 
 	// Extensions of a shared prefix against the same oracle.
 	prefix := randomNonEmptyItemset(r, k)
@@ -136,7 +136,7 @@ func checkBoundKernels(t *testing.T, m *Map, r *rand.Rand, k int, minsup int64) 
 		for e, it := range exts {
 			extRefs[e] = m.referenceUpperBound(dataset.NewItemset(append(append([]dataset.Item{}, prefix...), it)...))
 		}
-		checkAdmitExtensions(t, m, prefix, exts, extRefs, minsup)
+		checkAllowEach(t, m, extensionsOf(prefix, exts), extRefs, minsup)
 	}
 
 	// Pair wall over a fuzzed subset of the items in shuffled order.

@@ -76,17 +76,18 @@ func BenchmarkUpperBoundScalar(b *testing.B) {
 }
 
 // BenchmarkUpperBoundBatch is the decision path the level-wise miners
-// take: one whole generation decided per op through AdmitBatch on a
-// Pruner.
+// take: one whole generation decided per op, one Allow per candidate on
+// a Pruner.
 func BenchmarkUpperBoundBatch(b *testing.B) {
 	for _, segs := range benchSegCounts {
 		b.Run(fmt.Sprintf("segs=%d", segs), func(b *testing.B) {
 			m, cands, minsup := benchFixture(segs)
 			p := &Pruner{Map: m, MinCount: minsup}
-			dec := make([]bool, len(cands))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dec = AdmitBatch(p, cands, dec)
+				for _, x := range cands {
+					p.Allow(x)
+				}
 			}
 		})
 	}

@@ -10,9 +10,10 @@ import (
 )
 
 // The kernel contract (DESIGN.md §7): every decision path — a Pruner's
-// Allow and AllowPair, AdmitBatch and AdmitExtensions through a Pruner,
-// and the pair wall BoundPairsAmong — and every bound path — UpperBound,
-// UpperBoundPair, UpperBoundBatch — agrees bit-for-bit with the
+// Allow and AllowPair, one Pruner's Allow over a whole generation or
+// over the extensions of a shared prefix, and the pair wall
+// BoundPairsAmong — and every bound path — UpperBound, UpperBoundPair,
+// UpperBoundBatch — agrees bit-for-bit with the
 // pre-flat-store reference walk referenceUpperBound. The tests below
 // check that contract on randomized maps, itemsets and thresholds, and
 // across all five segmentation algorithms.
@@ -46,7 +47,7 @@ func checkKernelsAgainstReference(t *testing.T, r *rand.Rand, m *Map, trials int
 		}
 	}
 
-	// Generations: UpperBoundBatch, and AdmitBatch through a Pruner at one
+	// Generations: UpperBoundBatch, and Allow through one Pruner at one
 	// candidate's exact bound, the next integer and a random threshold.
 	// Even trials force a uniform itemset length (up to 5), odd trials
 	// mix lengths.
@@ -75,7 +76,7 @@ func checkKernelsAgainstReference(t *testing.T, r *rand.Rand, m *Map, trials int
 		}
 		pick := refs[r.Intn(n)]
 		for _, minsup := range []int64{pick, pick + 1, 1 + r.Int63n(maxT+1)} {
-			checkAdmitBatch(t, m, cands, refs, minsup)
+			checkAllowEach(t, m, cands, refs, minsup)
 		}
 	}
 
@@ -123,7 +124,7 @@ func checkKernelsAgainstReference(t *testing.T, r *rand.Rand, m *Map, trials int
 		}
 		pick := refs[r.Intn(len(refs))]
 		for _, minsup := range []int64{pick, pick + 1, 1 + r.Int63n(maxT+1)} {
-			checkAdmitExtensions(t, m, prefix, exts, refs, minsup)
+			checkAllowEach(t, m, extensionsOf(prefix, exts), refs, minsup)
 		}
 	}
 }
@@ -148,33 +149,29 @@ func checkAllow(t *testing.T, m *Map, x dataset.Itemset, ref, minsup int64) {
 	}
 }
 
-// checkAdmitBatch decides cands through AdmitBatch on a fresh Pruner at
-// minsup and checks every decision and the counters against refs.
-func checkAdmitBatch(t *testing.T, m *Map, cands []dataset.Itemset, refs []int64, minsup int64) {
+// checkAllowEach decides every candidate through Allow on one fresh
+// Pruner at minsup, as the miners do, and checks every decision and the
+// accumulated counters against refs.
+func checkAllowEach(t *testing.T, m *Map, cands []dataset.Itemset, refs []int64, minsup int64) {
 	t.Helper()
 	p := &Pruner{Map: m, MinCount: minsup}
-	dec := AdmitBatch(p, cands, nil)
+	dec := make([]bool, len(cands))
 	for i, x := range cands {
-		if dec[i] != (refs[i] >= minsup) {
-			t.Fatalf("AdmitBatch[%d] = %v for %v at %d, reference bound %d", i, dec[i], x, minsup, refs[i])
+		if dec[i] = p.Allow(x); dec[i] != (refs[i] >= minsup) {
+			t.Fatalf("Allow(cands[%d] = %v) = %v at %d, reference bound %d", i, x, dec[i], minsup, refs[i])
 		}
 	}
-	checkCounters(t, p, dec, "AdmitBatch")
+	checkCounters(t, p, dec, "Allow over a generation")
 }
 
-// checkAdmitExtensions decides prefix ∪ {exts[e]} through AdmitExtensions
-// on a fresh Pruner at minsup and checks every decision and the counters
-// against refs.
-func checkAdmitExtensions(t *testing.T, m *Map, prefix dataset.Itemset, exts []dataset.Item, refs []int64, minsup int64) {
-	t.Helper()
-	p := &Pruner{Map: m, MinCount: minsup}
-	dec := AdmitExtensions(p, prefix, exts, nil)
+// extensionsOf lists prefix ∪ {it} for every it in exts, each with it
+// appended after the prefix (so not necessarily sorted).
+func extensionsOf(prefix dataset.Itemset, exts []dataset.Item) []dataset.Itemset {
+	out := make([]dataset.Itemset, len(exts))
 	for e, it := range exts {
-		if dec[e] != (refs[e] >= minsup) {
-			t.Fatalf("AdmitExtensions(%v + %d) = %v at %d, reference bound %d", prefix, it, dec[e], minsup, refs[e])
-		}
+		out[e] = append(prefix[:len(prefix):len(prefix)], it)
 	}
-	checkCounters(t, p, dec, "AdmitExtensions")
+	return out
 }
 
 // checkCounters verifies that a fresh Pruner counted exactly the
@@ -301,7 +298,7 @@ func TestKernelDifferentialProperty(t *testing.T) {
 		slices.Sort(sorted)
 		median := max(sorted[len(sorted)/2], 1)
 		for _, minsup := range []int64{median, median + 1} {
-			checkAdmitBatch(t, m, cands, refs, minsup)
+			checkAllowEach(t, m, cands, refs, minsup)
 		}
 	}
 }

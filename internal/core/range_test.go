@@ -206,6 +206,6 @@ func TestBatchCrossoverDispatch(t *testing.T) {
 			}
 			maxB = max(maxB, refs[i])
 		}
-		checkAdmitBatch(t, m, cands, refs, maxB/2+1)
+		checkAllowEach(t, m, cands, refs, maxB/2+1)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"sort"
 	"time"
 
-	"github.com/ossm-mining/ossm/internal/core"
 	"github.com/ossm-mining/ossm/internal/dataset"
 	"github.com/ossm-mining/ossm/internal/mining"
 )
@@ -83,7 +82,6 @@ func Mine(d *dataset.Dataset, minCount int64, opts Options) (*mining.Result, err
 	tally.Note(1, d.NumItems(), 0, d.NumItems())
 	tally.NoteTx(1, d.NumTx())
 	var found []mining.Counted
-	var dec []bool
 	for idx, it := range items {
 		extra.NodesExplored++
 		tl := lists[it]
@@ -91,7 +89,7 @@ func Mine(d *dataset.Dataset, minCount int64, opts Options) (*mining.Result, err
 		if opts.MaxLen == 1 {
 			continue
 		}
-		expand(dataset.Itemset{it}, tl, items[idx+1:], lists, minCount, opts, extra, &tally, &dec, &found)
+		expand(dataset.Itemset{it}, tl, items[idx+1:], lists, minCount, opts, extra, &tally, &found)
 	}
 	res := mining.FromMap(minCount, found)
 	res.Stats = mining.Stats{Algorithm: Name, Workers: 1, Elapsed: time.Since(start), Extra: extra}
@@ -104,22 +102,21 @@ func Mine(d *dataset.Dataset, minCount int64, opts Options) (*mining.Result, err
 // extension, depth first.
 func expand(prefix dataset.Itemset, tids tidlist, exts []dataset.Item,
 	lists map[dataset.Item]tidlist, minCount int64, opts Options, st *Stats,
-	tally *mining.LevelTally, dec *[]bool, out *[]mining.Counted) {
+	tally *mining.LevelTally, out *[]mining.Counted) {
 
-	// One AdmitExtensions call decides the whole extension frontier;
-	// the decision buffer is reused across the walk (decisions are fully
-	// consumed before the search recurses). Candidate itemsets are built
-	// only for extensions whose projection turns out frequent.
-	*dec = core.AdmitExtensions(opts.Pruner, prefix, exts, *dec)
+	// cand is prefix plus each extension in turn; result itemsets are
+	// copied out only for extensions whose projection turns out frequent.
 	k := len(prefix) + 1
+	cand := append(prefix[:k-1:k-1], 0)
 	type child struct {
 		item dataset.Item
 		tids tidlist
 	}
 	var children []child
-	for e, x := range exts {
+	for _, x := range exts {
 		st.Extensions++
-		if !(*dec)[e] {
+		cand[k-1] = x
+		if opts.Pruner != nil && !opts.Pruner.Allow(cand) {
 			st.PrunedByOSSM++
 			tally.Note(k, 1, 1, 0)
 			continue
@@ -147,7 +144,7 @@ func expand(prefix dataset.Itemset, tids tidlist, exts []dataset.Item,
 		if len(rest) == 0 {
 			continue
 		}
-		expand(append(append(dataset.Itemset{}, prefix...), c.item), c.tids, rest, lists, minCount, opts, st, tally, dec, out)
+		expand(append(append(dataset.Itemset{}, prefix...), c.item), c.tids, rest, lists, minCount, opts, st, tally, out)
 	}
 }
 

@@ -204,55 +204,18 @@ func Mine(d *dataset.Dataset, minCount int64, opts Options) (*mining.Result, err
 	res.Levels = append(res.Levels, mining.LevelResult{K: 2, Frequent: f2, Stats: stats2})
 	opts.Emit(stats2)
 
-	// Passes k ≥ 3: Apriori-style candidate generation counted against
-	// the trimmed transactions (hash-tree counting sharded over the same
-	// pool). Pass 3 additionally applies the H3 filter built during
-	// pass 2 (the original algorithm's recursive hashing; beyond k = 3
-	// the benefit is marginal, as the DHP paper itself reports, so later
-	// passes rely on generation + the OSSM alone).
-	prev := f2
-	var decBuf []bool
-	for k := 3; len(prev) >= 2 && (opts.MaxLen == 0 || k <= opts.MaxLen); k++ {
-		passStart = time.Now()
-		gen := generate(prev)
-		stats := mining.PassStats{K: k, Generated: len(gen)}
-		decBuf = core.AdmitBatch(opts.Pruner, gen, decBuf)
-		var kc []*mining.Candidate
-		var alloc mining.CandidateAlloc
-		for gi, items := range gen {
-			if !decBuf[gi] {
-				stats.Pruned++
-				continue
-			}
-			if k == 3 && trimmed.h3[tripleHash(items[0], items[1], items[2], buckets)] < minCount {
-				stats.PrunedHash++
-				extra.BucketPruned++
-				continue
-			}
-			kc = append(kc, alloc.New(items))
+	// Passes k ≥ 3: the shared Apriori loop counted against the trimmed
+	// transactions. Pass 3 additionally applies the H3 filter built
+	// during pass 2 (the original algorithm's recursive hashing; beyond
+	// k = 3 the benefit is marginal, as the DHP paper itself reports, so
+	// later passes rely on generation + the OSSM alone).
+	mining.LevelWise(res, trimmed.txs, opts.Options, func(c dataset.Itemset) bool {
+		if len(c) == 3 && trimmed.h3[tripleHash(c[0], c[1], c[2], buckets)] < minCount {
+			extra.BucketPruned++
+			return false
 		}
-		stats.Counted = len(kc)
-		if len(kc) == 0 {
-			break
-		}
-		stats.TxScanned = len(trimmed.txs)
-		mining.CountParallel(trimmed.txs, kc, k, pool, opts.Instrument)
-		var freq []mining.Counted
-		for _, c := range kc {
-			if c.Count >= minCount {
-				freq = append(freq, mining.Counted{Items: c.Items, Count: c.Count})
-			}
-		}
-		mining.SortCounted(freq)
-		stats.Frequent = len(freq)
-		stats.Elapsed = time.Since(passStart)
-		res.Levels = append(res.Levels, mining.LevelResult{K: k, Frequent: freq, Stats: stats})
-		opts.Emit(stats)
-		prev = freq
-		if len(freq) == 0 {
-			break
-		}
-	}
+		return true
+	})
 	return res, nil
 }
 
@@ -367,44 +330,6 @@ func trimPass(d *dataset.Dataset, cands []*mining.Candidate, frequentItem []bool
 		out.txs = append(out.txs, sh.trimmed...)
 		extra.TrimmedItems += sh.trimmedItems
 		extra.DroppedTx += sh.droppedTx
-	}
-	return out
-}
-
-// generate is apriori-gen over a sorted level (join on the shared prefix,
-// prune by subsets).
-func generate(prev []mining.Counted) []dataset.Itemset {
-	known := make(map[string]bool, len(prev))
-	for _, c := range prev {
-		known[c.Items.Key()] = true
-	}
-	var out []dataset.Itemset
-	for i := 0; i < len(prev); i++ {
-		a := prev[i].Items
-		for j := i + 1; j < len(prev); j++ {
-			b := prev[j].Items
-			shared := true
-			for x := 0; x < len(a)-1; x++ {
-				if a[x] != b[x] {
-					shared = false
-					break
-				}
-			}
-			if !shared {
-				break
-			}
-			cand := append(append(dataset.Itemset{}, a...), b[len(b)-1])
-			ok := true
-			for x := range cand {
-				if !known[cand.Without(x).Key()] {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				out = append(out, cand)
-			}
-		}
 	}
 	return out
 }

@@ -119,7 +119,11 @@ func referenceMine(d *dataset.Dataset, minCount int64, buckets int, pruner *core
 	for k := 3; len(prev) >= 2; k++ {
 		stats := mining.PassStats{K: k}
 		var kc []dataset.Itemset
-		for _, x := range generate(prev) {
+		level := make([]dataset.Itemset, len(prev))
+		for i, c := range prev {
+			level[i] = c.Items
+		}
+		mining.AprioriGen(level, func(x dataset.Itemset, _, _ int) {
 			stats.Generated++
 			switch {
 			case !pruner.Allow(x):
@@ -130,7 +134,7 @@ func referenceMine(d *dataset.Dataset, minCount int64, buckets int, pruner *core
 			default:
 				kc = append(kc, x)
 			}
-		}
+		})
 		stats.Counted = len(kc)
 		if len(kc) == 0 {
 			break

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"github.com/ossm-mining/ossm/internal/conc"
-	"github.com/ossm-mining/ossm/internal/core"
 	"github.com/ossm-mining/ossm/internal/dataset"
 	"github.com/ossm-mining/ossm/internal/mining"
 )
@@ -132,18 +131,16 @@ func mineRoots(items []dataset.Item, tids map[dataset.Item]tidlist, minCount int
 		x := items[idx]
 		st := &perStats[idx]
 		lt := &perTally[idx]
-		sc := &extScratch{}
 		st.Classes++
 		// Level 2 seeds the class with diffsets against the level-1
-		// tidsets: d(xy) = t(x) − t(y), sup(xy) = sup(x) − |d(xy)|. The
-		// whole sibling frontier is decided by one AdmitExtensions call
-		// before any diffset is materialized.
-		ys := items[idx+1:]
-		sc.dec = core.AdmitExtensions(opts.Pruner, dataset.Itemset{x}, ys, sc.dec)
+		// tidsets: d(xy) = t(x) − t(y), sup(xy) = sup(x) − |d(xy)|. A
+		// diffset is materialized only for a pair the pruner admits.
+		cand := dataset.Itemset{x, 0}
 		var class []member
-		for e, y := range ys {
+		for _, y := range items[idx+1:] {
 			st.Extensions++
-			if !sc.dec[e] {
+			cand[1] = y
+			if opts.Pruner != nil && !opts.Pruner.Allow(cand) {
 				st.PrunedByOSSM++
 				lt.Note(2, 1, 1, 0)
 				continue
@@ -160,7 +157,7 @@ func mineRoots(items []dataset.Item, tids map[dataset.Item]tidlist, minCount int
 		for _, m := range class {
 			out = append(out, mining.Counted{Items: dataset.Itemset{x, m.item}, Count: m.sup})
 		}
-		expand(dataset.Itemset{x}, class, minCount, opts, st, lt, sc, &out)
+		expand(dataset.Itemset{x}, class, minCount, opts, st, lt, &out)
 		perRoot[idx] = out
 		if opts.Instrument != nil {
 			opts.Instrument.ObserveWorker(time.Since(start))
@@ -175,24 +172,9 @@ func mineRoots(items []dataset.Item, tids map[dataset.Item]tidlist, minCount int
 	return found
 }
 
-// extScratch is per-worker reusable scratch: the decision buffer
-// and extension list of the current sibling frontier. Decisions are fully
-// consumed before the search recurses, so reuse across levels is safe.
-type extScratch struct {
-	dec  []bool
-	exts []dataset.Item
-}
-
-func (sc *extScratch) extsFor(n int) []dataset.Item {
-	if cap(sc.exts) < n {
-		sc.exts = make([]dataset.Item, n)
-	}
-	return sc.exts[:n]
-}
-
 // expand recurses into each member's subclass:
 // d(P·Xi·Xj) = d(P·Xj) − d(P·Xi), sup = sup(P·Xi) − |d|.
-func expand(prefix dataset.Itemset, class []member, minCount int64, opts Options, st *Stats, lt *mining.LevelTally, sc *extScratch, out *[]mining.Counted) {
+func expand(prefix dataset.Itemset, class []member, minCount int64, opts Options, st *Stats, lt *mining.LevelTally, out *[]mining.Counted) {
 	if opts.MaxLen != 0 && len(prefix)+2 > opts.MaxLen {
 		return
 	}
@@ -202,19 +184,15 @@ func expand(prefix dataset.Itemset, class []member, minCount int64, opts Options
 		}
 		st.Classes++
 		newPrefix := append(append(dataset.Itemset{}, prefix...), mi.item)
-		rest := class[i+1:]
-		exts := sc.extsFor(len(rest))
-		for e, mj := range rest {
-			exts[e] = mj.item
-		}
-		// One AdmitExtensions call decides the whole sibling frontier; candidate itemsets are materialized only for members
-		// that survive into the result.
-		sc.dec = core.AdmitExtensions(opts.Pruner, newPrefix, exts, sc.dec)
+		// cand is newPrefix plus each sibling in turn; result itemsets are
+		// copied out only for members that turn out frequent.
 		k := len(newPrefix) + 1
+		cand := append(newPrefix[:k-1:k-1], 0)
 		var sub []member
-		for e, mj := range rest {
+		for _, mj := range class[i+1:] {
 			st.Extensions++
-			if !sc.dec[e] {
+			cand[k-1] = mj.item
+			if opts.Pruner != nil && !opts.Pruner.Allow(cand) {
 				st.PrunedByOSSM++
 				lt.Note(k, 1, 1, 0)
 				continue
@@ -234,7 +212,7 @@ func expand(prefix dataset.Itemset, class []member, minCount int64, opts Options
 			})
 		}
 		if len(sub) > 1 {
-			expand(newPrefix, sub, minCount, opts, st, lt, sc, out)
+			expand(newPrefix, sub, minCount, opts, st, lt, out)
 		}
 	}
 }

@@ -136,39 +136,22 @@ func Mine(d *dataset.Dataset, minCount int64, opts Options) (*mining.Result, err
 		crossPruner = &core.Pruner{Map: combined, MinCount: minCount}
 	}
 
-	// Phase 2: prune with the combined per-partition OSSM and the global
-	// OSSM, then count exactly against global tidlists. Each filter sees
-	// its whole candidate set in one AdmitBatch call — the global OSSM
-	// only the cross-pruner's survivors, preserving the per-filter Checked
-	// accounting of the sequential loop.
+	// Phase 2: prune with the combined per-partition OSSM, then with the
+	// global OSSM, which sees only the cross-pruner's survivors, and count
+	// the rest exactly against global tidlists.
 	var tally mining.LevelTally
-	candList := make([]dataset.Itemset, 0, len(candidates))
+	var toCount []dataset.Itemset
 	for _, x := range candidates {
-		candList = append(candList, x)
-	}
-	var crossFilter core.Filter
-	if crossPruner != nil {
-		crossFilter = crossPruner
-	}
-	crossDec := core.AdmitBatch(crossFilter, candList, nil)
-	afterCross := make([]dataset.Itemset, 0, len(candList))
-	for ci, x := range candList {
-		if !crossDec[ci] {
+		switch {
+		case crossPruner != nil && !crossPruner.Allow(x):
 			extra.CrossPruned++
 			tally.Note(len(x), 1, 1, 0)
-			continue
-		}
-		afterCross = append(afterCross, x)
-	}
-	globalDec := core.AdmitBatch(opts.Pruner, afterCross, nil)
-	var toCount []dataset.Itemset
-	for ci, x := range afterCross {
-		if globalDec[ci] {
-			toCount = append(toCount, x)
-			tally.Note(len(x), 1, 0, 1)
-		} else {
+		case opts.Pruner != nil && !opts.Pruner.Allow(x):
 			extra.GlobalPruned++
 			tally.Note(len(x), 1, 1, 0)
+		default:
+			toCount = append(toCount, x)
+			tally.Note(len(x), 1, 0, 1)
 		}
 	}
 	tally.NoteTx(1, d.NumTx())
@@ -329,44 +312,23 @@ func mineVertical(d *dataset.Dataset, p dataset.Page, localMin int64, maxLen int
 	for _, n := range level {
 		out = append(out, n.items)
 	}
-	var decBuf []bool
 	for k := 2; len(level) >= 2 && (maxLen == 0 || k <= maxLen); k++ {
-		known := make(map[string]bool, len(level))
-		for _, n := range level {
-			known[n.items.Key()] = true
+		sets := make([]dataset.Itemset, len(level))
+		for i, n := range level {
+			sets[i] = n.items
 		}
-		// Generate the level's candidates first, decide them all with one
-		// AdmitBatch call, then intersect only the survivors.
-		var gen []dataset.Itemset
-		var genA, genB []int
-		for i := 0; i < len(level); i++ {
-			a := level[i]
-			for j := i + 1; j < len(level); j++ {
-				b := level[j]
-				if !samePrefix(a.items, b.items) {
-					break
-				}
-				cand := append(append(dataset.Itemset{}, a.items...), b.items[len(b.items)-1])
-				if !hasAllSubsets(cand, known) {
-					continue
-				}
-				gen = append(gen, cand)
-				genA = append(genA, i)
-				genB = append(genB, j)
-			}
-		}
-		decBuf = core.AdmitBatch(pruner, gen, decBuf)
+		// Intersect the parents' tidlists only for admitted candidates.
+		// AprioriGen yields in lexicographic order, so next stays sorted.
 		var next []node
-		for gi, cand := range gen {
-			if !decBuf[gi] {
-				continue
+		mining.AprioriGen(sets, func(cand dataset.Itemset, a, b int) {
+			if pruner != nil && !pruner.Allow(cand) {
+				return
 			}
-			tl := intersect(level[genA[gi]].tids, level[genB[gi]].tids)
+			tl := intersect(level[a].tids, level[b].tids)
 			if int64(len(tl)) >= localMin {
 				next = append(next, node{items: cand, tids: tl})
 			}
-		}
-		sortNodes(next)
+		})
 		for _, n := range next {
 			out = append(out, n.items)
 		}
@@ -383,22 +345,4 @@ type node struct {
 
 func sortNodes(ns []node) {
 	sort.Slice(ns, func(i, j int) bool { return ns[i].items.Compare(ns[j].items) < 0 })
-}
-
-func samePrefix(a, b dataset.Itemset) bool {
-	for i := 0; i < len(a)-1; i++ {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func hasAllSubsets(cand dataset.Itemset, known map[string]bool) bool {
-	for i := range cand {
-		if !known[cand.Without(i).Key()] {
-			return false
-		}
-	}
-	return true
 }

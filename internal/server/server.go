@@ -275,8 +275,7 @@ type BoundResult struct {
 var errBadItemset = errors.New("bad itemset")
 
 // Bound answers one ubsup query against the named index, through the
-// cache unless noCache is set. Items are canonicalized (sorted,
-// de-duplicated) before lookup so permutations share a cache line.
+// cache unless noCache is set, as a batch of one.
 func (s *Server) Bound(name string, items []ossm.Item, noCache bool) (BoundResult, error) {
 	ix, version, ok := s.reg.Lookup(name)
 	if !ok {
@@ -286,70 +285,19 @@ func (s *Server) Bound(name string, items []ossm.Item, noCache bool) (BoundResul
 	if err != nil {
 		return BoundResult{}, err
 	}
-	return s.bound(context.Background(), ix, fleet, name, version, items, noCache)
+	res, err := s.boundBatch(context.Background(), ix, fleet, name, version, [][]ossm.Item{items}, noCache)
+	if err != nil {
+		return BoundResult{}, err
+	}
+	return res[0], nil
 }
 
-func (s *Server) bound(ctx context.Context, ix *ossm.Index, fleet *shard.Fleet, name string, version uint64, items []ossm.Item, noCache bool) (BoundResult, error) {
-	set := ossm.NewItemset(items...)
-	if len(set) == 0 {
-		return BoundResult{}, fmt.Errorf("%w: the empty itemset has no OSSM bound", errBadItemset)
-	}
-	if max := set[len(set)-1]; int(max) >= ix.NumItems() {
-		return BoundResult{}, fmt.Errorf("%w: item %d outside the index domain of %d items", errBadItemset, max, ix.NumItems())
-	}
-	var key []byte
-	if !noCache {
-		key = appendCacheKey(make([]byte, 0, 64), name, version, set)
-		_, probe := s.obs.tracer.Start(ctx, "cache-probe")
-		b, ok := s.cache.get(key)
-		probe.SetAttr("hit", ok)
-		probe.End()
-		if ok {
-			s.obs.boundQueries.Inc()
-			return BoundResult{Itemset: set, Bound: b, Cached: true}, nil
-		}
-	}
-	// The miss path is the paper's ubsup scan: a min over the itemset's
-	// segment rows (eq. 1) — fanned over the shard fleet when sharded,
-	// with the per-shard partial sums merged by addition.
-	var b int64
-	if fleet != nil {
-		sctx, scan := s.obs.tracer.Start(ctx, "ubsup-scatter")
-		out := make([]int64, 1)
-		if err := fleet.Bounds(sctx, []ossm.Itemset{set}, out); err != nil {
-			scan.SetAttr("outcome", "error")
-			scan.End()
-			return BoundResult{}, err
-		}
-		b = out[0]
-		scan.SetAttr("bound", b)
-		scan.End()
-	} else {
-		_, scan := s.obs.tracer.Start(ctx, "ubsup-scan")
-		b = ix.UpperBound(set)
-		scan.SetAttr("bound", b)
-		scan.End()
-	}
-	if !noCache {
-		s.cache.put(key, b)
-	}
-	s.obs.boundQueries.Inc()
-	return BoundResult{Itemset: set, Bound: b}, nil
-}
-
-// boundBatch answers a whole ubsup batch. Single-itemset requests keep
-// the scalar path (and its per-request spans); larger batches
-// canonicalize and validate every itemset up front, probe the cache
-// under one span, and evaluate all misses together with one
-// UpperBoundBatch call per chunk.
+// boundBatch answers a whole ubsup batch. It canonicalizes (sorts and
+// de-duplicates, so permutations share a cache line) and validates every
+// itemset up front, probes the cache under one span, and evaluates all
+// misses together: one UpperBoundBatch call per chunk, or one
+// scatter-gather over the fleet when sharded.
 func (s *Server) boundBatch(ctx context.Context, ix *ossm.Index, fleet *shard.Fleet, name string, version uint64, batch [][]ossm.Item, noCache bool) ([]BoundResult, error) {
-	if len(batch) == 1 {
-		res, err := s.bound(ctx, ix, fleet, name, version, batch[0], noCache)
-		if err != nil {
-			return nil, err
-		}
-		return []BoundResult{res}, nil
-	}
 	sets := make([]ossm.Itemset, len(batch))
 	for i, items := range batch {
 		set := ossm.NewItemset(items...)

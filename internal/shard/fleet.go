@@ -86,11 +86,6 @@ func (f *Fleet) Swap(shards []Transport) error {
 	f.gen++
 	f.top = &topology{shards: shards, gen: f.gen}
 	f.mu.Unlock()
-	for _, t := range old.shards {
-		if lt, ok := t.(LocalTransport); ok {
-			lt.s.setDraining(true)
-		}
-	}
 	old.refs.Wait()
 	return nil
 }

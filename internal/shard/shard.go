@@ -77,7 +77,7 @@ func PartitionSegments(numSegs, n int) []Range {
 type Info struct {
 	ID       int    `json:"shard"`
 	Segments Range  `json:"segments"`
-	State    string `json:"state"` // healthy | draining
+	State    string `json:"state"` // healthy; a remote client: unreachable | breaker-open | breaker-half-open
 	Inflight int64  `json:"inflight"`
 	Requests int64  `json:"requests"`
 	Rejected int64  `json:"rejected,omitempty"`
@@ -127,7 +127,6 @@ type Shard struct {
 
 	maxInflight int64
 	inflight    atomic.Int64
-	draining    atomic.Bool
 	requests    atomic.Int64
 	rejected    atomic.Int64
 }
@@ -185,20 +184,12 @@ func (s *Shard) admit() error {
 
 func (s *Shard) release() { s.inflight.Add(-1) }
 
-// setDraining flips the shard's reported health state; a draining shard
-// keeps answering until the topology holding it is released.
-func (s *Shard) setDraining(v bool) { s.draining.Store(v) }
-
 // Info reports the shard's current state.
 func (s *Shard) Info() Info {
-	state := "healthy"
-	if s.draining.Load() {
-		state = "draining"
-	}
 	info := Info{
 		ID:       s.id,
 		Segments: s.rng,
-		State:    state,
+		State:    "healthy",
 		Inflight: s.inflight.Load(),
 		Requests: s.requests.Load(),
 		Rejected: s.rejected.Load(),

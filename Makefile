@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race fuzz fuzz-smoke obs-smoke loadgen-smoke remote-smoke ingest-smoke fleet-obs-smoke perfbench-smoke mutation cover bench examples experiments clean
+.PHONY: all build vet test race fuzz fuzz-smoke obs-smoke loadgen-smoke remote-smoke ingest-smoke fleet-obs-smoke perfbench-smoke mutation prodcover cover bench examples experiments clean
 
 all: build test
 
@@ -18,8 +18,9 @@ test: vet race fuzz-smoke obs-smoke loadgen-smoke remote-smoke ingest-smoke flee
 obs-smoke:
 	$(GO) test -run 'TestObsSmoke|TestObservabilityEndToEnd|TestPrometheusGolden' ./cmd/ossm-serve ./internal/server
 
-# Short load-generator run against an in-process 2-shard fleet: nonzero
-# throughput, zero errors, parseable report. Part of the default gate.
+# Short load-generator runs against a live in-process server: nonzero
+# throughput, zero errors, parseable report, and the usage errors. Part
+# of the default gate.
 loadgen-smoke:
 	$(GO) test -run 'TestLoadgen' -count=1 ./cmd/ossm-loadgen
 
@@ -84,13 +85,14 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz FuzzReadBinary              -fuzztime 10s ./internal/dataset
 	$(GO) test -run=NONE -fuzz FuzzReadMap                 -fuzztime 10s ./internal/core
 	$(GO) test -run=NONE -fuzz 'FuzzBoundKernels$$'        -fuzztime 10s ./internal/core
-	$(GO) test -run=NONE -fuzz FuzzBoundKernelsQuantized   -fuzztime 10s ./internal/core
+	$(GO) test -run=NONE -fuzz FuzzBoundKernelsLargeCells  -fuzztime 10s ./internal/core
 	$(GO) test -run=NONE -fuzz FuzzSumDiff                 -fuzztime 10s ./internal/core
 	$(GO) test -run=NONE -fuzz FuzzIndexRoundTrip          -fuzztime 10s .
 	$(GO) test -run=NONE -fuzz FuzzAppenderSnapshot        -fuzztime 10s .
 	$(GO) test -run=NONE -fuzz FuzzWALReplay               -fuzztime 10s ./internal/wal
 	$(GO) test -run=NONE -fuzz FuzzHashTreeCount           -fuzztime 10s ./internal/mining
 	$(GO) test -run=NONE -fuzz FuzzPairCount               -fuzztime 10s ./internal/mining
+	$(GO) test -run=NONE -fuzz FuzzParseTraceParent        -fuzztime 10s ./internal/obs
 
 # End-to-end benchmark smoke: a 2-second window of each workload
 # (perfbench/README.md) must check every answer correct with no failed
@@ -112,6 +114,13 @@ perfbench-smoke:
 # out of `make test`.
 mutation:
 	bash scripts/mutation.sh
+
+# Production-coverage audit: builds every binary with -cover, runs each
+# end to end (scripts/prodcover.sh lists the runs), adds the root
+# package's tests, and prints every function none of them reached. Kept
+# out of `make test`.
+prodcover:
+	bash scripts/prodcover.sh
 
 # Scaled-down deterministic versions of every paper table/figure plus
 # micro-benchmarks (see EXPERIMENTS.md for recorded full runs).

@@ -1,19 +1,14 @@
-// Command ossm-loadgen drives batch ubsup traffic at the sharded
-// scatter-gather serving path and reports p50/p95/p99 latency and
-// throughput as JSON. It either builds a synthetic dataset and index and
-// stands up an in-process shard fleet per requested shard count, or, with
-// -target, drives a live coordinator over HTTP. Load is a closed loop
-// (fixed concurrency, back-to-back requests) or an open loop (fixed
-// arrival rate, no backpressure). With -fleetz it polls a coordinator's
-// fleet health instead of generating load.
-//
-// In-process shards share this machine's cores, so the sweep measures
-// coordination plus kernel work, not a remote fleet; the end-to-end
-// serving benchmark is perfbench's serve-fleet workload.
+// Command ossm-loadgen drives batch POST /v1/ubsup traffic at a live
+// ossm-serve coordinator (-target) and reports p50/p95/p99 latency and
+// throughput as JSON. Load is a closed loop (fixed concurrency,
+// back-to-back requests) or an open loop (fixed arrival rate, no
+// backpressure). With -fleetz it polls the coordinator's fleet health
+// instead of generating load. The end-to-end serving benchmark is
+// perfbench's serve-fleet workload.
 //
 // Usage:
 //
-//	ossm-loadgen -shards 1,2,4,8 -duration 5s -concurrency 8 -batch 64
+//	ossm-loadgen -target http://127.0.0.1:7700 -index-name retail -duration 5s -concurrency 8 -batch 64
 //	ossm-loadgen -mode open -qps 500 -target http://127.0.0.1:7700 -index-name retail
 //	ossm-loadgen -fleetz -target http://127.0.0.1:7700 -duration 10s
 package main
@@ -31,7 +26,6 @@ import (
 	"os/signal"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -39,7 +33,6 @@ import (
 	"time"
 
 	ossm "github.com/ossm-mining/ossm"
-	"github.com/ossm-mining/ossm/internal/shard"
 )
 
 func main() {
@@ -55,19 +48,14 @@ type config struct {
 	QPS         float64 `json:"qps,omitempty"`
 	Batch       int     `json:"batch"`
 	DurationNS  int64   `json:"duration_ns"`
-	NumTx       int     `json:"num_tx"`
-	NumSegments int     `json:"segments"`
 	Seed        int64   `json:"seed"`
 	NumCPU      int     `json:"num_cpu"`
-	// Target is the coordinator URL when driving a live server over HTTP
-	// instead of an in-process fleet.
-	Target string `json:"target,omitempty"`
+	// Target is the coordinator URL the load is driven at.
+	Target string `json:"target"`
 }
 
-// point is one measurement window: one shard count of the in-process
-// sweep, or the single -target run.
+// point is one measurement window.
 type point struct {
-	Shards         int     `json:"shards"`
 	Requests       int64   `json:"requests"`
 	Errors         int64   `json:"errors"`
 	P50NS          int64   `json:"p50_ns"`
@@ -76,7 +64,6 @@ type point struct {
 	MeanNS         int64   `json:"mean_ns"`
 	RequestsPerSec float64 `json:"requests_per_sec"`
 	ItemsetsPerSec float64 `json:"itemsets_per_sec"`
-	SpeedupVsOne   float64 `json:"speedup_vs_1"`
 }
 
 type report struct {
@@ -94,14 +81,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		conc      = fs.Int("concurrency", 8, "closed-loop worker count")
 		qps       = fs.Float64("qps", 200, "open-loop arrival rate in requests per second")
 		batch     = fs.Int("batch", 64, "itemsets per ubsup batch request")
-		duration  = fs.Duration("duration", 3*time.Second, "measurement window per shard count")
-		shards    = fs.String("shards", "1,2,4,8", "comma-separated shard counts to sweep")
-		numTx     = fs.Int("tx", 20000, "synthetic dataset size in transactions")
-		segments  = fs.Int("segments", 256, "index segment budget")
-		seed      = fs.Int64("seed", 1, "generator seed")
+		duration  = fs.Duration("duration", 3*time.Second, "measurement window")
+		seed      = fs.Int64("seed", 1, "request generator seed")
 		out       = fs.String("out", "", "write the JSON report here instead of stdout")
-		target    = fs.String("target", "", "drive a live coordinator at this base URL over HTTP instead of an in-process fleet (ignores -shards)")
-		indexName = fs.String("index-name", "", "registered index to query in -target mode")
+		target    = fs.String("target", "", "base URL of the ossm-serve coordinator to drive (required)")
+		indexName = fs.String("index-name", "", "registered index to query (required unless -fleetz)")
 		fleetz    = fs.Bool("fleetz", false, "poll GET /v1/fleetz on -target for -duration and print one health line per poll instead of generating load")
 		fleetzInt = fs.Duration("fleetz-interval", time.Second, "poll period under -fleetz")
 	)
@@ -131,85 +115,27 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "ossm-loadgen: %s\n", bad)
 		return 2
 	}
+	if *target == "" {
+		fmt.Fprintln(stderr, "ossm-loadgen: -target is required")
+		return 2
+	}
+	base := strings.TrimSuffix(*target, "/")
 	if *fleetz {
-		if *target == "" {
-			fmt.Fprintln(stderr, "ossm-loadgen: -fleetz requires -target")
-			return 2
-		}
-		return pollFleetz(ctx, strings.TrimSuffix(*target, "/"), *duration, *fleetzInt, stdout, stderr)
+		return pollFleetz(ctx, base, *duration, *fleetzInt, stdout, stderr)
+	}
+	if *indexName == "" {
+		fmt.Fprintln(stderr, "ossm-loadgen: -index-name is required")
+		return 2
 	}
 	cfg := config{
 		Mode: *mode, Concurrency: *conc, Batch: *batch,
 		DurationNS: int64(*duration), Seed: *seed, NumCPU: runtime.NumCPU(),
+		Target: base,
 	}
 	if *mode == "open" {
 		cfg.QPS = *qps
 	}
-	if *target != "" {
-		if *indexName == "" {
-			fmt.Fprintln(stderr, "ossm-loadgen: -target mode requires -index-name")
-			return 2
-		}
-		cfg.Target = strings.TrimSuffix(*target, "/")
-		return runTarget(ctx, cfg, *indexName, *out, stdout, stderr)
-	}
-	var counts []int
-	for _, part := range strings.Split(*shards, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			fmt.Fprintf(stderr, "ossm-loadgen: bad -shards entry %q\n", part)
-			return 2
-		}
-		counts = append(counts, n)
-	}
-
-	fmt.Fprintf(stderr, "ossm-loadgen: building %d-tx dataset and %d-segment index\n", *numTx, *segments)
-	d, err := ossm.GenerateSkewed(ossm.DefaultSkewed(*numTx, *seed))
-	if err != nil {
-		fmt.Fprintf(stderr, "ossm-loadgen: %v\n", err)
-		return 1
-	}
-	ix, err := ossm.Build(d, ossm.BuildOptions{Segments: *segments, Algorithm: ossm.RandomGreedy, Seed: *seed})
-	if err != nil {
-		fmt.Fprintf(stderr, "ossm-loadgen: %v\n", err)
-		return 1
-	}
-	cfg.NumTx, cfg.NumSegments = *numTx, ix.NumSegments()
-	pool := requestPool(*seed, ix.NumItems(), *batch)
-
-	rep := report{
-		Bench:  "loadgen-ubsup-scatter",
-		Config: cfg,
-		Note: "Latencies are fleet.Bounds wall times over in-process shards that share " +
-			"this machine's cores, so the sweep only scales on multi-core hosts.",
-	}
-	var base float64
-	for _, n := range counts {
-		locals, err := shard.NewLocalShards(ix, nil, n, 0)
-		var fleet *shard.Fleet
-		if err == nil {
-			fleet, err = shard.NewFleet(shard.Config{}, shard.Transports(locals))
-		}
-		if err != nil {
-			fmt.Fprintf(stderr, "ossm-loadgen: %d shards: %v\n", n, err)
-			return 1
-		}
-		pt := drive(ctx, cfg, pool, func(ctx context.Context, sets []ossm.Itemset) error {
-			return fleet.Bounds(ctx, sets, make([]int64, len(sets)))
-		})
-		pt.Shards = n
-		if n == 1 {
-			base = pt.RequestsPerSec
-		}
-		if base > 0 {
-			pt.SpeedupVsOne = pt.RequestsPerSec / base
-		}
-		rep.Points = append(rep.Points, pt)
-		fmt.Fprintf(stderr, "ossm-loadgen: shards=%d req=%d err=%d p50=%v p95=%v p99=%v rps=%.1f\n",
-			n, pt.Requests, pt.Errors,
-			time.Duration(pt.P50NS), time.Duration(pt.P95NS), time.Duration(pt.P99NS), pt.RequestsPerSec)
-	}
-	return writeReport(rep, *out, stdout, stderr)
+	return runTarget(ctx, cfg, *indexName, *out, stdout, stderr)
 }
 
 // requestPool pre-generates the request batches so the measurement loop
@@ -308,8 +234,7 @@ func percentile(sorted []time.Duration, p int) time.Duration {
 }
 
 // runTarget drives a live coordinator over HTTP with POST /v1/ubsup
-// batches — the end-to-end smoke path for a remote shard fleet. The
-// itemset domain comes from the server's own GET /v1/indexes row, so
+// batches. The itemset domain comes from the server's own GET /v1/indexes row, so
 // every generated batch is valid for whatever index the server loaded.
 func runTarget(ctx context.Context, cfg config, index, out string, stdout, stderr io.Writer) int {
 	numItems, err := fetchNumItems(ctx, cfg.Target, index)

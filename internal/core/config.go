@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sort"
 
 	"github.com/ossm-mining/ossm/internal/dataset"
@@ -31,19 +30,6 @@ func ConfigurationOf(counts []uint32) Configuration {
 	return cfg
 }
 
-// Equal reports whether two configurations are the same permutation.
-func (c Configuration) Equal(d Configuration) bool {
-	if len(c) != len(d) {
-		return false
-	}
-	for i := range c {
-		if c[i] != d[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Key returns a canonical byte-string key for map lookups. It is
 // injective on configurations over domains of up to 2^32 items.
 func (c Configuration) Key() string {
@@ -52,12 +38,6 @@ func (c Configuration) Key() string {
 		b = append(b, byte(it), byte(it>>8), byte(it>>16), byte(it>>24))
 	}
 	return string(b)
-}
-
-// SameConfiguration reports whether two support rows have the same
-// configuration. It avoids materializing permutations on the hot path.
-func SameConfiguration(a, b []uint32) bool {
-	return ConfigurationOf(a).Equal(ConfigurationOf(b))
 }
 
 // MinSegments returns n_min for the given initial segments (pages): the
@@ -94,14 +74,4 @@ func TheoreticalMinSegments(k, m int) int {
 		return m
 	}
 	return int(configs)
-}
-
-// NumDistinctConfigurations returns 2^k − k for small k (the count the
-// paper derives in Section 4.2: k! permutations collapse to 2^k − k
-// distinguishable configurations), and math.MaxInt for k > 62.
-func NumDistinctConfigurations(k int) int {
-	if k > 62 {
-		return math.MaxInt
-	}
-	return int(int64(1)<<uint(k) - int64(k))
 }

@@ -317,3 +317,32 @@ func mergeSameConfigurations(rows [][]uint32) (merged [][]uint32, groups [][]int
 	}
 	return merged, groups
 }
+
+// Equal reports whether two configurations are the same permutation.
+func (c Configuration) Equal(d Configuration) bool {
+	if len(c) != len(d) {
+		return false
+	}
+	for i := range c {
+		if c[i] != d[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// SameConfiguration reports whether two support rows have the same
+// configuration.
+func SameConfiguration(a, b []uint32) bool {
+	return ConfigurationOf(a).Equal(ConfigurationOf(b))
+}
+
+// NumDistinctConfigurations returns 2^k − k for small k (the count the
+// paper derives in Section 4.2: k! permutations collapse to 2^k − k
+// distinguishable configurations), and math.MaxInt for k > 62.
+func NumDistinctConfigurations(k int) int {
+	if k > 62 {
+		return math.MaxInt
+	}
+	return int(int64(1)<<uint(k) - int64(k))
+}

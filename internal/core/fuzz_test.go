@@ -67,11 +67,11 @@ func FuzzBoundKernels(f *testing.F) {
 	})
 }
 
-// FuzzBoundKernelsQuantized is FuzzBoundKernels on deeper maps with
+// FuzzBoundKernelsLargeCells is FuzzBoundKernels on deeper maps with
 // large cells: 1 to 256 segments, and roughly a quarter of the cells
 // are near 65536, so per-segment minima and bound sums run far past the
 // small-cell range. Decisions must stay bit-identical to the reference.
-func FuzzBoundKernelsQuantized(f *testing.F) {
+func FuzzBoundKernelsLargeCells(f *testing.F) {
 	f.Add(uint8(80), uint8(4), int64(3), uint32(100000))
 	f.Add(uint8(40), uint8(6), int64(9), uint32(7))
 	f.Add(uint8(200), uint8(2), int64(-5), uint32(1<<24))

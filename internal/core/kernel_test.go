@@ -516,3 +516,28 @@ func TestAppenderQuantizedOverflowCrossing(t *testing.T) {
 	// keeps serving its own counts.
 	check(before, 60000, "earlier snapshot after later appends")
 }
+
+// referenceUpperBound is equation (1) written out cell by cell: a walk
+// over the segments reading each member's support through
+// SegmentSupport. It shares no loop with the kernels and is their
+// equivalence oracle: every kernel in kernel.go must return
+// bit-identical bounds (and therefore decisions) to this loop.
+func (m *Map) referenceUpperBound(x dataset.Itemset) int64 {
+	if len(x) == 0 {
+		panic("core: UpperBound of the empty itemset is not defined by the OSSM")
+	}
+	if len(x) == 1 {
+		return m.totals[x[0]]
+	}
+	var total int64
+	for s := 0; s < m.numSegs; s++ {
+		minC := m.SegmentSupport(s, x[0])
+		for _, it := range x[1:] {
+			if c := m.SegmentSupport(s, it); c < minC {
+				minC = c
+			}
+		}
+		total += int64(minC)
+	}
+	return total
+}

@@ -185,31 +185,6 @@ func (m *Map) UpperBoundPair(a, b dataset.Item) int64 {
 	return total
 }
 
-// referenceUpperBound is equation (1) written out cell by cell: a walk
-// over the segments reading each member's support through
-// SegmentSupport. It shares no loop with the kernels and is retained
-// unexported as their equivalence oracle: every kernel in kernel.go must
-// return bit-identical bounds (and therefore decisions) to this loop.
-func (m *Map) referenceUpperBound(x dataset.Itemset) int64 {
-	if len(x) == 0 {
-		panic("core: UpperBound of the empty itemset is not defined by the OSSM")
-	}
-	if len(x) == 1 {
-		return m.totals[x[0]]
-	}
-	var total int64
-	for s := 0; s < m.numSegs; s++ {
-		minC := m.SegmentSupport(s, x[0])
-		for _, it := range x[1:] {
-			if c := m.SegmentSupport(s, it); c < minC {
-				minC = c
-			}
-		}
-		total += int64(minC)
-	}
-	return total
-}
-
 // SizeBytes reports the exact memory footprint of the flat store's
 // backing arrays: the 4-byte item-major cells and the 8-byte per-item
 // totals, 4·k·n + 8·k bytes. The cells alone are the quantity behind the

@@ -364,7 +364,10 @@ func TestSegmentAssignmentsPinned(t *testing.T) {
 	cfg.NumItems = 150
 	cfg.NumPatterns = 300
 	cfg.WeightDrift = 0.5
-	d := gen.MustQuest(cfg)
+	d, err := gen.Quest(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rows := dataset.PageCounts(d, dataset.PaginateN(d, 60))
 	bubble := BubbleListFromCounts(rows, int64(d.NumTx())/100, 40)
 	cases := []struct {

@@ -82,25 +82,6 @@ func SumDiffPair(a, b []uint32, items []dataset.Item) int64 {
 	return int64(p.merged(a, b) - p.row(a) - p.row(b))
 }
 
-// SumDiffSet computes sumdiff(S) for an arbitrary set of segment rows,
-// restricted to the given items — the general form of equation (2) used
-// by the Lemma 2 analysis and its tests.
-func SumDiffSet(rows [][]uint32, items []dataset.Item) int64 {
-	p := newPairMins(items)
-	var sep uint64
-	for _, row := range rows {
-		sep += p.row(row)
-	}
-	for i, x := range items {
-		var c uint64
-		for _, row := range rows {
-			c += uint64(row[x])
-		}
-		p.buf[i] = c
-	}
-	return int64(p.sorted() - sep)
-}
-
 // AllItems returns the identity item list 0 … k-1, the "no bubble list"
 // summation domain.
 func AllItems(k int) []dataset.Item {

@@ -362,3 +362,22 @@ func FuzzSumDiff(f *testing.F) {
 		}
 	})
 }
+
+// SumDiffSet computes sumdiff(S) for an arbitrary set of segment rows,
+// restricted to the given items — the general form of equation (2) the
+// Lemma 2 tests check.
+func SumDiffSet(rows [][]uint32, items []dataset.Item) int64 {
+	p := newPairMins(items)
+	var sep uint64
+	for _, row := range rows {
+		sep += p.row(row)
+	}
+	for i, x := range items {
+		var c uint64
+		for _, row := range rows {
+			c += uint64(row[x])
+		}
+		p.buf[i] = c
+	}
+	return int64(p.sorted() - sep)
+}

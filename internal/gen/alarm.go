@@ -124,12 +124,3 @@ func Alarm(c AlarmConfig) (*dataset.Dataset, error) {
 	}
 	return b.Build(), nil
 }
-
-// MustAlarm is Alarm that panics on configuration errors.
-func MustAlarm(c AlarmConfig) *dataset.Dataset {
-	d, err := Alarm(c)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}

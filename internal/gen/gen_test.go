@@ -55,8 +55,8 @@ func TestWeightedPickDistribution(t *testing.T) {
 
 func TestQuestDeterministicAndValid(t *testing.T) {
 	c := DefaultQuest(500, 42)
-	d1 := MustQuest(c)
-	d2 := MustQuest(c)
+	d1 := mustQuest(c)
+	d2 := mustQuest(c)
 	if d1.NumTx() != 500 || d2.NumTx() != 500 {
 		t.Fatalf("NumTx = %d/%d, want 500", d1.NumTx(), d2.NumTx())
 	}
@@ -68,7 +68,7 @@ func TestQuestDeterministicAndValid(t *testing.T) {
 			t.Fatalf("transaction %d is not a valid itemset", i)
 		}
 	}
-	d3 := MustQuest(DefaultQuest(500, 43))
+	d3 := mustQuest(DefaultQuest(500, 43))
 	same := true
 	for i := 0; i < d1.NumTx(); i++ {
 		if !d1.Tx(i).Equal(d3.Tx(i)) {
@@ -83,7 +83,7 @@ func TestQuestDeterministicAndValid(t *testing.T) {
 
 func TestQuestAvgTxLen(t *testing.T) {
 	c := DefaultQuest(3000, 7)
-	d := MustQuest(c)
+	d := mustQuest(c)
 	got := d.AvgTxLen()
 	// Corruption and dedup shrink transactions below the nominal Poisson
 	// mean; accept a broad but meaningful band.
@@ -95,7 +95,7 @@ func TestQuestAvgTxLen(t *testing.T) {
 func TestQuestHasFrequentPairs(t *testing.T) {
 	// The whole point of pattern-based generation: some 2-itemsets must be
 	// much more frequent than independence would allow.
-	d := MustQuest(QuestConfig{
+	d := mustQuest(QuestConfig{
 		NumTx: 2000, NumItems: 100, AvgTxLen: 8, AvgPatLen: 4,
 		NumPatterns: 20, Correlation: 0.5, CorruptMean: 0.3, CorruptSD: 0.1,
 		Seed: 11,
@@ -140,7 +140,7 @@ func TestSkewedSeasonality(t *testing.T) {
 	c := DefaultSkewed(4000, 99)
 	c.Quest.NumItems = 200
 	c.Quest.NumPatterns = 100
-	d := MustSkewed(c)
+	d := mustSkewed(c)
 
 	half := d.NumTx() / 2
 	first := d.ItemCounts(0, half)
@@ -171,7 +171,7 @@ func TestSkewedBoostOneMatchesShape(t *testing.T) {
 	c := SkewedConfig{Quest: DefaultQuest(4000, 5), Boost: 1}
 	c.Quest.NumItems = 200
 	c.Quest.NumPatterns = 100
-	d := MustSkewed(c)
+	d := mustSkewed(c)
 	half := d.NumTx() / 2
 	first := d.ItemCounts(0, half)
 	second := d.ItemCounts(half, d.NumTx())
@@ -199,7 +199,7 @@ func TestSkewedValidation(t *testing.T) {
 }
 
 func TestAlarmShape(t *testing.T) {
-	d := MustAlarm(DefaultAlarm(123))
+	d := mustAlarm(DefaultAlarm(123))
 	if d.NumTx() != 5000 {
 		t.Fatalf("NumTx = %d, want 5000", d.NumTx())
 	}
@@ -231,7 +231,7 @@ func TestAlarmShape(t *testing.T) {
 func TestAlarmDrift(t *testing.T) {
 	// Drift is the property that makes segmentation worthwhile: type
 	// frequencies must differ across epochs. Compare first and last tenth.
-	d := MustAlarm(DefaultAlarm(7))
+	d := mustAlarm(DefaultAlarm(7))
 	n := d.NumTx()
 	a := d.ItemCounts(0, n/10)
 	b := d.ItemCounts(n-n/10, n)
@@ -267,8 +267,8 @@ func TestAlarmValidation(t *testing.T) {
 func TestAlarmDeterministic(t *testing.T) {
 	c := DefaultAlarm(55)
 	c.NumTx = 300
-	d1 := MustAlarm(c)
-	d2 := MustAlarm(c)
+	d1 := mustAlarm(c)
+	d2 := mustAlarm(c)
 	for i := 0; i < d1.NumTx(); i++ {
 		if !d1.Tx(i).Equal(d2.Tx(i)) {
 			t.Fatalf("same seed produced different transaction %d", i)
@@ -280,8 +280,8 @@ func TestQuestDriftDeterministicAndStable(t *testing.T) {
 	c := DefaultQuest(2000, 21)
 	c.WeightDrift = 0.6
 	c.DriftEvery = 100
-	d1 := MustQuest(c)
-	d2 := MustQuest(c)
+	d1 := mustQuest(c)
+	d2 := mustQuest(c)
 	for i := 0; i < d1.NumTx(); i++ {
 		if !d1.Tx(i).Equal(d2.Tx(i)) {
 			t.Fatalf("same seed with drift produced different transaction %d", i)
@@ -294,7 +294,7 @@ func TestQuestDriftDeterministicAndStable(t *testing.T) {
 	}
 	// And drift actually changes the output relative to no drift.
 	c0 := DefaultQuest(2000, 21)
-	d0 := MustQuest(c0)
+	d0 := mustQuest(c0)
 	same := true
 	for i := 0; i < d0.NumTx(); i++ {
 		if !d0.Tx(i).Equal(d1.Tx(i)) {
@@ -318,4 +318,31 @@ func TestQuestDriftValidation(t *testing.T) {
 	if _, err := Quest(c); err == nil {
 		t.Error("negative DriftEvery accepted")
 	}
+}
+
+// mustQuest is Quest that panics on configuration errors.
+func mustQuest(c QuestConfig) *dataset.Dataset {
+	d, err := Quest(c)
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
+
+// mustSkewed is Skewed that panics on configuration errors.
+func mustSkewed(c SkewedConfig) *dataset.Dataset {
+	d, err := Skewed(c)
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
+
+// mustAlarm is Alarm that panics on configuration errors.
+func mustAlarm(c AlarmConfig) *dataset.Dataset {
+	d, err := Alarm(c)
+	if err != nil {
+		panic(err)
+	}
+	return d
 }

@@ -224,13 +224,3 @@ func Quest(c QuestConfig) (*dataset.Dataset, error) {
 	}
 	return b.Build(), nil
 }
-
-// MustQuest is Quest that panics on configuration errors; for tests,
-// examples and benchmarks with literal configurations.
-func MustQuest(c QuestConfig) *dataset.Dataset {
-	d, err := Quest(c)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}

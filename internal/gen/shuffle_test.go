@@ -99,7 +99,7 @@ func TestShuffleBlocksKeepsBlockContiguity(t *testing.T) {
 }
 
 func TestShuffleBlocksDeterministic(t *testing.T) {
-	d := MustQuest(DefaultQuest(200, 1))
+	d := mustQuest(DefaultQuest(200, 1))
 	a, err := ShuffleBlocks(d, 10, 42)
 	if err != nil {
 		t.Fatal(err)

@@ -127,12 +127,3 @@ func Skewed(c SkewedConfig) (*dataset.Dataset, error) {
 	}
 	return b.Build(), nil
 }
-
-// MustSkewed is Skewed that panics on configuration errors.
-func MustSkewed(c SkewedConfig) *dataset.Dataset {
-	d, err := Skewed(c)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}

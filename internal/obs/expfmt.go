@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -20,51 +19,22 @@ type Sample struct {
 // Label returns the named label value, or "".
 func (s Sample) Label(name string) string { return s.Labels[name] }
 
-// expLine is one significant line of a text exposition.
-type expLine struct {
-	num    int // 1-based line number
-	isHelp bool
-	isType bool
-	family string // HELP/TYPE subject
-	text   string // help text or type name
-	sample *Sample
-}
-
-// parseExposition tokenizes a text exposition into HELP, TYPE and sample
-// lines; blank lines and non-directive comments are skipped.
-func parseExposition(r io.Reader) ([]expLine, error) {
-	var out []expLine
+// ParseText parses a text exposition into its samples, in document
+// order. Blank lines and comments (HELP and TYPE included) are skipped.
+func ParseText(r io.Reader) ([]Sample, error) {
+	var out []Sample
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	num := 0
-	for sc.Scan() {
-		num++
+	for num := 1; sc.Scan(); num++ {
 		line := strings.TrimRight(sc.Text(), " \t")
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			fields := strings.SplitN(line, " ", 4)
-			if len(fields) >= 3 && (fields[1] == "HELP" || fields[1] == "TYPE") {
-				el := expLine{num: num, family: fields[2]}
-				if len(fields) == 4 {
-					el.text = fields[3]
-				}
-				if fields[1] == "HELP" {
-					el.isHelp = true
-				} else {
-					el.isType = true
-					el.text = strings.TrimSpace(el.text)
-				}
-				out = append(out, el)
-			}
+		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
 		s, err := parseSampleLine(line)
 		if err != nil {
 			return nil, fmt.Errorf("line %d: %w", num, err)
 		}
-		out = append(out, expLine{num: num, sample: &s})
+		out = append(out, s)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -232,239 +202,4 @@ func parseLabels(body string) (map[string]string, error) {
 		}
 	}
 	return out, nil
-}
-
-// ParseText parses a text exposition into its samples, in document order.
-func ParseText(r io.Reader) ([]Sample, error) {
-	lines, err := parseExposition(r)
-	if err != nil {
-		return nil, err
-	}
-	var out []Sample
-	for _, l := range lines {
-		if l.sample != nil {
-			out = append(out, *l.sample)
-		}
-	}
-	return out, nil
-}
-
-// histogram sample suffixes owned by a `# TYPE x histogram` family.
-var histSuffixes = []string{"_bucket", "_sum", "_count"}
-
-// Lint checks a text exposition the way promtool's strict lint would, in
-// pure Go: HELP precedes TYPE, every sample follows its family's TYPE,
-// families are contiguous and declared once, names are valid, counters
-// end in _total, and histogram bucket series are cumulative with a +Inf
-// bucket equal to _count. It returns every violation found (nil = clean).
-func Lint(r io.Reader) []error {
-	lines, err := parseExposition(r)
-	if err != nil {
-		return []error{err}
-	}
-	var errs []error
-	addf := func(num int, format string, args ...any) {
-		errs = append(errs, fmt.Errorf("line %d: %s", num, fmt.Sprintf(format, args...)))
-	}
-
-	types := map[string]string{}  // family -> type
-	helped := map[string]bool{}   // family -> HELP seen
-	closed := map[string]bool{}   // family blocks already left
-	current := ""                 // family of the current block
-	lastHelp := ""                // family of an immediately preceding HELP
-	hist := map[string][]Sample{} // histogram family -> its samples
-
-	enter := func(num int, fam string) {
-		if fam == current {
-			return
-		}
-		if current != "" {
-			closed[current] = true
-		}
-		if closed[fam] {
-			addf(num, "family %s reappears after other families (samples must be contiguous)", fam)
-		}
-		current = fam
-	}
-
-	for _, l := range lines {
-		switch {
-		case l.isHelp:
-			if !metricNameRE.MatchString(l.family) {
-				addf(l.num, "invalid metric name %q in HELP", l.family)
-			}
-			if helped[l.family] {
-				addf(l.num, "second HELP for %s", l.family)
-			}
-			if _, typed := types[l.family]; typed {
-				addf(l.num, "HELP for %s does not immediately precede its TYPE", l.family)
-			}
-			helped[l.family] = true
-			lastHelp = l.family
-			enter(l.num, l.family)
-		case l.isType:
-			if _, dup := types[l.family]; dup {
-				addf(l.num, "second TYPE for %s", l.family)
-			}
-			switch l.text {
-			case kindCounter, kindGauge, kindHistogram, "summary", "untyped":
-			default:
-				addf(l.num, "unknown TYPE %q for %s", l.text, l.family)
-			}
-			if helped[l.family] && lastHelp != l.family {
-				addf(l.num, "HELP for %s does not immediately precede its TYPE", l.family)
-			}
-			types[l.family] = l.text
-			if l.text == kindCounter && !strings.HasSuffix(l.family, "_total") {
-				addf(l.num, "counter %s should end in _total", l.family)
-			}
-			lastHelp = ""
-			enter(l.num, l.family)
-		default:
-			s := *l.sample
-			lastHelp = ""
-			if !metricNameRE.MatchString(s.Name) {
-				addf(l.num, "invalid metric name %q", s.Name)
-				continue
-			}
-			for name := range s.Labels {
-				if !labelNameRE.MatchString(name) {
-					addf(l.num, "invalid label name %q on %s", name, s.Name)
-				}
-			}
-			fam, ok := familyOf(s.Name, types)
-			if !ok {
-				addf(l.num, "sample %s has no preceding TYPE", s.Name)
-				continue
-			}
-			enter(l.num, fam)
-			if ex := s.Exemplar; ex != nil {
-				isBucket := types[fam] == kindHistogram && strings.HasSuffix(s.Name, "_bucket")
-				if !isBucket && types[fam] != kindCounter {
-					addf(l.num, "exemplar on %s: exemplars belong on histogram buckets or counters", s.Name)
-				}
-				if isBucket {
-					if le, err := strconv.ParseFloat(s.Labels["le"], 64); err == nil && ex.Value > le {
-						addf(l.num, "exemplar value %v on %s exceeds bucket le=%v", ex.Value, s.Name, le)
-					}
-				}
-			}
-			if types[fam] == kindHistogram {
-				hist[fam] = append(hist[fam], s)
-			}
-		}
-	}
-
-	for _, fam := range sortedKeys(hist) {
-		lintHistogram(fam, hist[fam], &errs)
-	}
-	return errs
-}
-
-// familyOf resolves a sample name to its declared family: an exact TYPE
-// match, or a histogram parent for _bucket/_sum/_count suffixes.
-func familyOf(name string, types map[string]string) (string, bool) {
-	if _, ok := types[name]; ok {
-		return name, true
-	}
-	for _, suf := range histSuffixes {
-		if base, found := strings.CutSuffix(name, suf); found {
-			if types[base] == kindHistogram {
-				return base, true
-			}
-		}
-	}
-	return "", false
-}
-
-// lintHistogram checks one histogram family's series shape per label set:
-// le present and parseable on every bucket, cumulative counts
-// non-decreasing in le order, +Inf present, and _count == the +Inf
-// bucket.
-func lintHistogram(fam string, samples []Sample, errs *[]error) {
-	type series struct {
-		les    []float64
-		counts map[float64]float64
-		count  *float64
-		sum    bool
-	}
-	bySet := map[string]*series{}
-	get := func(s Sample) *series {
-		var parts []string
-		for _, k := range sortedKeys(s.Labels) {
-			if k == "le" {
-				continue
-			}
-			parts = append(parts, k+"="+s.Labels[k])
-		}
-		key := strings.Join(parts, ",")
-		sr, ok := bySet[key]
-		if !ok {
-			sr = &series{counts: map[float64]float64{}}
-			bySet[key] = sr
-		}
-		return sr
-	}
-	for _, s := range samples {
-		sr := get(s)
-		switch {
-		case strings.HasSuffix(s.Name, "_bucket"):
-			leStr, ok := s.Labels["le"]
-			if !ok {
-				*errs = append(*errs, fmt.Errorf("%s: bucket sample without le label", fam))
-				continue
-			}
-			le, err := strconv.ParseFloat(leStr, 64)
-			if err != nil {
-				*errs = append(*errs, fmt.Errorf("%s: unparseable le %q", fam, leStr))
-				continue
-			}
-			sr.les = append(sr.les, le)
-			sr.counts[le] = s.Value
-		case strings.HasSuffix(s.Name, "_count"):
-			v := s.Value
-			sr.count = &v
-		case strings.HasSuffix(s.Name, "_sum"):
-			sr.sum = true
-		}
-	}
-	for _, key := range sortedKeys(bySet) {
-		sr := bySet[key]
-		where := fam
-		if key != "" {
-			where = fam + "{" + key + "}"
-		}
-		sort.Float64s(sr.les)
-		prev := -1.0
-		for i, le := range sr.les {
-			if i > 0 && sr.counts[le] < prev {
-				*errs = append(*errs, fmt.Errorf("%s: bucket counts not cumulative at le=%v", where, le))
-			}
-			prev = sr.counts[le]
-		}
-		n := len(sr.les)
-		if n == 0 || !isInf(sr.les[n-1]) {
-			*errs = append(*errs, fmt.Errorf("%s: no +Inf bucket", where))
-			continue
-		}
-		if sr.count == nil {
-			*errs = append(*errs, fmt.Errorf("%s: missing _count", where))
-		} else if *sr.count != sr.counts[sr.les[n-1]] {
-			*errs = append(*errs, fmt.Errorf("%s: _count %v != +Inf bucket %v", where, *sr.count, sr.counts[sr.les[n-1]]))
-		}
-		if !sr.sum {
-			*errs = append(*errs, fmt.Errorf("%s: missing _sum", where))
-		}
-	}
-}
-
-func isInf(v float64) bool { return v > 1e308 }
-
-func sortedKeys[M map[string]V, V any](m M) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -1,4 +1,4 @@
-package obs
+package obs_test
 
 import (
 	"bytes"
@@ -8,6 +8,9 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"github.com/ossm-mining/ossm/internal/obs"
+	"github.com/ossm-mining/ossm/internal/oracle"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
@@ -26,7 +29,7 @@ func maskExemplars(text string) string {
 // the `# {trace_id=...} value` suffix, the suffix's shape, and that the
 // plain exposition of the same registry stays exemplar-free.
 func TestExemplarExpositionGolden(t *testing.T) {
-	r := NewRegistry()
+	r := obs.NewRegistry()
 	h := r.Histogram("req_seconds", "Request latency.", []float64{0.1, 1})
 	h.ObserveExemplar(0.05, "aaaa0000111122223333444455556666")
 	h.ObserveExemplar(0.5, "bbbb0000111122223333444455556666")
@@ -39,10 +42,10 @@ func TestExemplarExpositionGolden(t *testing.T) {
 	if err := r.WriteExposition(&rich, true); err != nil {
 		t.Fatal(err)
 	}
-	if errs := Lint(bytes.NewReader(rich.Bytes())); len(errs) != 0 {
+	if errs := oracle.Lint(bytes.NewReader(rich.Bytes())); len(errs) != 0 {
 		t.Fatalf("exemplar exposition fails lint: %v", errs)
 	}
-	samples, err := ParseText(bytes.NewReader(rich.Bytes()))
+	samples, err := obs.ParseText(bytes.NewReader(rich.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,16 @@
-package obs
+package obs_test
 
 import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"github.com/ossm-mining/ossm/internal/obs"
+	"github.com/ossm-mining/ossm/internal/oracle"
 )
 
 func TestGaugeVecRendering(t *testing.T) {
-	r := NewRegistry()
+	r := obs.NewRegistry()
 	gv := r.GaugeVec("test_breaker_state", "Breaker state by shard.", "shard")
 	gv.With("0").Set(2)
 	gv.With("1").Set(0)
@@ -16,7 +19,7 @@ func TestGaugeVecRendering(t *testing.T) {
 	gv.With("2").Add(-1)
 
 	var b bytes.Buffer
-	if err := r.WritePrometheus(&b); err != nil {
+	if err := r.WriteExposition(&b, false); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -33,10 +36,10 @@ func TestGaugeVecRendering(t *testing.T) {
 	if n := strings.Count(out, "test_breaker_state{"); n != 3 {
 		t.Errorf("%d series, want 3 (resetting a child must not add one)", n)
 	}
-	if errs := Lint(strings.NewReader(out)); errs != nil {
+	if errs := oracle.Lint(strings.NewReader(out)); errs != nil {
 		t.Errorf("lint: %v", errs)
 	}
-	if _, err := ParseText(strings.NewReader(out)); err != nil {
+	if _, err := obs.ParseText(strings.NewReader(out)); err != nil {
 		t.Errorf("parse back: %v", err)
 	}
 }

@@ -334,11 +334,6 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	r.register(name, help, kindCounter, nil, nil, fn)
 }
 
-// Gauge registers and returns a label-free gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.register(name, help, kindGauge, nil, nil, nil).childFor(nil).g
-}
-
 // GaugeFunc registers a gauge read from fn at scrape time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.register(name, help, kindGauge, nil, nil, fn)
@@ -367,7 +362,7 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...
 	return &HistogramVec{r.register(name, help, kindHistogram, labels, buckets, nil)}
 }
 
-// PreCollect registers a hook run at the start of every WritePrometheus
+// PreCollect registers a hook run at the start of every WriteExposition
 // — the place to refresh snapshot-style gauges (runtime memory stats)
 // exactly once per scrape.
 func (r *Registry) PreCollect(fn func()) {
@@ -376,16 +371,10 @@ func (r *Registry) PreCollect(fn func()) {
 	r.pre = append(r.pre, fn)
 }
 
-// WritePrometheus renders every family in the text exposition format
-// (version 0.0.4), sorted by family name, HELP and TYPE first.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	return r.WriteExposition(w, false)
-}
-
-// WriteExposition is WritePrometheus with an exemplar switch: when
+// WriteExposition renders every family in the text exposition format
+// (version 0.0.4), sorted by family name, HELP and TYPE first. When
 // exemplars is true, histogram bucket lines carry the OpenMetrics
-// `# {trace_id="..."} value` suffix for buckets that have one. The
-// exemplar-free output is byte-identical to WritePrometheus.
+// `# {trace_id="..."} value` suffix for buckets that have one.
 func (r *Registry) WriteExposition(w io.Writer, exemplars bool) error {
 	r.mu.Lock()
 	pre := append([]func(){}, r.pre...)

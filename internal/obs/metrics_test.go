@@ -1,4 +1,4 @@
-package obs
+package obs_test
 
 import (
 	"bytes"
@@ -11,15 +11,18 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/ossm-mining/ossm/internal/obs"
+	"github.com/ossm-mining/ossm/internal/oracle"
 )
 
 func TestCounterGaugeRendering(t *testing.T) {
-	r := NewRegistry()
+	r := obs.NewRegistry()
 	c := r.Counter("test_events_total", "Events seen.")
 	c.Inc()
 	c.Add(4)
 	c.Add(-3) // dropped: counters only go up
-	g := r.Gauge("test_depth", "Current depth.")
+	g := r.GaugeVec("test_depth", "Current depth.").With()
 	g.Set(2.5)
 	g.Add(-0.5)
 	cv := r.CounterVec("test_requests_total", "Requests by route.", "route", "status")
@@ -30,7 +33,7 @@ func TestCounterGaugeRendering(t *testing.T) {
 	r.CounterFunc("test_hits_total", "Cache hits.", func() float64 { return 9 })
 
 	var b bytes.Buffer
-	if err := r.WritePrometheus(&b); err != nil {
+	if err := r.WriteExposition(&b, false); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -47,11 +50,11 @@ func TestCounterGaugeRendering(t *testing.T) {
 			t.Errorf("exposition missing %q in:\n%s", want, out)
 		}
 	}
-	if errs := Lint(strings.NewReader(out)); errs != nil {
+	if errs := oracle.Lint(strings.NewReader(out)); errs != nil {
 		t.Errorf("lint: %v", errs)
 	}
 	// Families render in sorted order.
-	samples, err := ParseText(strings.NewReader(out))
+	samples, err := obs.ParseText(strings.NewReader(out))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,13 +64,13 @@ func TestCounterGaugeRendering(t *testing.T) {
 }
 
 func TestRegistryPanicsOnBadRegistration(t *testing.T) {
-	cases := map[string]func(*Registry){
-		"duplicate":        func(r *Registry) { r.Gauge("x", "a"); r.Gauge("x", "b") },
-		"bad name":         func(r *Registry) { r.Gauge("9bad", "a") },
-		"bad label":        func(r *Registry) { r.CounterVec("x_total", "a", "9bad") },
-		"counter suffix":   func(r *Registry) { r.Counter("x", "a") },
-		"label arity":      func(r *Registry) { r.CounterVec("x_total", "a", "l").With("a", "b") },
-		"duplicate bucket": func(r *Registry) { r.Histogram("h", "a", []float64{1, 1}) },
+	cases := map[string]func(*obs.Registry){
+		"duplicate":        func(r *obs.Registry) { r.GaugeVec("x", "a"); r.GaugeVec("x", "b") },
+		"bad name":         func(r *obs.Registry) { r.GaugeVec("9bad", "a") },
+		"bad label":        func(r *obs.Registry) { r.CounterVec("x_total", "a", "9bad") },
+		"counter suffix":   func(r *obs.Registry) { r.Counter("x", "a") },
+		"label arity":      func(r *obs.Registry) { r.CounterVec("x_total", "a", "l").With("a", "b") },
+		"duplicate bucket": func(r *obs.Registry) { r.Histogram("h", "a", []float64{1, 1}) },
 	}
 	for name, fn := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -76,7 +79,7 @@ func TestRegistryPanicsOnBadRegistration(t *testing.T) {
 					t.Error("no panic")
 				}
 			}()
-			fn(NewRegistry())
+			fn(obs.NewRegistry())
 		})
 	}
 }
@@ -101,7 +104,7 @@ func TestHistogramProperty(t *testing.T) {
 		}
 		sort.Float64s(bounds)
 
-		r := NewRegistry()
+		r := obs.NewRegistry()
 		h := r.Histogram("prop_seconds", "Property test.", bounds)
 		n := 1 + rng.Intn(200)
 		wantBucket := make([]int64, nb+1)
@@ -144,13 +147,13 @@ func TestHistogramProperty(t *testing.T) {
 
 		// Render → parse → same cumulative counts.
 		var b bytes.Buffer
-		if err := r.WritePrometheus(&b); err != nil {
+		if err := r.WriteExposition(&b, false); err != nil {
 			t.Fatal(err)
 		}
-		if errs := Lint(bytes.NewReader(b.Bytes())); errs != nil {
+		if errs := oracle.Lint(bytes.NewReader(b.Bytes())); errs != nil {
 			t.Fatalf("trial %d: lint: %v\n%s", trial, errs, b.String())
 		}
-		samples, err := ParseText(bytes.NewReader(b.Bytes()))
+		samples, err := obs.ParseText(bytes.NewReader(b.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +169,7 @@ func TestHistogramProperty(t *testing.T) {
 		run = 0
 		for i, bound := range bounds {
 			run += wantBucket[i]
-			key := "le=" + formatValue(bound)
+			key := "le=" + obs.FormatValue(bound)
 			if parsed[key] != float64(run) {
 				t.Fatalf("trial %d: parsed bucket %s = %v, want %d\n%s", trial, key, parsed[key], run, b.String())
 			}
@@ -181,7 +184,7 @@ func TestHistogramProperty(t *testing.T) {
 // goroutines while renders run concurrently; run under -race (make test
 // does) it is the data-race gate for the metrics hot path.
 func TestHistogramConcurrentSoak(t *testing.T) {
-	r := NewRegistry()
+	r := obs.NewRegistry()
 	hv := r.HistogramVec("soak_seconds", "Concurrent soak.", []float64{0.25, 0.5, 0.75}, "route")
 	const workers = 40
 	const perWorker = 1000
@@ -197,7 +200,7 @@ func TestHistogramConcurrentSoak(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					if err := r.WritePrometheus(io.Discard); err != nil {
+					if err := r.WriteExposition(io.Discard, false); err != nil {
 						t.Error(err)
 						return
 					}
@@ -229,22 +232,22 @@ func TestHistogramConcurrentSoak(t *testing.T) {
 		t.Fatalf("observed %d, want %d", total, workers*perWorker)
 	}
 	var b bytes.Buffer
-	if err := r.WritePrometheus(&b); err != nil {
+	if err := r.WriteExposition(&b, false); err != nil {
 		t.Fatal(err)
 	}
-	if errs := Lint(bytes.NewReader(b.Bytes())); errs != nil {
+	if errs := oracle.Lint(bytes.NewReader(b.Bytes())); errs != nil {
 		t.Fatalf("lint after soak: %v", errs)
 	}
 }
 
 func TestRuntimeMetrics(t *testing.T) {
-	r := NewRegistry()
-	RegisterRuntimeMetrics(r)
+	r := obs.NewRegistry()
+	obs.RegisterRuntimeMetrics(r)
 	var b bytes.Buffer
-	if err := r.WritePrometheus(&b); err != nil {
+	if err := r.WriteExposition(&b, false); err != nil {
 		t.Fatal(err)
 	}
-	samples, err := ParseText(bytes.NewReader(b.Bytes()))
+	samples, err := obs.ParseText(bytes.NewReader(b.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +268,7 @@ func TestRuntimeMetrics(t *testing.T) {
 			t.Errorf("%s = %v, want > 0", name, v)
 		}
 	}
-	if errs := Lint(bytes.NewReader(b.Bytes())); errs != nil {
+	if errs := oracle.Lint(bytes.NewReader(b.Bytes())); errs != nil {
 		t.Errorf("lint: %v", errs)
 	}
 }
@@ -279,24 +282,24 @@ func TestFormatValue(t *testing.T) {
 		math.Inf(1): "+Inf",
 	}
 	for in, want := range cases {
-		if got := formatValue(in); got != want {
-			t.Errorf("formatValue(%v) = %q, want %q", in, got, want)
+		if got := obs.FormatValue(in); got != want {
+			t.Errorf("obs.FormatValue(%v) = %q, want %q", in, got, want)
 		}
 	}
-	if got := formatValue(math.NaN()); got != "NaN" {
+	if got := obs.FormatValue(math.NaN()); got != "NaN" {
 		t.Errorf("NaN renders %q", got)
 	}
-	if got := formatValue(math.Inf(-1)); got != "-Inf" {
+	if got := obs.FormatValue(math.Inf(-1)); got != "-Inf" {
 		t.Errorf("-Inf renders %q", got)
 	}
 }
 
-func ExampleRegistry_WritePrometheus() {
-	r := NewRegistry()
+func ExampleRegistry_WriteExposition() {
+	r := obs.NewRegistry()
 	c := r.Counter("example_events_total", "Events processed.")
 	c.Add(3)
 	var b bytes.Buffer
-	_ = r.WritePrometheus(&b)
+	_ = r.WriteExposition(&b, false)
 	fmt.Print(b.String())
 	// Output:
 	// # HELP example_events_total Events processed.
@@ -305,24 +308,17 @@ func ExampleRegistry_WritePrometheus() {
 }
 
 func TestHistogramExemplars(t *testing.T) {
-	r := NewRegistry()
+	r := obs.NewRegistry()
 	h := r.Histogram("test_latency_seconds", "Latency.", []float64{0.1, 1})
 	h.ObserveExemplar(0.05, "aaaa000011112222")
 	h.ObserveExemplar(0.5, "bbbb000011112222")
 	h.ObserveExemplar(5, "cccc000011112222")
 	h.Observe(0.06) // no exemplar: must not clobber the bucket's last trace
 
-	// Default output carries no exemplars and is byte-identical to the
-	// legacy writer.
-	var plain, legacy, rich bytes.Buffer
+	// Default output carries no exemplars.
+	var plain, rich bytes.Buffer
 	if err := r.WriteExposition(&plain, false); err != nil {
 		t.Fatal(err)
-	}
-	if err := r.WritePrometheus(&legacy); err != nil {
-		t.Fatal(err)
-	}
-	if plain.String() != legacy.String() {
-		t.Fatal("WriteExposition(false) diverged from WritePrometheus")
 	}
 	if strings.Contains(plain.String(), "# {") {
 		t.Fatal("exemplar syntax leaked into the default exposition")
@@ -343,10 +339,10 @@ func TestHistogramExemplars(t *testing.T) {
 	}
 
 	// The rich exposition lints clean and parses back with exemplars.
-	if errs := Lint(strings.NewReader(text)); len(errs) != 0 {
+	if errs := oracle.Lint(strings.NewReader(text)); len(errs) != 0 {
 		t.Fatalf("exemplar exposition fails lint: %v", errs)
 	}
-	samples, err := ParseText(strings.NewReader(text))
+	samples, err := obs.ParseText(strings.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +376,7 @@ c_total 1 # {trace_id="` + strings.Repeat("a", 200) + `"} 1
 `,
 	}
 	for name, in := range cases {
-		if errs := Lint(strings.NewReader(in)); len(errs) == 0 {
+		if errs := oracle.Lint(strings.NewReader(in)); len(errs) == 0 {
 			t.Errorf("%s: lint found no errors", name)
 		}
 	}
@@ -388,7 +384,7 @@ c_total 1 # {trace_id="` + strings.Repeat("a", 200) + `"} 1
 	ok := `# TYPE c_total counter
 c_total 1 # {trace_id="abc"} 1
 `
-	if errs := Lint(strings.NewReader(ok)); len(errs) != 0 {
+	if errs := oracle.Lint(strings.NewReader(ok)); len(errs) != 0 {
 		t.Errorf("counter exemplar flagged: %v", errs)
 	}
 }

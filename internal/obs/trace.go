@@ -42,14 +42,6 @@ func (s *Span) TraceID() string {
 	return s.rec.TraceID
 }
 
-// SpanID returns the span's own identifier ("" for a nil span).
-func (s *Span) SpanID() string {
-	if s == nil {
-		return ""
-	}
-	return s.rec.SpanID
-}
-
 // SetAttr attaches a key/value attribute to the span. Calls after End are
 // dropped.
 func (s *Span) SetAttr(key string, value any) {
@@ -107,23 +99,29 @@ func (s *Span) TraceParent() string {
 	return "00-" + s.rec.TraceID + "-" + s.rec.SpanID + "-01"
 }
 
+// maxIDHex caps a remote trace or span ID at W3C's trace-ID width, so a
+// header cannot park arbitrarily long IDs in the span ring.
+const maxIDHex = 32
+
 // ParseTraceParent splits a traceparent header value into its trace and
-// span IDs. It accepts any hex ID lengths (this stack mints 16-char IDs,
-// W3C mints 32/16) but rejects malformed values: wrong field count,
-// non-hex IDs, or an unknown version prefix.
+// span IDs. It accepts lowercase hex IDs of 1 to maxIDHex chars (this
+// stack mints 16-char IDs, W3C mints 32/16) and rejects malformed values:
+// wrong field count, non-hex or overlong IDs, or an unknown version
+// prefix.
 func ParseTraceParent(v string) (traceID, spanID string, ok bool) {
 	parts := strings.Split(strings.TrimSpace(v), "-")
 	if len(parts) != 4 || parts[0] != "00" {
 		return "", "", false
 	}
-	if !isHex(parts[1]) || !isHex(parts[2]) {
+	if !isID(parts[1]) || !isID(parts[2]) {
 		return "", "", false
 	}
 	return parts[1], parts[2], true
 }
 
-func isHex(s string) bool {
-	if s == "" {
+// isID reports whether s is 1 to maxIDHex lowercase hex chars.
+func isID(s string) bool {
+	if s == "" || len(s) > maxIDHex {
 		return false
 	}
 	for i := 0; i < len(s); i++ {
@@ -157,16 +155,6 @@ func ContextWithSpan(ctx context.Context, span *Span) context.Context {
 func SpanFromContext(ctx context.Context) *Span {
 	s, _ := ctx.Value(spanKey{}).(*Span)
 	return s
-}
-
-// Detach returns ctx without a current span, so bulk fan-out paths (a
-// 4096-itemset batch query) can opt their per-item work out of span
-// creation while keeping cancellation and request-ID propagation.
-func Detach(ctx context.Context) context.Context {
-	if SpanFromContext(ctx) == nil {
-		return ctx
-	}
-	return ContextWithSpan(ctx, nil)
 }
 
 // Tracer hands out spans and keeps the most recent finished ones in a
@@ -231,16 +219,6 @@ func (t *Tracer) record(rec SpanRecord) {
 	t.dropped++
 }
 
-// Len reports the number of finished spans currently held.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.buf)
-}
-
 // Stats reports the ring shape: capacity, held spans, spans ever
 // recorded, and spans evicted by the ring.
 func (t *Tracer) Stats() (capacity, held int, total, dropped int64) {
@@ -272,19 +250,13 @@ type TraceNode struct {
 	Children []*TraceNode `json:"children,omitempty"`
 }
 
-// Traces assembles the held spans into trees and returns the roots whose
-// duration is at least minRoot — the slow-query view when minRoot > 0.
-// A span whose parent fell off the ring becomes a root itself, so trees
-// degrade gracefully rather than disappearing. Roots are ordered by
-// start time.
-func (t *Tracer) Traces(minRoot time.Duration) []*TraceNode {
-	return BuildTraces(t.Snapshot(), minRoot)
-}
-
-// BuildTraces assembles an arbitrary span set into trees — the same
-// shape Traces serves, but over spans gathered from anywhere (the
-// coordinator stitches its own ring together with spans fetched from
-// remote workers before calling this).
+// BuildTraces assembles a span set into trees and returns the roots
+// whose duration is at least minRoot — the slow-query view when
+// minRoot > 0. The spans can come from anywhere: a ring's Snapshot, or
+// the coordinator's ring stitched together with spans fetched from
+// remote workers. A span whose parent is missing becomes a root itself,
+// so trees degrade gracefully rather than disappearing. Roots are
+// ordered by start time.
 func BuildTraces(spans []SpanRecord, minRoot time.Duration) []*TraceNode {
 	nodes := make(map[string]*TraceNode, len(spans))
 	for i := range spans {

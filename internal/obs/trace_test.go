@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 )
@@ -12,7 +13,7 @@ func TestSpanTreeAndContextPropagation(t *testing.T) {
 	if SpanFromContext(ctx) != root {
 		t.Fatal("context does not carry the started span")
 	}
-	if root.TraceID() == "" || root.SpanID() == "" {
+	if root.TraceID() == "" || root.rec.SpanID == "" {
 		t.Fatal("missing ids")
 	}
 	cctx, child := tr.Start(ctx, "child")
@@ -27,7 +28,7 @@ func TestSpanTreeAndContextPropagation(t *testing.T) {
 	root.SetAttr("route", "/v1/mine")
 	root.End()
 
-	trees := tr.Traces(0)
+	trees := BuildTraces(tr.Snapshot(), 0)
 	if len(trees) != 1 {
 		t.Fatalf("got %d roots, want 1", len(trees))
 	}
@@ -56,11 +57,11 @@ func TestTracerMinDurationFilter(t *testing.T) {
 	fast.End()
 	_, slow := tr.StartAt(context.Background(), "slow", time.Now().Add(-50*time.Millisecond))
 	slow.End()
-	all := tr.Traces(0)
+	all := BuildTraces(tr.Snapshot(), 0)
 	if len(all) != 2 {
 		t.Fatalf("unfiltered roots = %d, want 2", len(all))
 	}
-	slowOnly := tr.Traces(10 * time.Millisecond)
+	slowOnly := BuildTraces(tr.Snapshot(), 10*time.Millisecond)
 	if len(slowOnly) != 1 || slowOnly[0].Name != "slow" {
 		t.Fatalf("filtered roots = %+v", slowOnly)
 	}
@@ -83,7 +84,7 @@ func TestTracerRingBounded(t *testing.T) {
 		t.Errorf("snapshot holds %d, want 8", got)
 	}
 	// An orphan (parent evicted) still surfaces as a root.
-	if roots := tr.Traces(0); len(roots) != 8 {
+	if roots := BuildTraces(tr.Snapshot(), 0); len(roots) != 8 {
 		t.Errorf("roots = %d, want 8", len(roots))
 	}
 }
@@ -99,35 +100,14 @@ func TestNilTracerAndSpanAreSafe(t *testing.T) {
 	}
 	s.SetAttr("a", 1) // must not panic
 	s.End()
-	if s.TraceID() != "" || s.SpanID() != "" {
+	if s.TraceID() != "" {
 		t.Error("nil span has ids")
 	}
-	if tr.Len() != 0 || tr.Snapshot() != nil || tr.Traces(0) != nil {
+	if tr.Snapshot() != nil {
 		t.Error("nil tracer holds spans")
 	}
 	if NewTracer(0) != nil || NewTracer(-1) != nil {
 		t.Error("non-positive capacity should disable tracing")
-	}
-}
-
-func TestDetach(t *testing.T) {
-	tr := NewTracer(4)
-	ctx, root := tr.Start(context.Background(), "root")
-	ctx = WithRequestID(ctx, "req-1")
-	d := Detach(ctx)
-	if SpanFromContext(d) != nil {
-		t.Error("Detach left a span in the context")
-	}
-	if RequestIDFrom(d) != "req-1" {
-		t.Error("Detach dropped the request id")
-	}
-	// Spans started under a detached context become new roots.
-	_, s := tr.Start(d, "orphan")
-	if s.TraceID() == root.TraceID() {
-		t.Error("detached child inherited the trace")
-	}
-	if same := Detach(d); same != d {
-		t.Error("Detach of a span-free context should be a no-op")
 	}
 }
 
@@ -137,8 +117,8 @@ func TestDoubleEndAndLateAttrs(t *testing.T) {
 	s.End()
 	s.SetAttr("late", true)
 	s.End()
-	if tr.Len() != 1 {
-		t.Fatalf("recorded %d spans, want 1", tr.Len())
+	if len(tr.Snapshot()) != 1 {
+		t.Fatalf("recorded %d spans, want 1", len(tr.Snapshot()))
 	}
 	if rec := tr.Snapshot()[0]; rec.Attrs != nil {
 		t.Errorf("late attr recorded: %v", rec.Attrs)
@@ -163,14 +143,15 @@ func TestTraceParentRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatalf("ParseTraceParent rejected %q", hdr)
 	}
-	if traceID != span.TraceID() || spanID != span.SpanID() {
-		t.Errorf("round trip = (%s, %s), want (%s, %s)", traceID, spanID, span.TraceID(), span.SpanID())
+	if traceID != span.TraceID() || spanID != span.rec.SpanID {
+		t.Errorf("round trip = (%s, %s), want (%s, %s)", traceID, spanID, span.TraceID(), span.rec.SpanID)
 	}
 	if (*Span)(nil).TraceParent() != "" {
 		t.Error("nil span should render an empty traceparent")
 	}
 	for _, bad := range []string{
 		"", "00-abc", "01-abcd-ef01-01", "00-xyz!-ef01-01", "00-abcd-XY-01", "00--ef01-01", "00-abcd-ef01-01-extra",
+		"00-" + strings.Repeat("a", 33) + "-ef01-01", "00-abcd-" + strings.Repeat("e", 33) + "-01",
 	} {
 		if _, _, ok := ParseTraceParent(bad); ok {
 			t.Errorf("ParseTraceParent accepted malformed %q", bad)
@@ -206,7 +187,7 @@ func TestRemoteParentStitching(t *testing.T) {
 	}
 
 	// The synthetic parent records nothing on the worker's ring.
-	if got := worker.Len(); got != 2 {
+	if got := len(worker.Snapshot()); got != 2 {
 		t.Fatalf("worker ring holds %d spans, want 2", got)
 	}
 

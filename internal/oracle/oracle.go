@@ -1,9 +1,11 @@
 // Package oracle provides the trusted references the engine's
 // correctness tests are anchored to: a brute-force frequent-itemset miner
 // whose only optimization is the anti-monotone recursion (no OSSM, no
-// hash filtering, no projection — every support is an exact scan), and
+// hash filtering, no projection — every support is an exact scan),
 // randomized dataset/itemset generators for property and differential
-// testing. Nothing here is fast; everything here is obviously correct.
+// testing, and a Prometheus text-exposition linter (Lint) for the
+// metrics the server writes. Nothing here is fast; everything here is
+// obviously correct. No binary links this package.
 package oracle
 
 import (

@@ -4,9 +4,10 @@
 // union of locally frequent itemsets forms the global candidate set,
 // which a second pass counts exactly.
 //
-// Section 7 of the OSSM paper describes two integration points, both
-// supported here: a per-partition OSSM pruning local candidates, and a
-// global OSSM pruning global candidates before the counting pass.
+// Section 7 of the OSSM paper describes two integration points: a
+// per-partition OSSM pruning local candidates, and a global OSSM pruning
+// global candidates before the counting pass. The global one is
+// implemented here.
 package partition
 
 import (
@@ -15,7 +16,6 @@ import (
 	"time"
 
 	"github.com/ossm-mining/ossm/internal/conc"
-	"github.com/ossm-mining/ossm/internal/core"
 	"github.com/ossm-mining/ossm/internal/dataset"
 	"github.com/ossm-mining/ossm/internal/mining"
 )
@@ -38,18 +38,6 @@ type Options struct {
 	// NumPartitions splits the database; defaults to 1 when zero (which
 	// degenerates into plain vertical mining).
 	NumPartitions int
-	// LocalPruner, if non-nil, supplies a filter for each partition's
-	// local mining (built, e.g., from a per-partition OSSM).
-	LocalPruner func(part int, lo, hi int) core.Filter
-	// LocalOSSM, if non-nil, builds a per-partition OSSM automatically
-	// (Section 7: "if an OSSM is built for each partition, the execution
-	// time for each partition will be significantly reduced") with the
-	// given segmentation options, pruning each partition's local mining
-	// at its local threshold. Ignored when LocalPruner is set.
-	LocalOSSM *core.Options
-	// LocalPages is the page count per partition for LocalOSSM (0 ⇒ 4 ×
-	// TargetSegments, clamped to the partition size).
-	LocalPages int
 }
 
 // Stats carries Partition-specific accounting; it rides on the result as
@@ -59,11 +47,6 @@ type Stats struct {
 	LocalFrequent    int // locally frequent itemsets summed over partitions (before union)
 	GlobalCandidates int // distinct candidates entering phase 2
 	GlobalPruned     int // removed from phase 2 by the global OSSM
-	// CrossPruned counts global candidates removed by the *combined*
-	// per-partition OSSMs (Section 7: itemsets locally frequent in one
-	// partition but "known to be globally infrequent with respect to the
-	// OSSMs"). Only populated when LocalOSSM is set.
-	CrossPruned int
 }
 
 // StatsOf returns the Partition-specific counters attached to a result
@@ -94,31 +77,10 @@ func Mine(d *dataset.Dataset, minCount int64, opts Options) (*mining.Result, err
 	res := &mining.Result{MinCount: minCount, Stats: mining.Stats{Algorithm: Name, Workers: pool, Extra: extra}}
 	defer func() { res.Stats.Elapsed = time.Since(start) }()
 
-	// Phase 1: mine each partition locally. When LocalOSSM is set, the
-	// per-partition maps are kept: stacked together they form a combined
-	// OSSM over the whole collection (each partition's segments are
-	// segments of the union), which Section 7 uses to prune global
-	// candidates before phase 2.
+	// Phase 1: mine each partition locally.
 	candidates := make(map[string]dataset.Itemset)
-	var stackedRows [][]uint32
-	for pi, p := range parts {
-		localMin := localMinCount(minCount, p.Len(), d.NumTx())
-		var pruner core.Filter
-		switch {
-		case opts.LocalPruner != nil:
-			pruner = opts.LocalPruner(pi, p.Lo, p.Hi)
-		case opts.LocalOSSM != nil:
-			lp, err := localOSSMPruner(d, p, localMin, *opts.LocalOSSM, opts.LocalPages)
-			if err != nil {
-				return nil, fmt.Errorf("partition %d: %w", pi, err)
-			}
-			pruner = lp
-			m := lp.(*core.Pruner).Map
-			for s := 0; s < m.NumSegments(); s++ {
-				stackedRows = append(stackedRows, m.AppendSegmentRow(make([]uint32, 0, d.NumItems()), s))
-			}
-		}
-		local := mineVertical(d, p, localMin, opts.MaxLen, pruner)
+	for _, p := range parts {
+		local := mineVertical(d, p, localMinCount(minCount, p.Len(), d.NumTx()), opts.MaxLen)
 		extra.LocalFrequent += len(local)
 		for _, x := range local {
 			candidates[x.Key()] = x
@@ -126,33 +88,18 @@ func Mine(d *dataset.Dataset, minCount int64, opts Options) (*mining.Result, err
 	}
 	extra.GlobalCandidates = len(candidates)
 
-	// The combined per-partition OSSM prunes at the *global* threshold.
-	var crossPruner *core.Pruner
-	if len(stackedRows) > 0 {
-		combined, err := core.NewMap(stackedRows)
-		if err != nil {
-			return nil, err
-		}
-		crossPruner = &core.Pruner{Map: combined, MinCount: minCount}
-	}
-
-	// Phase 2: prune with the combined per-partition OSSM, then with the
-	// global OSSM, which sees only the cross-pruner's survivors, and count
-	// the rest exactly against global tidlists.
+	// Phase 2: prune with the global OSSM and count the rest exactly
+	// against global tidlists.
 	var tally mining.LevelTally
 	var toCount []dataset.Itemset
 	for _, x := range candidates {
-		switch {
-		case crossPruner != nil && !crossPruner.Allow(x):
-			extra.CrossPruned++
-			tally.Note(len(x), 1, 1, 0)
-		case opts.Pruner != nil && !opts.Pruner.Allow(x):
+		if opts.Pruner != nil && !opts.Pruner.Allow(x) {
 			extra.GlobalPruned++
 			tally.Note(len(x), 1, 1, 0)
-		default:
-			toCount = append(toCount, x)
-			tally.Note(len(x), 1, 0, 1)
+			continue
 		}
+		toCount = append(toCount, x)
+		tally.Note(len(x), 1, 0, 1)
 	}
 	tally.NoteTx(1, d.NumTx())
 	neededItem := make(map[dataset.Item]bool)
@@ -195,37 +142,6 @@ func countGlobal(tids map[dataset.Item]tidlist, toCount []dataset.Itemset, minCo
 		}
 	})
 	return counts
-}
-
-// localOSSMPruner builds the Section 7 per-partition OSSM: the
-// partition's own pages, segmented with the given options, pruning at
-// the partition-local threshold.
-func localOSSMPruner(d *dataset.Dataset, p dataset.Page, localMin int64, segOpts core.Options, localPages int) (core.Filter, error) {
-	if localPages == 0 {
-		localPages = 4 * segOpts.TargetSegments
-	}
-	if localPages > p.Len() {
-		localPages = p.Len()
-	}
-	if localPages < 1 {
-		localPages = 1
-	}
-	pages := make([]dataset.Page, 0, localPages)
-	base, rem := p.Len()/localPages, p.Len()%localPages
-	lo := p.Lo
-	for i := 0; i < localPages; i++ {
-		size := base
-		if i < rem {
-			size++
-		}
-		pages = append(pages, dataset.Page{Lo: lo, Hi: lo + size})
-		lo += size
-	}
-	seg, err := core.Segment(dataset.PageCounts(d, pages), segOpts)
-	if err != nil {
-		return nil, err
-	}
-	return &core.Pruner{Map: seg.Map, MinCount: localMin}, nil
 }
 
 // localMinCount scales the global threshold to a partition:
@@ -299,7 +215,7 @@ func supportByIntersection(tids map[dataset.Item]tidlist, x dataset.Itemset, min
 // mineVertical mines all locally frequent itemsets of a partition with
 // level-wise candidate generation and tidlist intersection counting — the
 // in-memory engine of the original Partition algorithm.
-func mineVertical(d *dataset.Dataset, p dataset.Page, localMin int64, maxLen int, pruner core.Filter) []dataset.Itemset {
+func mineVertical(d *dataset.Dataset, p dataset.Page, localMin int64, maxLen int) []dataset.Itemset {
 	tids := buildTidlists(d, p.Lo, p.Hi, nil)
 	var level []node
 	for it, tl := range tids {
@@ -317,13 +233,9 @@ func mineVertical(d *dataset.Dataset, p dataset.Page, localMin int64, maxLen int
 		for i, n := range level {
 			sets[i] = n.items
 		}
-		// Intersect the parents' tidlists only for admitted candidates.
 		// AprioriGen yields in lexicographic order, so next stays sorted.
 		var next []node
 		mining.AprioriGen(sets, func(cand dataset.Itemset, a, b int) {
-			if pruner != nil && !pruner.Allow(cand) {
-				return
-			}
 			tl := intersect(level[a].tids, level[b].tids)
 			if int64(len(tl)) >= localMin {
 				next = append(next, node{items: cand, tids: tl})

@@ -88,44 +88,6 @@ func TestPartitionWithGlobalOSSMIsLossless(t *testing.T) {
 	}
 }
 
-func TestPartitionWithLocalOSSMIsLossless(t *testing.T) {
-	// A per-partition OSSM prunes local candidates at the *local*
-	// threshold; results must be unchanged.
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		d := randomDataset(r)
-		minCount := int64(1 + r.Intn(d.NumTx()))
-		np := 1 + r.Intn(minInt(d.NumTx(), 4))
-		plain, err := Mine(d, minCount, Options{NumPartitions: np})
-		if err != nil {
-			return false
-		}
-		localPruner := func(part, lo, hi int) core.Filter {
-			n := hi - lo
-			mPages := 1 + r.Intn(n)
-			slice := d.Slice(lo, hi)
-			pages := dataset.PaginateN(slice, mPages)
-			seg, err := core.Segment(dataset.PageCounts(slice, pages), core.Options{
-				Algorithm:      core.AlgRandom,
-				TargetSegments: 1 + r.Intn(mPages),
-				Seed:           int64(part),
-			})
-			if err != nil {
-				panic(err)
-			}
-			return &core.Pruner{Map: seg.Map, MinCount: localMinCount(minCount, n, d.NumTx())}
-		}
-		withLocal, err := Mine(d, minCount, Options{NumPartitions: np, LocalPruner: localPruner})
-		if err != nil {
-			return false
-		}
-		return plain.Equal(withLocal)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestGlobalOSSMPrunesLocallyFrequentGlobalCandidates(t *testing.T) {
 	// Two disjoint halves: pairs within a half are locally frequent in
 	// one partition but globally infrequent cross-half pairs never arise;
@@ -244,77 +206,6 @@ func TestStatsSanity(t *testing.T) {
 	if res.NumFrequent() > StatsOf(res).GlobalCandidates {
 		t.Errorf("more frequent itemsets (%d) than candidates (%d)",
 			res.NumFrequent(), StatsOf(res).GlobalCandidates)
-	}
-}
-
-func TestPartitionWithAutoLocalOSSM(t *testing.T) {
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		d := randomDataset(r)
-		minCount := int64(1 + r.Intn(d.NumTx()))
-		np := 1 + r.Intn(minInt(d.NumTx(), 4))
-		plain, err := Mine(d, minCount, Options{NumPartitions: np})
-		if err != nil {
-			return false
-		}
-		auto, err := Mine(d, minCount, Options{
-			NumPartitions: np,
-			LocalOSSM: &core.Options{
-				Algorithm:      core.AlgGreedy,
-				TargetSegments: 1 + r.Intn(4),
-				Seed:           seed,
-			},
-		})
-		if err != nil {
-			return false
-		}
-		return plain.Equal(auto)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCrossPartitionOSSMPrunes(t *testing.T) {
-	// Two disjoint halves again: half-local pairs are locally frequent
-	// but globally infrequent; the stacked per-partition OSSMs prove it
-	// without any second structure.
-	b := dataset.NewBuilder(8)
-	r := rand.New(rand.NewSource(12))
-	for i := 0; i < 400; i++ {
-		var tx []dataset.Item
-		lo, hi := 0, 4
-		if i >= 200 {
-			lo, hi = 4, 8
-		}
-		for j := lo; j < hi; j++ {
-			if r.Float64() < 0.6 {
-				tx = append(tx, dataset.Item(j))
-			}
-		}
-		if err := b.Append(tx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d := b.Build()
-	minCount := int64(150)
-	plain, err := Mine(d, minCount, Options{NumPartitions: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	auto, err := Mine(d, minCount, Options{
-		NumPartitions: 2,
-		LocalOSSM:     &core.Options{Algorithm: core.AlgGreedy, TargetSegments: 4},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !plain.Equal(auto) {
-		t.Fatal("cross-partition pruning changed the result")
-	}
-	if StatsOf(auto).CrossPruned == 0 {
-		t.Errorf("combined per-partition OSSMs pruned nothing (candidates=%d)",
-			StatsOf(auto).GlobalCandidates)
 	}
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -109,7 +110,7 @@ func TestCachedBoundMatchesFresh(t *testing.T) {
 			}
 			for i := 0; i < 400; i++ {
 				items := pool[rng.Intn(len(pool))]
-				got, err := s.Bound("p", items, false)
+				got, err := s.bound("p", items, false)
 				if err != nil {
 					t.Fatalf("Bound(%v): %v", items, err)
 				}
@@ -160,15 +161,15 @@ func TestSwapInvalidatesCache(t *testing.T) {
 	}
 	// Warm the cache against generation 1.
 	for _, items := range sets {
-		if _, err := s.Bound("p", items, false); err != nil {
+		if _, err := s.bound("p", items, false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Swap("p", next); err != nil {
+	if err := s.reg.Swap("p", next); err != nil {
 		t.Fatal(err)
 	}
 	for _, items := range sets {
-		got, err := s.Bound("p", items, false)
+		got, err := s.bound("p", items, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,14 +208,14 @@ func benchBounds(b *testing.B, noCache bool) {
 	}
 	// Warm the cache so the cached variant measures pure hits.
 	for _, items := range sets {
-		if _, err := s.Bound("retail", items, noCache); err != nil {
+		if _, err := s.bound("retail", items, noCache); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Bound("retail", sets[i%len(sets)], noCache); err != nil {
+		if _, err := s.bound("retail", sets[i%len(sets)], noCache); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -222,3 +223,21 @@ func benchBounds(b *testing.B, noCache bool) {
 
 func BenchmarkUbsupCached(b *testing.B)   { benchBounds(b, false) }
 func BenchmarkUbsupUncached(b *testing.B) { benchBounds(b, true) }
+
+// bound answers one ubsup query against the named index, through the
+// cache unless noCache is set, as a batch of one.
+func (s *Server) bound(name string, items []ossm.Item, noCache bool) (BoundResult, error) {
+	ix, version, ok := s.reg.Lookup(name)
+	if !ok {
+		return BoundResult{}, fmt.Errorf("unknown index %q", name)
+	}
+	fleet, err := s.fleetFor(name)
+	if err != nil {
+		return BoundResult{}, err
+	}
+	res, err := s.boundBatch(context.Background(), ix, fleet, name, version, [][]ossm.Item{items}, noCache)
+	if err != nil {
+		return BoundResult{}, err
+	}
+	return res[0], nil
+}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/ossm-mining/ossm/internal/obs"
+	"github.com/ossm-mining/ossm/internal/oracle"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
@@ -100,7 +101,7 @@ func TestPrometheusGolden(t *testing.T) {
 	resp.Body.Close()
 
 	// The exposition must pass the HELP/TYPE/histogram lint verbatim.
-	if errs := obs.Lint(bytes.NewReader(raw.Bytes())); len(errs) != 0 {
+	if errs := oracle.Lint(bytes.NewReader(raw.Bytes())); len(errs) != 0 {
 		t.Fatalf("exposition fails lint: %v", errs)
 	}
 

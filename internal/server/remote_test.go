@@ -11,6 +11,7 @@ import (
 
 	ossm "github.com/ossm-mining/ossm"
 	"github.com/ossm-mining/ossm/internal/obs"
+	"github.com/ossm-mining/ossm/internal/oracle"
 	"github.com/ossm-mining/ossm/internal/shard"
 	"github.com/ossm-mining/ossm/internal/shard/remote"
 )
@@ -134,7 +135,7 @@ func TestRemoteFleetUbsupBitIdentical(t *testing.T) {
 	if !strings.Contains(text, `ossm_shard_rpc_total{shard="0",method="bounds",outcome="ok"}`) {
 		t.Fatalf("/metrics missing shard RPC series:\n%s", text)
 	}
-	if errs := obs.Lint(bytes.NewReader(raw.Bytes())); len(errs) != 0 {
+	if errs := oracle.Lint(bytes.NewReader(raw.Bytes())); len(errs) != 0 {
 		t.Fatalf("exposition fails lint: %v", errs)
 	}
 	if samples, err := obs.ParseText(bytes.NewReader(raw.Bytes())); err != nil || len(samples) == 0 {

@@ -138,7 +138,7 @@ func New(cfg Config) *Server {
 }
 
 // Registry exposes the server's entry registry (AddIndex, AddDataset,
-// Swap) for loaders and streaming refreshers.
+// Swap, Remove) for loaders and streaming refreshers.
 func (s *Server) Registry() *Registry { return s.reg }
 
 // Tracer exposes the server's span ring, so remote shard clients built
@@ -151,10 +151,6 @@ func (s *Server) AddIndex(name string, ix *ossm.Index) error { return s.reg.AddI
 
 // AddDataset attaches a mining dataset to the named entry.
 func (s *Server) AddDataset(name string, d *ossm.Dataset) error { return s.reg.AddDataset(name, d) }
-
-// Swap replaces a named index (bumping its version, which invalidates
-// every bound cached against the old index).
-func (s *Server) Swap(name string, ix *ossm.Index) error { return s.reg.Swap(name, ix) }
 
 // sharded reports whether this server fans queries over a shard fleet.
 func (s *Server) sharded() bool { return s.remoteFn != nil }
@@ -273,24 +269,6 @@ type BoundResult struct {
 
 // errBadItemset marks client-side itemset validation failures.
 var errBadItemset = errors.New("bad itemset")
-
-// Bound answers one ubsup query against the named index, through the
-// cache unless noCache is set, as a batch of one.
-func (s *Server) Bound(name string, items []ossm.Item, noCache bool) (BoundResult, error) {
-	ix, version, ok := s.reg.Lookup(name)
-	if !ok {
-		return BoundResult{}, fmt.Errorf("unknown index %q", name)
-	}
-	fleet, err := s.fleetFor(name)
-	if err != nil {
-		return BoundResult{}, err
-	}
-	res, err := s.boundBatch(context.Background(), ix, fleet, name, version, [][]ossm.Item{items}, noCache)
-	if err != nil {
-		return BoundResult{}, err
-	}
-	return res[0], nil
-}
 
 // boundBatch answers a whole ubsup batch. It canonicalizes (sorts and
 // de-duplicates, so permutations share a cache line) and validates every

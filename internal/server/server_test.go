@@ -128,7 +128,7 @@ func TestIndexesListing(t *testing.T) {
 		t.Errorf("version = %v, want 1", row["version"])
 	}
 	// Swapping bumps the version and the swap counter.
-	if err := s.Swap("retail", ix); err != nil {
+	if err := s.reg.Swap("retail", ix); err != nil {
 		t.Fatal(err)
 	}
 	_, body = getJSON(t, ts.URL+"/v1/indexes")
@@ -581,7 +581,7 @@ func TestConcurrentQueriesAndSwaps(t *testing.T) {
 			for iter := 0; iter < 30; iter++ {
 				switch {
 				case c%8 == 0: // swap clients
-					if err := s.Swap("retail", generations[rng.Intn(len(generations))]); err != nil {
+					if err := s.reg.Swap("retail", generations[rng.Intn(len(generations))]); err != nil {
 						errc <- err
 						return
 					}

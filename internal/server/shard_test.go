@@ -186,7 +186,7 @@ func TestShardedSwapKeepsFleet(t *testing.T) {
 	// A rebuild over the same data — the snapshot the workers also
 	// serve — under a new registry version.
 	_, ix2 := fixture(t, 900, 21)
-	if err := rc.s.Swap("retail", ix2); err != nil {
+	if err := rc.s.reg.Swap("retail", ix2); err != nil {
 		t.Fatal(err)
 	}
 	code, second := postJSON(t, http.DefaultClient, rc.url+"/v1/ubsup", body)

@@ -10,6 +10,7 @@ import (
 
 	ossm "github.com/ossm-mining/ossm"
 	"github.com/ossm-mining/ossm/internal/obs"
+	"github.com/ossm-mining/ossm/internal/oracle"
 	"github.com/ossm-mining/ossm/internal/shard"
 	"github.com/ossm-mining/ossm/internal/shard/remote"
 )
@@ -219,7 +220,7 @@ func TestRemoteFleetTraceAssembly(t *testing.T) {
 		t.Fatal(err)
 	}
 	mresp.Body.Close()
-	if errs := obs.Lint(bytes.NewReader(raw.Bytes())); len(errs) != 0 {
+	if errs := oracle.Lint(bytes.NewReader(raw.Bytes())); len(errs) != 0 {
 		t.Fatalf("exemplar exposition fails lint: %v", errs)
 	}
 	samples, err := obs.ParseText(bytes.NewReader(raw.Bytes()))

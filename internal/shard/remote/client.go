@@ -233,16 +233,6 @@ func (c *Client) NumTx() int {
 	return 0
 }
 
-// TotalSegments reports the worker's whole-index segment count (0 until
-// the worker has been reached). Coordinators use it to validate that a
-// fleet tiles the segment axis.
-func (c *Client) TotalSegments() int {
-	if snap := c.ensureInfo(); snap != nil {
-		return snap.TotalSegments
-	}
-	return 0
-}
-
 // ensureInfo returns the cached info snapshot, fetching synchronously
 // exactly once on first use and asynchronously (throttled) thereafter —
 // a dead worker costs one bounded fetch up front, never a stall per

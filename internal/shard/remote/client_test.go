@@ -365,8 +365,8 @@ func TestClientInfoCachedAndBreakerOverlay(t *testing.T) {
 	if inf.Segments.Len() == 0 {
 		t.Fatal("Info().Segments is empty; worker info did not arrive")
 	}
-	if c.TotalSegments() != ix.NumSegments() {
-		t.Fatalf("TotalSegments = %d, want %d", c.TotalSegments(), ix.NumSegments())
+	if got := c.ensureInfo().TotalSegments; got != ix.NumSegments() {
+		t.Fatalf("TotalSegments = %d, want %d", got, ix.NumSegments())
 	}
 	if c.CanMine() {
 		t.Fatal("CanMine() = true for an index-only shard")

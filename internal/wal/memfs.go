@@ -10,41 +10,9 @@ import (
 )
 
 // ErrInjected is the failure MemFS returns from every mutating operation
-// once FailAfter trips — the hook error-path tests match on.
+// at or past its failure point (failAt) — the hook error-path tests
+// match on.
 var ErrInjected = errors.New("wal: injected filesystem failure")
-
-// Tear selects how much of the unsynced (buffered) tail of each file
-// survives a simulated crash. Real disks can persist any prefix of the
-// bytes written since the last fsync; the harness checks the three
-// boundary cases, which cover every replay decision the reader can face:
-// no tail, a mid-record tail, and a complete-but-unacknowledged tail.
-type Tear int
-
-const (
-	// TearDrop loses every unsynced byte.
-	TearDrop Tear = iota
-	// TearHalf keeps the first half of each file's unsynced tail —
-	// tearing the final record mid-frame.
-	TearHalf
-	// TearKeep keeps every unsynced byte (written fully, never fsynced,
-	// but the kernel flushed it anyway).
-	TearKeep
-)
-
-// Tears lists every tear mode, for harness loops.
-var Tears = []Tear{TearDrop, TearHalf, TearKeep}
-
-func (t Tear) String() string {
-	switch t {
-	case TearDrop:
-		return "drop"
-	case TearHalf:
-		return "half"
-	case TearKeep:
-		return "keep"
-	}
-	return fmt.Sprintf("Tear(%d)", int(t))
-}
 
 // opKind enumerates the journaled durable operations.
 type opKind int
@@ -73,9 +41,9 @@ type memFile struct {
 
 // MemFS is an in-memory FS that models crash-durability semantics: Write
 // buffers, Sync promotes, and every mutating operation is journaled so
-// the crash-point harness can materialize the exact disk state after any
-// operation prefix with CrashStateAt. The zero value is not usable; call
-// NewMemFS.
+// the crash-point harness in this package's tests can materialize the
+// exact disk state after any operation prefix. The zero value is not
+// usable; call NewMemFS.
 type MemFS struct {
 	mu     sync.Mutex
 	files  map[string]*memFile
@@ -87,22 +55,6 @@ type MemFS struct {
 // NewMemFS returns an empty crashable in-memory filesystem.
 func NewMemFS() *MemFS {
 	return &MemFS{files: make(map[string]*memFile), base: make(map[string][]byte)}
-}
-
-// NumOps returns how many mutating operations have been journaled.
-func (m *MemFS) NumOps() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.ops)
-}
-
-// FailAfter arranges for every mutating operation after the next n to
-// return ErrInjected (n = 0 fails the very next one). It models a disk
-// going bad mid-run, for exercising the store's error paths.
-func (m *MemFS) FailAfter(n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.failAt = len(m.ops) + n + 1
 }
 
 // note journals one op, reporting whether injected failure tripped.
@@ -224,74 +176,4 @@ func (m *MemFS) SyncDir() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.note(memOp{kind: opSyncDir})
-}
-
-// CrashStateAt materializes the disk as it would look if the process
-// died immediately after the first n journaled operations: the replayed
-// syncs' bytes are durable, each file's still-unsynced tail survives per
-// the tear mode, and metadata operations (create, rename, remove) hold
-// as soon as they were journaled. The result is a fresh, fully-durable
-// MemFS with an empty journal — exactly what a restarted Store opens —
-// and is itself crashable, so a crash during recovery composes:
-// CrashStateAt on the result replays the second process's ops on top of
-// the first crash's disk. CrashStateAt(NumOps(), TearKeep) is a plain
-// deep copy.
-func (m *MemFS) CrashStateAt(n int, tear Tear) *MemFS {
-	m.mu.Lock()
-	ops := m.ops[:n]
-	files := make(map[string]*memFile)
-	for name, content := range m.base {
-		files[name] = &memFile{durable: append([]byte(nil), content...)}
-	}
-	for _, op := range ops {
-		switch op.kind {
-		case opCreate:
-			files[op.name] = &memFile{}
-		case opWrite:
-			if f, ok := files[op.name]; ok {
-				f.buffered = append(f.buffered, op.data...)
-			}
-		case opSync:
-			if f, ok := files[op.name]; ok {
-				f.durable = append(f.durable, f.buffered...)
-				f.buffered = nil
-			}
-		case opRename:
-			if f, ok := files[op.name]; ok {
-				files[op.name2] = f
-				delete(files, op.name)
-			}
-		case opRemove:
-			delete(files, op.name)
-		case opSyncDir:
-		}
-	}
-	m.mu.Unlock()
-
-	out := NewMemFS()
-	for name, f := range files {
-		content := append([]byte(nil), f.durable...)
-		switch tear {
-		case TearHalf:
-			content = append(content, f.buffered[:len(f.buffered)/2]...)
-		case TearKeep:
-			content = append(content, f.buffered...)
-		}
-		out.files[name] = &memFile{durable: content}
-		out.base[name] = append([]byte(nil), content...)
-	}
-	return out
-}
-
-// Bytes returns the current full content of one file (durable plus
-// buffered) and whether it exists — a test convenience.
-func (m *MemFS) Bytes(name string) ([]byte, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	f, ok := m.files[name]
-	if !ok {
-		return nil, false
-	}
-	content := append([]byte(nil), f.durable...)
-	return append(content, f.buffered...), true
 }

@@ -384,23 +384,6 @@ func (s *Store) SinceSnapshot() (records int, at time.Time) {
 	return s.sinceSnap, s.snapAt
 }
 
-// Snapshot forces a snapshot (and WAL truncation) now.
-func (s *Store) Snapshot() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if s.failed != nil {
-		return fmt.Errorf("%w: %w", ErrFailed, s.failed)
-	}
-	err := s.snapshotLocked()
-	if s.opts.OnSnapshot != nil {
-		s.opts.OnSnapshot(err)
-	}
-	return err
-}
-
 // snapshotLocked persists the current state as snap-<seq>, opens the
 // fresh wal-<seq> for the next epoch, and removes the superseded files.
 // Callers hold s.mu.

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -566,4 +567,21 @@ func TestAppendCountOverflowFailsStore(t *testing.T) {
 	if _, err := s.Append([]ossm.Itemset{itemset(1)}); !errors.Is(err, ErrFailed) {
 		t.Fatalf("append after the failure: err = %v, want ErrFailed", err)
 	}
+}
+
+// Snapshot forces a snapshot (and WAL truncation) now.
+func (s *Store) Snapshot() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return ErrClosed
+	}
+	if s.failed != nil {
+		return fmt.Errorf("%w: %w", ErrFailed, s.failed)
+	}
+	err := s.snapshotLocked()
+	if s.opts.OnSnapshot != nil {
+		s.opts.OnSnapshot(err)
+	}
+	return err
 }

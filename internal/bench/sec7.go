@@ -64,7 +64,7 @@ type Sec7Result struct {
 	TimeOSSM    time.Duration
 	C2Plain     int
 	C2OSSM      int
-	OSSMPruned  int // pairs removed by the OSSM before the bucket test
+	OSSMPruned  int // bucket survivors the OSSM bound rejects
 	BucketPlain int // pairs removed by buckets alone (baseline run)
 	// TrajectoryPlain and TrajectoryOSSM are the per-pass telemetry of the
 	// fastest baseline and OSSM runs.
@@ -153,7 +153,7 @@ func (r *Sec7Result) Print(w io.Writer) {
 	fmt.Fprintf(w, "%-24s %-14s %-10s\n", "algorithm", "runtime", "|C2|")
 	fmt.Fprintf(w, "%-24s %-14v %-10d\n", "DHP without the OSSM", r.TimePlain.Round(time.Millisecond), r.C2Plain)
 	fmt.Fprintf(w, "%-24s %-14v %-10d\n", "DHP with the OSSM", r.TimeOSSM.Round(time.Millisecond), r.C2OSSM)
-	fmt.Fprintf(w, "(OSSM pruned %d pairs before the bucket test; buckets alone pruned %d in the baseline)\n",
+	fmt.Fprintf(w, "(the OSSM rejected %d bucket survivors; buckets alone pruned %d in the baseline)\n",
 		r.OSSMPruned, r.BucketPlain)
 	printTrajectory(w, "baseline per-pass trajectory", r.TrajectoryPlain)
 	printTrajectory(w, "OSSM per-pass trajectory", r.TrajectoryOSSM)

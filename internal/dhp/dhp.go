@@ -1,9 +1,9 @@
 // Package dhp implements the DHP algorithm of Park, Chen and Yu (IEEE
 // TKDE 1997): hash-based filtering of candidate 2-itemsets plus
 // transaction trimming. It is the comparator of the paper's Section 7,
-// which shows the additional benefit an OSSM brings to DHP — known
-// infrequent pairs are never generated at all, and survivors can still be
-// rejected by their hash bucket.
+// which shows the additional benefit an OSSM brings to DHP: of the pairs
+// whose hash bucket could be frequent, those the bound proves infrequent
+// are never counted.
 package dhp
 
 import (
@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"github.com/ossm-mining/ossm/internal/conc"
-	"github.com/ossm-mining/ossm/internal/core"
 	"github.com/ossm-mining/ossm/internal/dataset"
 	"github.com/ossm-mining/ossm/internal/mining"
 )
@@ -40,8 +39,9 @@ type Options struct {
 // Stats extends the per-level accounting with DHP-specific counters; it
 // rides on the result as mining.Stats.Extra (see StatsOf).
 type Stats struct {
-	// BucketPruned counts candidate pairs rejected by the hash table
-	// (after surviving the OSSM, if one is configured).
+	// BucketPruned counts candidates of passes 2 and 3 rejected by the
+	// hash tables. The bucket test runs first, so with an OSSM configured
+	// the bound only sees the bucket's survivors.
 	BucketPruned int
 	// TrimmedItems counts item occurrences removed by transaction
 	// trimming after pass 2.
@@ -59,23 +59,19 @@ func StatsOf(r *mining.Result) *Stats {
 	return nil
 }
 
-// pairHash maps an item pair to a bucket, mirroring the order-insensitive
-// polynomial hash of the original paper.
-func pairHash(a, b dataset.Item, buckets int) int {
-	return int((uint64(a)*2654435761 + uint64(b)) % uint64(buckets))
-}
-
-// residues returns pairHash's two terms for item x reduced mod buckets:
-// x·2654435761 mod buckets as the pair's first item, x mod buckets as
-// its second. Items are uint32, so a·2654435761 + b is below 2⁶⁴ and
-// never wraps, and pairHash(a, b) is exactly the residueBucket of a's
-// row residue and b's column residue.
+// residues returns the two terms of H2's pair hash, the polynomial hash
+// of the original paper, (a·2654435761 + b) mod buckets, for item x
+// reduced mod buckets: x·2654435761 mod buckets as the pair's first
+// item, x mod buckets as its second. Items are uint32, so a·2654435761 +
+// b is below 2⁶⁴ and never wraps, and the pair's bucket is exactly the
+// residueBucket of a's row residue and b's column residue.
 func residues(x dataset.Item, buckets int) (row, col int) {
 	return int(uint64(x) * 2654435761 % uint64(buckets)), int(uint64(x) % uint64(buckets))
 }
 
 // pairResidues tabulates residues over the items x < numItems, so pass 1
-// hashes every transaction pair with no division.
+// hashes every transaction pair, and pass 2 looks up the bucket of every
+// candidate pair, with no division.
 func pairResidues(numItems, buckets int) (rowMod, colMod []int) {
 	rowMod, colMod = make([]int, numItems), make([]int, numItems)
 	for x := range rowMod {
@@ -150,36 +146,30 @@ func Mine(d *dataset.Dataset, minCount int64, opts Options) (*mining.Result, err
 	}
 
 	// Pass 2 candidate generation: a pair of frequent items becomes a
-	// candidate only if (a) the OSSM bound admits it — decided for the
-	// whole generation at once by the pair wall (core.AdmitPairsAmong) — and
-	// (b) its hash bucket could be frequent.
+	// candidate only if (a) its hash bucket could be frequent and (b) the
+	// OSSM bound admits it. The set of candidates is the same in either
+	// order, so the cheap bucket test goes first, reusing pass 1's residue
+	// tables, and only its survivors pay for the bound.
 	passStart = time.Now()
 	stats2 := mining.PassStats{K: 2, Generated: len(f1) * (len(f1) - 1) / 2}
-	items := make([]dataset.Item, len(f1))
-	for i, c := range f1 {
-		items[i] = c.Items[0]
-	}
-	dec := core.AdmitPairsAmong(opts.Pruner, items, nil)
 	var cands []*mining.Candidate
 	var alloc mining.CandidateAlloc
-	idx := 0
-	for i := 0; i < len(items); i++ {
-		for j := i + 1; j < len(items); j++ {
-			a, b := items[i], items[j]
-			ok := dec[idx]
-			idx++
-			if !ok {
-				stats2.Pruned++
-				continue
-			}
-			if h2[pairHash(a, b, buckets)] < minCount {
+	for i, ci := range f1 {
+		a := ci.Items[0]
+		row := rowMod[a]
+		for _, cj := range f1[i+1:] {
+			b := cj.Items[0]
+			switch {
+			case h2[residueBucket(row, colMod[b], buckets)] < minCount:
 				stats2.PrunedHash++
-				extra.BucketPruned++
-				continue
+			case opts.Pruner != nil && !opts.Pruner.AllowPair(a, b):
+				stats2.Pruned++
+			default:
+				cands = append(cands, alloc.Pair(a, b))
 			}
-			cands = append(cands, alloc.Pair(a, b))
 		}
 	}
+	extra.BucketPruned += stats2.PrunedHash
 	stats2.Counted = len(cands)
 	stats2.TxScanned = d.NumTx()
 

@@ -2,6 +2,7 @@ package dhp
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -179,6 +180,50 @@ func TestOSSMReducesC2BeforeBuckets(t *testing.T) {
 	c2ossm := withOSSM.Level(2).Stats.Counted
 	if c2ossm >= c2plain {
 		t.Errorf("candidate 2-itemsets with OSSM (%d) not below without (%d)", c2ossm, c2plain)
+	}
+}
+
+// TestBoundChecksOnlyBucketSurvivors checks the order of pass 2's two
+// tests: the OSSM bound is computed only for the pairs whose H2 bucket
+// could be frequent, so the pruner has made exactly Generated −
+// PrunedHash checks, and rejected exactly Pruned pairs, when pass 2 is
+// emitted. Deciding every pair first would make Generated checks.
+func TestBoundChecksOnlyBucketSurvivors(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	d := differentialDataset(t, r, 40)
+	rows := dataset.PageCounts(d, dataset.PaginateN(d, 6))
+	m, err := core.NewMap(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const minCount = 15
+	boundPruned := 0
+	for _, buckets := range []int{64, 32768} {
+		pruner := &core.Pruner{Map: m, MinCount: minCount}
+		var checked, pruned int64
+		opts := mining.Options{Pruner: pruner, Progress: func(ps mining.PassStats) {
+			if ps.K == 2 {
+				checked, pruned = atomic.LoadInt64(&pruner.Checked), atomic.LoadInt64(&pruner.Pruned)
+			}
+		}}
+		res, err := Mine(d, minCount, Options{Options: opts, NumBuckets: buckets})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := res.Level(2).Stats
+		if s.PrunedHash == 0 {
+			t.Fatalf("buckets=%d: pass 2 %+v prunes nothing by bucket, so it cannot show the order", buckets, s)
+		}
+		boundPruned += s.Pruned
+		if want := int64(s.Generated - s.PrunedHash); checked != want {
+			t.Errorf("buckets=%d: %d bound checks in pass 2, want Generated − PrunedHash = %d", buckets, checked, want)
+		}
+		if pruned != int64(s.Pruned) {
+			t.Errorf("buckets=%d: pruner rejected %d pairs in pass 2, PassStats.Pruned %d", buckets, pruned, s.Pruned)
+		}
+	}
+	if boundPruned == 0 {
+		t.Error("the bound rejected no bucket survivor at any table size")
 	}
 }
 

@@ -11,10 +11,17 @@ import (
 	"github.com/ossm-mining/ossm/internal/mining"
 )
 
+// pairHash maps an item pair to a bucket of H2 with the order-insensitive
+// polynomial hash of the original paper, by division.
+func pairHash(a, b dataset.Item, buckets int) int {
+	return int((uint64(a)*2654435761 + uint64(b)) % uint64(buckets))
+}
+
 // referenceMine is DHP written plainly: pass 1 hashes every pair with
-// pairHash's division, each candidate is admitted by Pruner.Allow on its
-// own, and the trim pass builds fresh slices and a participation map per
-// transaction and counts by subset scans.
+// pairHash's division; in passes 2 and 3 each candidate meets its hash
+// bucket first and only the bucket's survivors meet Pruner.Allow, one
+// candidate at a time; and the trim pass builds fresh slices and a
+// participation map per transaction and counts by subset scans.
 func referenceMine(d *dataset.Dataset, minCount int64, buckets int, pruner *core.Pruner) ([]mining.LevelResult, Stats) {
 	var extra Stats
 	counts := make([]int64, d.NumItems())
@@ -48,11 +55,11 @@ func referenceMine(d *dataset.Dataset, minCount int64, buckets int, pruner *core
 		for _, cj := range f1[i+1:] {
 			a, b := ci.Items[0], cj.Items[0]
 			switch {
-			case !pruner.Allow(dataset.NewItemset(a, b)):
-				stats2.Pruned++
 			case h2[pairHash(a, b, buckets)] < minCount:
 				stats2.PrunedHash++
 				extra.BucketPruned++
+			case !pruner.Allow(dataset.NewItemset(a, b)):
+				stats2.Pruned++
 			default:
 				cands = append(cands, dataset.NewItemset(a, b))
 			}
@@ -126,11 +133,11 @@ func referenceMine(d *dataset.Dataset, minCount int64, buckets int, pruner *core
 		mining.AprioriGen(level, func(x dataset.Itemset, _, _ int) {
 			stats.Generated++
 			switch {
-			case !pruner.Allow(x):
-				stats.Pruned++
 			case k == 3 && h3[tripleHash(x[0], x[1], x[2], buckets)] < minCount:
 				stats.PrunedHash++
 				extra.BucketPruned++
+			case !pruner.Allow(x):
+				stats.Pruned++
 			default:
 				kc = append(kc, x)
 			}

@@ -46,11 +46,13 @@ func AprioriGen(level []dataset.Itemset, yield func(cand dataset.Itemset, a, b i
 
 // LevelWise runs the passes k ≥ 3 of a level-wise miner (Apriori, DHP),
 // continuing from the last level of res. Each pass generates candidates
-// from the previous level (AprioriGen), admits each through opts.Pruner
-// and then keep (nil keeps every candidate; its rejections count as
-// PrunedHash), counts the admitted ones against txs, and appends and
-// emits the level's frequent itemsets. The search stops when a pass
-// admits no candidate or fewer than two itemsets stay frequent.
+// from the previous level (AprioriGen), admits each through keep and
+// then opts.Pruner, counts the admitted ones against txs, and appends
+// and emits the level's frequent itemsets. keep is a cheap test such as
+// DHP's hash bucket (nil keeps every candidate; its rejections count as
+// PrunedHash), so the bound is computed only for the candidates keep
+// admits. The search stops when a pass admits no candidate or fewer
+// than two itemsets stay frequent.
 func LevelWise(res *Result, txs []dataset.Itemset, opts Options, keep func(cand dataset.Itemset) bool) {
 	pool := conc.Resolve(opts.Workers)
 	last := res.Levels[len(res.Levels)-1]
@@ -67,10 +69,10 @@ func LevelWise(res *Result, txs []dataset.Itemset, opts Options, keep func(cand 
 		AprioriGen(level, func(cand dataset.Itemset, _, _ int) {
 			stats.Generated++
 			switch {
-			case opts.Pruner != nil && !opts.Pruner.Allow(cand):
-				stats.Pruned++
 			case keep != nil && !keep(cand):
 				stats.PrunedHash++
+			case opts.Pruner != nil && !opts.Pruner.Allow(cand):
+				stats.Pruned++
 			default:
 				cands = append(cands, alloc.New(cand))
 			}

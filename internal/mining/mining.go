@@ -24,9 +24,12 @@ type Counted struct {
 type PassStats struct {
 	K         int
 	Generated int
-	Pruned    int // discarded by the OSSM bound before counting
-	// PrunedHash counts candidates discarded by hash filtering after
-	// surviving the OSSM (DHP's bucket test); zero for other miners.
+	// Pruned counts candidates discarded by the OSSM bound before
+	// counting. Where a hash filter runs too, the bound sees only the
+	// filter's survivors.
+	Pruned int
+	// PrunedHash counts candidates discarded by hash filtering (DHP's
+	// bucket test), which runs before the bound; zero for other miners.
 	PrunedHash int
 	Counted    int
 	Frequent   int

@@ -192,3 +192,20 @@ func TestRemoteFleetDeadWorkerAndReload(t *testing.T) {
 	}
 	answered(6)
 }
+
+// TestRemoteFleetMissingEntryIsBadGateway stands a coordinator over
+// workers that do not hold its entry. Each worker answers 404, and the
+// coordinator must pass that on as 502: the request named an entry the
+// coordinator holds, so the fault is the fleet's, not the client's.
+func TestRemoteFleetMissingEntryIsBadGateway(t *testing.T) {
+	d, ix := fixture(t, 600, 19)
+	urls, _ := startWorkerFleet(t, "other", ix, d, 2)
+	rc := newRemoteCoordinator(t, d, ix, urls)
+	code, got := postJSON(t, http.DefaultClient, rc.url+"/v1/ubsup", `{"index":"retail","itemsets":[[0],[1,2]],"no_cache":true}`)
+	if code != http.StatusBadGateway {
+		t.Fatalf("workers without the entry = %d: %v, want 502", code, got)
+	}
+	if msg, _ := got["error"].(string); !strings.Contains(msg, "404") {
+		t.Errorf("502 body %v does not carry the worker's 404", got)
+	}
+}

@@ -468,7 +468,10 @@ func (s *Server) handleUbsup(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
 			s.writeErr(w, http.StatusGatewayTimeout, "%v", err)
 		default:
-			s.writeErr(w, http.StatusBadRequest, "%v", err)
+			// boundBatch has already validated the request, so what is
+			// left is a shard refusing it, such as a worker that does not
+			// hold the entry: the fault is on the server's side.
+			s.writeErr(w, http.StatusBadGateway, "%v", err)
 		}
 		return
 	}
